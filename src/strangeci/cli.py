@@ -62,7 +62,6 @@ def _add_common(parser: argparse.ArgumentParser, *, polys: bool = True) -> None:
         parser.add_argument("--poly", action="append", default=None, help="generator (repeatable)")
         parser.add_argument("--in", dest="infile", default=None, help="read generators from file")
     parser.add_argument("--pretty", action="store_true", help="indented output")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap (advisory)")
 
 
 def _load_system(args) -> PolynomialSystem:
@@ -89,8 +88,18 @@ def _emit(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
+def _point(args, text: str, flag: str) -> ProjectivePoint:
+    """Parse a point given on the command line; it must have N+1 coordinates."""
+    a = parse_point(text, make_field(args.char, args.ext))
+    if len(a.coords) != args.n + 1:
+        raise InvalidInputError(
+            f"{flag} {text!r} has {len(a.coords)} coordinates, expected N+1 = {args.n + 1}"
+        )
+    return a
+
+
 def _vertex(args) -> ProjectivePoint:
-    return parse_point(args.vertex, make_field(args.char, args.ext))
+    return _point(args, args.vertex, "--vertex")
 
 
 def cmd_strange_check(args) -> int:
@@ -145,7 +154,7 @@ def cmd_singular_search(args) -> int:
 
 def cmd_tangent(args) -> int:
     S = _load_system(args)
-    T = tangent_space(S, parse_point(args.point, make_field(args.char, args.ext)))
+    T = tangent_space(S, _point(args, args.point, "--point"))
     _emit({"dim": T.dim, "basis": [list(b) for b in T.basis]}, args.pretty)
     return EXIT_OK
 
@@ -154,12 +163,15 @@ def cmd_gauss(args) -> int:
     S = _load_system(args)
     if S.r != 1:
         raise InvalidInputError("gauss map is defined for hypersurfaces (one generator)")
-    image = gauss_map(S.gens[0], parse_point(args.point, make_field(args.char, args.ext)))
+    image = gauss_map(S.gens[0], _point(args, args.point, "--point"))
     _emit({"dual_point": str(image)}, args.pretty)
     return EXIT_OK
 
 
 def cmd_family(args) -> int:
+    needed = {"p-divides": "e", "p-not-divides": "e", "cone": "vertex"}.get(args.id)
+    if needed and getattr(args, needed) is None:
+        raise InvalidInputError(f"family {args.id} needs --{needed}")
     if args.id == "quadric":
         S = quadric_normal_form(args.n, args.char)
     elif args.id == "p-divides":
@@ -184,7 +196,12 @@ def cmd_family(args) -> int:
 
 
 def cmd_census(args) -> int:
-    degrees = tuple(int(x) for x in args.degrees.split(","))
+    try:
+        degrees = tuple(int(x) for x in args.degrees.split(","))
+    except ValueError:
+        raise InvalidInputError(
+            f"--degrees must be comma-separated integers, got {args.degrees!r}"
+        ) from None
     spec = CensusSpec(
         p=args.char,
         N=args.n,

@@ -5,18 +5,22 @@ Jacobian singularity criterion, and exhaustive singular-point search over
 bounded field extensions.
 
 The search enumerates normalized projective representatives (first nonzero
-coordinate 1) over GF(p^m) for m = 1..m_max.  Evaluation of the defining
-polynomials is vectorized with numpy over blocks of points, using the
-field's discrete-log tables; the Jacobian rank test runs only on the few
-survivors of the zero-set filter.  Found points are reported at their
-minimal field of definition, Galois orbits collapsed to the representative
-least in enumeration order.
+coordinate 1) over GF(p^m) for m = 1..m_max, in numpy blocks of points.
+Both stages are vectorized over a block.  A block evaluator computes a
+list of polynomials at once from exponent and coefficient matrices (over
+extension fields, through the discrete-log tables).  The zero-set filter
+evaluates each generator on the points the previous generators left; one
+evaluator for all r(N+1) partial derivatives gives the survivors' r x (N+1)
+Jacobians, and their rank is tested by Gaussian elimination batched over
+the survivors.  Found points are reported at their minimal field of
+definition, Galois orbits collapsed to the representative least in
+enumeration order.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field
+import re
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .errors import (
     BudgetExceededError,
     FieldMismatchError,
     InvalidInputError,
+    ParseError,
     SingularPointError,
 )
 from .exactla import MatrixOverField, rank, rank_and_kernel, rref
@@ -112,20 +117,19 @@ class ProjectivePoint:
     __repr__ = __str__
 
 
+_FIELD_PREFIX = re.compile(r"@GF\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?\)(.*)")
+
+
 def parse_point(text: str, default_field: Field) -> ProjectivePoint:
-    """Parse ``(c0:c1:...:cN)``, optionally prefixed ``@GF(p^m)``."""
+    """Parse ``(c0:c1:...:cN)``, optionally prefixed ``@GF(p^m)`` or ``@GF(p)``."""
     s = text.strip()
     fld = default_field
     if s.startswith("@"):
-        head, _, rest = s.partition(")")
-        spec = head[1:] + ")"
-        s = rest.strip()
-        inner = spec[spec.index("(") + 1 : -1]
-        if "^" in inner:
-            p_str, m_str = inner.split("^")
-        else:
-            p_str, m_str = inner, "1"
-        fld = make_field(int(p_str), int(m_str))
+        match = _FIELD_PREFIX.fullmatch(s)
+        if match is None:
+            raise ParseError(f"bad field prefix in point {text!r}: expected @GF(p^m) or @GF(p)")
+        fld = make_field(int(match[1]), int(match[2] or 1))
+        s = match[3].strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise InvalidInputError(f"bad point syntax: {text!r}")
     parts = s[1:-1].split(":")
@@ -280,26 +284,13 @@ def is_singular_at(S: PolynomialSystem, a: ProjectivePoint) -> bool:
 
 # -- singular-point search ------------------------------------------------
 
-
-@dataclass
-class _Compiled:
-    """A polynomial flattened for fast evaluation: (coeff, [(var, exp), ...])."""
-
-    terms: list[tuple[int, list[tuple[int, int]]]] = dc_field(default_factory=list)
-
-
-def _compile(f: HomogeneousPolynomial) -> _Compiled:
-    out = _Compiled()
-    for mono, c in f.sorted_terms():
-        out.terms.append((c, [(i, e) for i, e in enumerate(mono) if e]))
-    return out
+_CHUNK_CELLS = 1 << 16  # monomial values held at once by a block evaluator
 
 
 class _VecField:
     """Vectorized arithmetic on integer-encoded GF(p^m) values."""
 
     def __init__(self, field: Field):
-        self.field = field
         self.p = field.p
         self.m = field.m
         self.q = field.order
@@ -325,44 +316,96 @@ class _VecField:
     def mul(self, a, b):
         if self.m == 1:
             return (a * b) % self.p
-        nz = (a != 0) & (b != 0)
-        out = np.zeros_like(a)
-        av = a[nz] if isinstance(a, np.ndarray) else a
-        bv = b[nz]
-        out[nz] = self.exp[self.log[av] + self.log[bv]]
+        return np.where((a != 0) & (b != 0), self.exp[self.log[a] + self.log[b]], 0)
+
+
+class _BlockEvaluator:
+    """Evaluates polynomials with prime-field coefficients at blocks of points.
+
+    E (T x n_vars) holds the exponent vectors of the union of the supports
+    and C (T x len(polys)) the coefficients.  Coefficients in GF(p) act on
+    each base-p digit of a monomial value separately, so digit d of the
+    values is (digit_d(monomials) @ C) mod p.  Over GF(p) the monomial values
+    come from per-variable power tables mod p.  Over GF(p^m), m > 1, the
+    monomial with logs L = log[coords] @ E.T has digit d equal to
+    digits[d][L mod (q-1)]; log[0] is set above any sum of logs of nonzero
+    values, so a larger L marks a vanishing monomial.  Points are taken in
+    row chunks of at most _CHUNK_CELLS monomials.
+    """
+
+    def __init__(self, polys: list[HomogeneousPolynomial], vf: _VecField):
+        monos = sorted({mono for f in polys for mono in f.terms}, reverse=True)
+        self.vf = vf
+        self.E = np.array(monos, dtype=np.int64).reshape(len(monos), polys[0].n_vars)
+        # entries of a digit plane @ C stay below T * (p-1)^2 < 2^63 for T < 2^23
+        self.C = np.array(
+            [[f.terms.get(mono, 0) for f in polys] for mono in monos], dtype=np.int64
+        ).reshape(len(monos), len(polys))
+        self.rows = max(1, _CHUNK_CELLS // max(len(monos), 1))
+        if vf.m == 1:
+            self.emax = self.E.max(axis=0, initial=0)
+        else:
+            q1 = vf.q - 1
+            self.zero_log = int(self.E.sum(axis=1).max(initial=0)) * (q1 - 1) + 1
+            # float64 so that the product runs in BLAS; every sum is below 2^53
+            self.log = vf.log.astype(np.float64)
+            self.log[0] = self.zero_log
+            self.ET = self.E.T.astype(np.float64)
+            values = np.append(vf.exp[:q1], 0)  # index q1 stands for a zero monomial
+            self.digits = [values // vf.p**d % vf.p for d in range(vf.m)]
+
+    def _digit_planes(self, X: np.ndarray):
+        """Digit d of every monomial at the points X, for d = 0..m-1."""
+        vf = self.vf
+        if vf.m > 1:
+            L = (self.log[X] @ self.ET).astype(np.int64)
+            idx = np.where(L < self.zero_log, L % (vf.q - 1), vf.q - 1)
+            for table in self.digits:
+                yield table[idx]
+            return
+        V = np.ones((X.shape[0], self.E.shape[0]), dtype=np.int64)
+        for j, emax in enumerate(self.emax):
+            if emax == 0:
+                continue
+            powers = np.ones((X.shape[0], emax + 1), dtype=np.int64)
+            for e in range(1, emax + 1):
+                powers[:, e] = powers[:, e - 1] * X[:, j] % vf.p
+            V = V * powers[:, self.E[:, j]] % vf.p
+        yield V
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """Values at the points X (k x n_vars), shape (k, len(polys))."""
+        p = self.vf.p
+        out = np.zeros((X.shape[0], self.C.shape[1]), dtype=np.int64)
+        for s in range(0, X.shape[0], self.rows):
+            for d, plane in enumerate(self._digit_planes(X[s : s + self.rows])):
+                out[s : s + self.rows] += (plane @ self.C % p) * p**d
         return out
 
-    def pow_scalar_exp(self, a, e: int):
-        """a**e elementwise for a fixed small integer exponent e >= 1."""
-        if self.m == 1:
-            return pow_mod_array(a, e, self.p)
-        nz = a != 0
-        out = np.zeros_like(a)
-        out[nz] = self.exp[(self.log[a[nz]] * e) % (self.q - 1)]
-        return out
 
-    def eval_poly(self, comp: _Compiled, coords: np.ndarray) -> np.ndarray:
-        """Evaluate at a block of points; coords has shape (n_pts, n_vars)."""
-        n_pts = coords.shape[0]
-        acc = np.zeros(n_pts, dtype=np.int64)
-        for c, factors in comp.terms:
-            t = np.full(n_pts, c, dtype=np.int64)
-            for idx, e in factors:
-                col = coords[:, idx]
-                t = self.mul(t, col if e == 1 else self.pow_scalar_exp(col, e))
-            acc = self.add(acc, t)
-        return acc
+def _rank_below(J: np.ndarray, r: int, vf: _VecField) -> np.ndarray:
+    """Mask of the points k whose r x (N+1) Jacobian J[k] has rank < r.
 
-
-def pow_mod_array(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(a)
-    base = a % p
-    while e:
-        if e & 1:
-            out = (out * base) % p
-        base = (base * base) % p
-        e >>= 1
-    return out
+    For r >= 2 this is fraction-free Gaussian elimination batched over the
+    points: each point takes the first nonzero entry of row i as its own
+    pivot and clears that column from the rows below (a zero row clears
+    nothing).  The rank is the number of rows left nonzero.
+    """
+    if r == 1:
+        return ~J.any(axis=(1, 2))
+    A = J.copy()
+    at = np.arange(A.shape[0])
+    rank = np.zeros(A.shape[0], dtype=np.int64)
+    for i in range(r):
+        row = A[:, i, :]
+        has = row.any(axis=1)
+        rank += has
+        col = np.argmax(row != 0, axis=1)
+        piv = np.where(has, row[at, col], 1)[:, None]
+        for j in range(i + 1, r):
+            minus = vf.mul(A[at, j, col], vf.p - 1)[:, None]  # -J[j, col]; p-1 encodes -1
+            A[:, j, :] = vf.add(vf.mul(A[:, j, :], piv), vf.mul(row, minus))
+    return rank < r
 
 
 def _point_blocks(q: int, n_plus_1: int, block: int = 1 << 16):
@@ -370,13 +413,16 @@ def _point_blocks(q: int, n_plus_1: int, block: int = 1 << 16):
 
     For pivot position i the coordinates are (0,...,0,1,*,...,*) with the
     free tail enumerated in odometer order, last coordinate fastest.
+    Consecutive pivots share a block, so every block but the last holds
+    ``block`` points.
     """
+    parts: list[np.ndarray] = []
+    filled = 0
     for pivot in range(n_plus_1):
-        free = n_plus_1 - 1 - pivot
-        total = q**free
+        total = q ** (n_plus_1 - 1 - pivot)
         start = 0
         while start < total:
-            count = min(block, total - start)
+            count = min(block - filled, total - start)
             idx = np.arange(start, start + count, dtype=np.int64)
             coords = np.zeros((count, n_plus_1), dtype=np.int64)
             coords[:, pivot] = 1
@@ -384,8 +430,14 @@ def _point_blocks(q: int, n_plus_1: int, block: int = 1 << 16):
             for j in range(n_plus_1 - 1, pivot, -1):
                 coords[:, j] = rem % q
                 rem = rem // q
-            yield coords
+            parts.append(coords)
+            filled += count
             start += count
+            if filled == block:
+                yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+                parts, filled = [], 0
+    if parts:
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def singular_search(
@@ -407,19 +459,19 @@ def singular_search(
     if budget is None:
         budget = point_budget()
     p = S.field.p
+    n1 = S.n + 1
+    gens = [g.lift_to(make_field(p)) for g in S.gens]  # coefficients must lie in GF(p)
+    partials = [g.partial_derivative(j) for g in gens for j in range(n1)]
     found: list[tuple[int, ProjectivePoint]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     used = 0
     for m in range(1, m_max + 1):
         F = make_field(p, m)
         vf = _VecField(F)
-        comp_gens = [_compile(g.lift_to(F)) for g in S.gens]
-        partials = [
-            [_compile(g.partial_derivative(j).lift_to(F)) for j in range(S.n + 1)]
-            for g in S.gens
-        ]
+        gen_evals = [_BlockEvaluator([g], vf) for g in gens]
+        jacobian = _BlockEvaluator(partials, vf)
         level_hits: list[ProjectivePoint] = []
-        for coords in _point_blocks(F.order, S.n + 1):
+        for coords in _point_blocks(F.order, n1):
             used += coords.shape[0]
             if used > budget:
                 raise BudgetExceededError(
@@ -427,26 +479,12 @@ def singular_search(
                     partial=found,
                     completed_m=m - 1,
                 )
-            mask = np.ones(coords.shape[0], dtype=bool)
-            for comp in comp_gens:
-                vals = vf.eval_poly(comp, coords[mask]) if mask.any() else None
-                if vals is None:
-                    break
-                sub = vals == 0
-                idx = np.flatnonzero(mask)
-                mask[idx[~sub]] = False
-                if not mask.any():
-                    break
-            if not mask.any():
-                continue
-            survivors = coords[mask]
-            for row in survivors:
-                rows = [
-                    [comp_eval_scalar(pt, row, F) for pt in prow] for prow in partials
-                ]
-                M = MatrixOverField(F, rows, ncols=S.n + 1)
-                if rank(M) < S.r:
-                    level_hits.append(ProjectivePoint(F, [int(v) for v in row]))
+            pts = coords
+            for ev in gen_evals:
+                pts = pts[ev(pts)[:, 0] == 0]
+            J = jacobian(pts).reshape(pts.shape[0], S.r, n1)
+            for row in pts[_rank_below(J, S.r, vf)]:
+                level_hits.append(ProjectivePoint(F, [int(v) for v in row]))
         for pt in level_hits:
             d = pt.minimal_subfield_degree()
             if d < m:
@@ -460,20 +498,6 @@ def singular_search(
         if stop_early and found:
             break
     return found
-
-
-def comp_eval_scalar(comp: _Compiled, coords, F: Field) -> int:
-    acc = 0
-    for c, factors in comp.terms:
-        t = c
-        for idx, e in factors:
-            v = int(coords[idx])
-            if v == 0:
-                t = 0
-                break
-            t = F.mul(t, F.pow(v, e))
-        acc = F.add(acc, t)
-    return acc
 
 
 def enumerate_points(field: Field, n: int):

@@ -255,6 +255,45 @@ class TestInputHandling:
         )
         assert code == EXIT_INVALID and err
 
+    @staticmethod
+    def assert_one_error_line(code, out, err):
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_family_without_degree(self, capsys):
+        code, out, err = run(capsys, "family", "--id", "p-divides", "--char", "2", "--n", "3")
+        self.assert_one_error_line(code, out, err)
+        assert "--e" in err
+
+    def test_census_degrees_not_integers(self, capsys):
+        code, out, err = run(
+            capsys, "census", "--char", "2", "--n", "3", "--degrees", "a", "--samples", "1"
+        )
+        self.assert_one_error_line(code, out, err)
+        assert "--degrees" in err
+
+    def test_vertex_bad_field_prefix(self, capsys):
+        code, out, err = run(
+            capsys,
+            "strange-check",
+            "--char", "2", "--n", "2",
+            "--poly", "z0^2 + z1*z2",
+            "--vertex", "@GF(x)(1:0:0)",
+        )
+        self.assert_one_error_line(code, out, err)
+        assert "@GF(p^m)" in err
+
+    def test_vertex_wrong_length(self, capsys):
+        code, out, err = run(
+            capsys,
+            "strange-check",
+            "--char", "2", "--n", "2",
+            "--poly", "z0^2 + z1*z2",
+            "--vertex", "(1:0)",
+        )
+        self.assert_one_error_line(code, out, err)
+        assert "2 coordinates, expected N+1 = 3" in err
+
     def test_console_script_installed(self, tmp_path):
         if sys.version_info >= (3, 11):
             import tomllib

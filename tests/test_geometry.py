@@ -201,26 +201,52 @@ class TestSingularSearch:
         hits = singular_search(strange_hypersurface_p_divides(2, 4, 2), m_max=3)
         assert all(m == 1 for m, _ in hits)
 
+    @staticmethod
+    def bruteforce_singular_points(S, m_max):
+        """is_singular_at at every point of enumerate_points, in search order."""
+        expect = []
+        for m in range(1, m_max + 1):
+            F = make_field(S.field.p, m)
+            lifted = PolynomialSystem([g.lift_to(F) for g in S.gens])
+            for a in enumerate_points(F, S.n):
+                if a.minimal_subfield_degree() == m and is_singular_at(lifted, a):
+                    hit = (m, a.galois_canonical())
+                    if hit not in expect:
+                        expect.append(hit)
+        return expect
+
     def test_matches_bruteforce_oracle(self):
         rng = random.Random(14)
+        from strangeci.census import CensusSpec, sample_hv
         from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree
 
+        systems = []
         for _ in range(10):
             basis = monomials_of_degree(3, 3)
             terms = {mo: rng.randrange(2) for mo in basis}
             f = HomogeneousPolynomial(F2, 3, 3, terms)
-            if f.is_zero():
-                continue
-            S = PolynomialSystem([f])
-            expect = set()
-            for m in (1, 2):
-                F = make_field(2, m)
-                for a in enumerate_points(F, 2):
-                    if is_singular_at(PolynomialSystem([f.lift_to(F)]), a):
-                        if a.minimal_subfield_degree() == m:
-                            expect.add((m, a.galois_canonical()))
-            got = set(singular_search(S, m_max=2))
-            assert got == expect
+            if not f.is_zero():
+                systems.append((PolynomialSystem([f]), 2))
+        # GF(9) digit planes and 2x4 elimination; GF(25) with a cubic;
+        # 3x5 elimination over GF(2)
+        for p, N, degrees in [(3, 3, (2, 2)), (5, 2, (3,)), (2, 4, (2, 2, 2))]:
+            F = make_field(p)
+            for _ in range(3):
+                gens = []
+                for e in degrees:
+                    basis = monomials_of_degree(N + 1, e)
+                    terms = {mo: rng.randrange(p) for mo in basis}
+                    terms[basis[-1]] = 1
+                    gens.append(HomogeneousPolynomial(F, N + 1, e, terms))
+                systems.append((PolynomialSystem(gens), 2))
+            spec = CensusSpec(p=p, N=N, degrees=degrees, count=3, seed=rng.randrange(1 << 30))
+            systems.extend((S, 2) for S in sample_hv(spec))
+        nonempty = 0
+        for S, m_max in systems:
+            expect = self.bruteforce_singular_points(S, m_max)
+            assert singular_search(S, m_max=m_max) == expect, str(S)
+            nonempty += bool(expect)
+        assert nonempty >= 6
 
     def test_stop_early(self):
         hits = singular_search(
