@@ -11,7 +11,13 @@ from .errors import (
     UnsupportedVertexError,
 )
 from .gf import Field, FieldElement, embed, make_field
-from .hompoly import HomogeneousPolynomial, format_poly, monomials_of_degree, parse_poly
+from .hompoly import (
+    HomogeneousPolynomial,
+    format_poly,
+    monomials_of_degree,
+    normalize_z0,
+    parse_poly,
+)
 from .exactla import MatrixOverField, in_span, rank, rank_and_kernel
 from .geometry import (
     LinearSubspace,
@@ -35,7 +41,6 @@ from .strangeness import (
     is_cone_with_vertex,
     is_strange_for,
     move_point_to_origin_chart,
-    normalize,
     normalize_system,
     strange_locus,
 )

@@ -38,12 +38,11 @@ from .geometry import (
     tangent_space,
 )
 from .gf import make_field
-from .hompoly import format_poly, parse_poly
+from .hompoly import format_poly, normalize_z0, parse_poly
 from .strangeness import (
     cone_corollary_check,
     is_cone_with_vertex,
     is_strange_for,
-    normalize,
     normalize_system,
     strange_locus,
 )
@@ -52,6 +51,16 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line on stderr, exit status 2.
+
+    Subparsers are made with the class of their parent, so they report the same way.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"error: {self.prog}: {message}\n")
 
 
 def _add_common(parser: argparse.ArgumentParser, *, polys: bool = True) -> None:
@@ -118,7 +127,7 @@ def cmd_strange_locus(args) -> int:
 
 def cmd_normalize(args) -> int:
     S = _load_system(args)
-    _emit({"normalized": [format_poly(normalize(g)) for g in S.gens]}, args.pretty)
+    _emit({"normalized": [format_poly(normalize_z0(g)) for g in S.gens]}, args.pretty)
     return EXIT_OK
 
 
@@ -314,7 +323,7 @@ def _verify_lemma_rank(rng: random.Random, samples: int) -> tuple[bool, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="strangeci",
         description="Exact strangeness, cone, and singularity tools for complete intersections over finite fields.",
     )

@@ -51,7 +51,33 @@ class MatrixOverField:
 
 
 def rref(field: Field, rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
+    """Reduced row echelon form; returns (reduced rows, pivot columns).
+
+    Over a prime field the row operations run on plain integers mod p;
+    over GF(p^m), m > 1, through the field's table arithmetic.  Both take
+    the same pivots, so they return the same rows.
+    """
+    if field.m == 1:
+        p = field.p
+
+        def scaled(row, a):
+            return [x * a % p for x in row]
+
+        def reduced(row, f, piv):
+            return [(x - f * y) % p for x, y in zip(row, piv)]
+
+        def inverse(a):
+            return pow(a, p - 2, p)
+    else:
+        mul, sub = field.mul, field.sub
+
+        def scaled(row, a):
+            return [mul(x, a) for x in row]
+
+        def reduced(row, f, piv):
+            return [sub(x, mul(f, y)) for x, y in zip(row, piv)]
+
+        inverse = field.inv
     R = [list(r) for r in rows]
     m = len(R)
     pivots: list[int] = []
@@ -65,13 +91,13 @@ def rref(field: Field, rows: list[list[int]], ncols: int) -> tuple[list[list[int
         if sel < 0:
             continue
         R[pr], R[sel] = R[sel], R[pr]
-        inv = field.inv(R[pr][col])
+        inv = inverse(R[pr][col])
         if inv != 1:
-            R[pr] = [field.mul(x, inv) for x in R[pr]]
+            R[pr] = scaled(R[pr], inv)
+        piv = R[pr]
         for r in range(m):
             if r != pr and R[r][col]:
-                f = R[r][col]
-                R[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(R[r], R[pr])]
+                R[r] = reduced(R[r], R[r][col], piv)
         pivots.append(col)
         pr += 1
         if pr == m:

@@ -334,12 +334,17 @@ def make_field(p: int, m: int = 1) -> Field:
     The modulus is the lexicographically least monic irreducible polynomial
     of degree m over GF(p), coefficients compared low degree first.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise InvalidInputError(f"characteristic must be prime, got {p}")
     if not isinstance(m, int) or m < 1:
         raise InvalidInputError(f"extension degree must be >= 1, got {m}")
-    if p**m > MAX_ORDER:
+    # the bound comes before the trial-division primality test, which would
+    # run for hours on a large characteristic; as p >= 2, an m above the
+    # bound's bit length exceeds it without computing p^m
+    if p > MAX_ORDER or m > MAX_ORDER.bit_length() or p**m > MAX_ORDER:
         raise InvalidInputError(f"field order {p}^{m} exceeds the supported bound {MAX_ORDER}")
+    if not is_prime(p):
+        raise InvalidInputError(f"characteristic must be prime, got {p}")
     if m == 1:
         return Field(p, 1, (0, 1))
     for idx in range(p**m):

@@ -267,40 +267,15 @@ class HomogeneousPolynomial:
         rank, _ = rank_and_kernel(M)
         if rank < n:
             raise InvalidInputError("matrix is singular")
-        # degree-1 substitution polynomials L_i = sum_j M[i][j] z_j
-        subs = [
-            HomogeneousPolynomial(
-                F,
-                n,
-                1,
-                {
-                    tuple(1 if k == j else 0 for k in range(n)): rows[i][j]
-                    for j in range(n)
-                    if rows[i][j]
-                },
+        # L_i = sum_j M[i][j] z_j as (j, coefficient) pairs, the entries read
+        # as the constructor reads coefficients
+        images = []
+        for row in rows:
+            L = HomogeneousPolynomial(
+                F, n, 1, {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(row)}
             )
-            for i in range(n)
-        ]
-        one = HomogeneousPolynomial(F, n, 0, {tuple([0] * n): 1})
-        # cache powers of each L_i up to the needed exponent
-        pow_cache: dict[tuple[int, int], HomogeneousPolynomial] = {}
-
-        def lpow(i: int, e: int) -> HomogeneousPolynomial:
-            if e == 0:
-                return one
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = lpow(i, e - 1) * subs[i]
-            return pow_cache[key]
-
-        result = HomogeneousPolynomial.zero(F, n, self.degree)
-        for mono, c in self.terms.items():
-            term = one.scale(c)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * lpow(i, e)
-            result = result + term
-        return result
+            images.append([(mono.index(1), c) for mono, c in L.terms.items()])
+        return HomogeneousPolynomial(F, n, self.degree, _substitute(F, self.terms, images))
 
     # -- text form --------------------------------------------------------
 
@@ -309,6 +284,38 @@ class HomogeneousPolynomial:
 
     def __repr__(self) -> str:
         return f"<{self.field} poly deg {self.degree}: {format_poly(self)}>"
+
+
+def _substitute(
+    F: Field, terms: dict[Monomial, int], images: list[list[tuple[int, int]]]
+) -> dict[Monomial, int]:
+    """Term map of f(L_0, ..., L_N), for f given by its homogeneous term map.
+
+    Horner's scheme on the first variable: f = sum_i z_i * f_i, where f_i
+    collects the terms whose first variable is z_i, divided by z_i.  Then
+    f(L) = sum_i L_i * f_i(L), and every product is added into one map, so
+    each quotient is expanded once rather than each term separately.
+    """
+    if not terms or not any(next(iter(terms))):
+        return dict(terms)
+    quotients: dict[int, dict[Monomial, int]] = {}
+    for mono, c in terms.items():
+        i = next(k for k, e in enumerate(mono) if e)
+        quotients.setdefault(i, {})[mono[:i] + (mono[i] - 1,) + mono[i + 1 :]] = c
+    prime = F.m == 1
+    out: dict[Monomial, int] = {}
+    for i, quotient in quotients.items():
+        for mono, c in _substitute(F, quotient, images).items():
+            for j, a in images[i]:
+                key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
+                if prime:
+                    out[key] = out.get(key, 0) + c * a
+                else:
+                    out[key] = F.add(out.get(key, 0), F.mul(c, a))
+    if prime:
+        p = F.p
+        return {mono: c % p for mono, c in out.items() if c % p}
+    return {mono: c for mono, c in out.items() if c}
 
 
 def normalize_z0(g: HomogeneousPolynomial) -> HomogeneousPolynomial:

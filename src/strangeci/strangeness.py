@@ -14,6 +14,7 @@ generators free of the vertex coordinate, slice by slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import InvalidInputError, UnsupportedVertexError
 from .exactla import MatrixOverField, in_span, mat_mul, rank_and_kernel
@@ -219,23 +220,19 @@ def strange_locus(S: PolynomialSystem) -> StrangeLocus:
                 [1 if j == i else 0 for j in range(len(basis))] for i in range(len(basis))
             ]
         for phi in functionals:
-            row = []
-            for i in range(n1):
-                acc = 0
-                for a, b in zip(phi, grads[i]):
-                    acc = F.add(acc, F.mul(a, b))
-                row.append(acc)
+            # a reduced-echelon kernel vector is nonzero only at its free
+            # column and at pivot columns, so apply it at those entries only
+            support = [(k, a) for k, a in enumerate(phi) if a]
+            if F.m == 1:
+                row = [sum(a * grad[k] for k, a in support) % F.p for grad in grads]
+            else:
+                row = [reduce(F.add, (F.mul(a, grad[k]) for k, a in support), 0) for grad in grads]
             condition_rows.append(row)
     _, kernel = rank_and_kernel(MatrixOverField(F, condition_rows, ncols=n1))
     return StrangeLocus(LinearSubspace(F, n1, kernel))
 
 
 # -- normalization --------------------------------------------------------
-
-
-def normalize(g: HomogeneousPolynomial) -> HomogeneousPolynomial:
-    """The characteristic-p normalization operator killing the z_0-partial."""
-    return normalize_z0(g)
 
 
 def normalize_system(S: PolynomialSystem) -> tuple[PolynomialSystem, bool]:

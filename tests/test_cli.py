@@ -294,6 +294,33 @@ class TestInputHandling:
         self.assert_one_error_line(code, out, err)
         assert "2 coordinates, expected N+1 = 3" in err
 
+    def test_huge_characteristic_rejected_quickly(self):
+        # the order bound is checked before trial division, which would take hours here
+        proc = subprocess.run(
+            [sys.executable, "-m", "strangeci.cli", "strange-locus",
+             "--char", "1000000000000000003", "--n", "2", "--poly", "z0"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+            )),
+        )
+        self.assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+        assert "exceeds the supported bound" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["strange-locus", "--char", "x", "--n", "2", "--poly", "z0"], "invalid int value: 'x'"),
+            (["strange-locus", "--n", "2", "--poly", "z0"], "required: --char"),
+        ],
+    )
+    def test_usage_error_one_line(self, capsys, argv, fragment):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        self.assert_one_error_line(exc.value.code, out.out, out.err)
+        assert fragment in out.err
+
     def test_console_script_installed(self, tmp_path):
         if sys.version_info >= (3, 11):
             import tomllib

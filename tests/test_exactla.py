@@ -11,6 +11,7 @@ from strangeci.exactla import (
     mat_vec,
     rank,
     rank_and_kernel,
+    rref,
 )
 from strangeci.gf import make_field
 
@@ -62,6 +63,29 @@ class TestRankAndKernel:
     def test_kernel_basis_deterministic(self):
         M = MatrixOverField(F3, [[1, 2, 1], [2, 1, 1]])
         assert rank_and_kernel(M) == rank_and_kernel(M)
+
+
+class TestPrimeFieldElimination:
+    def test_matches_extension_field_path(self):
+        """Integer rows mod p reduce as they do in GF(p^2), whose table path is the reference."""
+        rng = random.Random(23)
+        deficient = 0
+        for p in (2, 3, 5, 7):
+            Fp, Fp2 = make_field(p), make_field(p, 2)
+            for _ in range(15):
+                m, n = rng.randint(1, 12), rng.randint(1, 15)
+                # a product through an inner dimension r has rank at most r
+                r = rng.randint(0, min(m, n))
+                B = [[rng.randrange(p) for _ in range(r)] for _ in range(m)]
+                C = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+                rows = [
+                    [sum(B[i][k] * C[k][j] for k in range(r)) % p for j in range(n)]
+                    for i in range(m)
+                ]
+                R, pivots = rref(Fp, rows, n)
+                assert (R, pivots) == rref(Fp2, rows, n)
+                deficient += len(pivots) < min(m, n)
+        assert deficient >= 10
 
 
 class TestInSpan:

@@ -20,7 +20,7 @@ F5 = make_field(5)
 def random_poly(rng, field, n_vars, degree):
     basis = monomials_of_degree(n_vars, degree)
     return HomogeneousPolynomial(
-        field, n_vars, degree, {m: rng.randrange(field.p) for m in basis}
+        field, n_vars, degree, {m: rng.randrange(field.order) for m in basis}
     )
 
 
@@ -162,19 +162,46 @@ class TestLinearChange:
         rng = random.Random(5)
         from strangeci.exactla import MatrixOverField, mat_vec, rank
 
-        for _ in range(20):
-            p = rng.choice([2, 3, 5])
-            F = make_field(p)
+        for _ in range(30):
+            F = make_field(*rng.choice([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]))
             f = random_poly(rng, F, 3, rng.randint(1, 3))
             while True:
-                rows = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+                rows = [[rng.randrange(F.order) for _ in range(3)] for _ in range(3)]
                 M = MatrixOverField(F, rows)
                 if rank(M) == 3:
                     break
             g = f.linear_change(rows)
             for _ in range(5):
-                a = [rng.randrange(p) for _ in range(3)]
+                a = [rng.randrange(F.order) for _ in range(3)]
                 assert g.evaluate(a, F) == f.evaluate(mat_vec(M, a), F)
+
+    def test_matches_termwise_expansion(self):
+        """Equal to sum_m c_m * prod_i L_i^(m_i), built from polynomial + and *."""
+        rng = random.Random(31)
+        from strangeci.exactla import MatrixOverField, rank
+
+        for _ in range(30):
+            F = make_field(*rng.choice([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]))
+            n = rng.randint(1, 5)
+            f = random_poly(rng, F, n, rng.randint(0, 4))
+            while True:
+                rows = [[rng.randrange(F.order) for _ in range(n)] for _ in range(n)]
+                if rank(MatrixOverField(F, rows)) == n:
+                    break
+            L = [
+                HomogeneousPolynomial(
+                    F, n, 1, {tuple(int(k == j) for k in range(n)): rows[i][j] for j in range(n)}
+                )
+                for i in range(n)
+            ]
+            want = HomogeneousPolynomial.zero(F, n, f.degree)
+            for mono, c in f.terms.items():
+                term = HomogeneousPolynomial.monomial(F, n, (0,) * n, c)
+                for i, e in enumerate(mono):
+                    for _ in range(e):
+                        term = term * L[i]
+                want = want + term
+            assert f.linear_change(rows) == want
 
     def test_composition_law(self):
         rng = random.Random(9)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,14 +19,13 @@ from strangeci.geometry import (
     parse_point,
 )
 from strangeci.gf import make_field
-from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree, parse_poly
+from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree, normalize_z0, parse_poly
 from strangeci.strangeness import (
     cone_corollary_check,
     graded_membership,
     is_cone_with_vertex,
     is_strange_for,
     move_point_to_origin_chart,
-    normalize,
     normalize_system,
     strange_locus,
 )
@@ -207,11 +207,44 @@ class TestStrangeLocus:
             for v in enumerate_points(F2, 2):
                 assert is_strange_for(S, v).verdict == loc.subspace.contains_point(v)
 
+    def test_matches_membership_of_directional_derivatives(self):
+        """v is in the locus iff each sum_i v_i f^k_{z_i} is in the ideal, for all v in GF(p)^(N+1)."""
+        rng = random.Random(41)
+
+        def random_form(F, n_vars, e, with_z0):
+            basis = [m for m in monomials_of_degree(n_vars, e) if with_z0 or m[0] == 0]
+            return HomogeneousPolynomial(F, n_vars, e, {m: rng.randrange(F.p) for m in basis})
+
+        nonzero = 0
+        for p, N in ((3, 3), (2, 4), (2, 3)):
+            F = make_field(p)
+            for _ in range(3):
+                # strange for e0 through the ideal only: f_{z0} = q * l_{z0} is a
+                # nonzero multiple of q, so the quartic's functionals decide
+                q = random_form(F, N + 1, 2, False)
+                f = random_form(F, N + 1, 4, False) + q * random_form(F, N + 1, 2, True)
+                while True:
+                    A = MatrixOverField(F, [[rng.randrange(p) for _ in range(N + 1)] for _ in range(N + 1)])
+                    if rank(A) == N + 1:
+                        break
+                S = PolynomialSystem([q, f]).linear_change(A.rows)
+                loc = strange_locus(S)
+                nonzero += loc.is_nonzero()
+                for v in itertools.product(range(p), repeat=N + 1):
+                    expected = True
+                    for g in S.gens:
+                        h = HomogeneousPolynomial.zero(F, N + 1, g.degree - 1)
+                        for i, c in enumerate(v):
+                            h = h + g.partial_derivative(i).scale(c)
+                        expected = expected and graded_membership(h, S)[0]
+                    assert loc.subspace.contains(list(v)) == expected
+        assert nonzero >= 6
+
 
 class TestNormalize:
     def test_known_examples(self):
-        assert normalize(parse_poly("z0*z1 + z2^2", F2, 3)) == parse_poly("z2^2", F2, 3)
-        assert normalize(parse_poly("z0^2*z1", F3, 2)).is_zero()
+        assert normalize_z0(parse_poly("z0*z1 + z2^2", F2, 3)) == parse_poly("z2^2", F2, 3)
+        assert normalize_z0(parse_poly("z0^2*z1", F3, 2)).is_zero()
 
     def test_normalize_system_equal_when_strange(self):
         S = quadric_normal_form(2, 2)
