@@ -10,19 +10,29 @@ wrapper on top of that.
 
 The reduction modulus of GF(p^m) is the lexicographically least monic
 irreducible polynomial of degree m over GF(p), coefficients compared low
-degree first, found by exhaustive scan.  Construction is therefore a pure
-function of (p, m).
+degree first, found by scanning candidates in that order with trial
+division.  The scan starts at constant term 1, because every candidate with
+constant term 0 is divisible by x.  The exp/log tables are the powers of g,
+the smallest element of order p^m - 1.  Multiplication by g is a
+GF(p)-linear map on coefficient vectors; numpy applies it to all p^m
+encodings in blocks, giving one table of a -> g * a, and a walk of that
+table from 1 fills exp and log.  Construction is therefore a pure function
+of (p, m).
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from .errors import FieldMismatchError, InvalidInputError, ParseError
 
 MAX_ORDER = 1 << 20
+_CHUNK = 4096  # most encodings per numpy block when building the exp/log tables
 
 
 def is_prime(n: int) -> bool:
@@ -124,7 +134,7 @@ class Field:
         return val
 
     def _build_tables(self) -> None:
-        q = self.order
+        p, m, q = self.p, self.m, self.order
         # Find a primitive element: smallest g whose order is q - 1.
         factors = []
         n = q - 1
@@ -153,13 +163,36 @@ class Field:
                 g = cand
                 break
         assert g is not None
+        # Multiplication by g is GF(p)-linear on coefficient vectors: row j of
+        # its matrix holds the digits of g * x^j.  An encoding splits into its
+        # h low digits (at most _CHUNK values) and the rest, so the digits of
+        # g * a are the images of the two parts added mod p, one block of rows
+        # per value of the high part.  The blocks give a -> g * a for every a.
+        # C ints suffice: digit sums stay below m * p^2 and encodings
+        # below MAX_ORDER.
+        place = p ** np.arange(m, dtype=np.intc)
+        by_g = np.array([_digits(self._mul_raw(g, p**j), p, m) for j in range(m)], dtype=np.intc)
+        h = 1
+        while h < m and p ** (h + 1) <= _CHUNK:
+            h += 1
+
+        def images(rows: np.ndarray) -> np.ndarray:
+            k = len(rows)
+            return np.arange(p**k, dtype=np.intc)[:, None] // place[:k] % p @ rows
+
+        low = images(by_g[:h])
+        times_g = array("i")
+        for high in images(by_g[h:]):
+            block = low + high
+            block %= p
+            times_g.frombytes((block @ place).tobytes())
         exp = [1] * (q - 1)
         log = [0] * q
         acc = 1
         for i in range(q - 1):
             exp[i] = acc
             log[acc] = i
-            acc = self._mul_raw(acc, g)
+            acc = times_g[acc]
         self._exp = exp
         self._log = log
 
@@ -347,7 +380,8 @@ def make_field(p: int, m: int = 1) -> Field:
         raise InvalidInputError(f"characteristic must be prime, got {p}")
     if m == 1:
         return Field(p, 1, (0, 1))
-    for idx in range(p**m):
+    # idx < p^(m-1) would give c_0 = 0: divisible by x, so never irreducible
+    for idx in range(p ** (m - 1), p**m):
         lows = _digits(idx, p, m)
         # odometer with the last (highest-degree) coefficient fastest gives
         # increasing lexicographic order on (c_0, ..., c_{m-1})

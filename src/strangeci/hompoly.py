@@ -253,8 +253,8 @@ class HomogeneousPolynomial:
     def linear_change(self, matrix) -> "HomogeneousPolynomial":
         """Substitute z_i <- sum_j M[i][j] z_j for an invertible matrix M.
 
-        M is given as rows of integer-encoded entries over the polynomial's
-        field (or an extension; the polynomial is lifted first).
+        M is given as rows of integer-encoded entries of the polynomial's
+        field; an entry outside range(field.order) is rejected, not reduced.
         """
         from .exactla import MatrixOverField, rank_and_kernel
 
@@ -263,18 +263,18 @@ class HomogeneousPolynomial:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InvalidInputError("matrix has wrong shape")
         F = self.field
-        M = MatrixOverField(F, rows)
-        rank, _ = rank_and_kernel(M)
+        for i, row in enumerate(rows):
+            for j, c in enumerate(row):
+                if not isinstance(c, int) or not 0 <= c < F.order:
+                    raise InvalidInputError(
+                        f"matrix entry [{i}][{j}] = {c!r} is not an element of {F} "
+                        f"(an integer in range({F.order}))"
+                    )
+        rank, _ = rank_and_kernel(MatrixOverField(F, rows))
         if rank < n:
             raise InvalidInputError("matrix is singular")
-        # L_i = sum_j M[i][j] z_j as (j, coefficient) pairs, the entries read
-        # as the constructor reads coefficients
-        images = []
-        for row in rows:
-            L = HomogeneousPolynomial(
-                F, n, 1, {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(row)}
-            )
-            images.append([(mono.index(1), c) for mono, c in L.terms.items()])
+        # L_i = sum_j M[i][j] z_j as its (j, coefficient) pairs
+        images = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
         return HomogeneousPolynomial(F, n, self.degree, _substitute(F, self.terms, images))
 
     # -- text form --------------------------------------------------------

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,66 @@ def naive_polymul_mod(a, b, mod, p):
             for k in range(deg):
                 prod[-deg + k] = (prod[-deg + k] - lead * mod[k]) % p
     return tuple(prod + [0] * (deg - len(prod)))
+
+
+def _coeffs(val, p, m):
+    return tuple(val // p**i % p for i in range(m))
+
+
+def _encode(coeffs, p):
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def _divides(d, f, p):
+    """Whether monic d divides f, coefficient tuples low degree first."""
+    r = list(f)
+    while len(r) >= len(d):
+        lead = r.pop()
+        shift = len(r) - (len(d) - 1)
+        for i, dc in enumerate(d[:-1]):
+            r[shift + i] = (r[shift + i] - lead * dc) % p
+    return not any(r)
+
+
+def reference_tables(p, m):
+    """(modulus, exp, log) of GF(p^m) the slow way, as an oracle.
+
+    The modulus is the first monic degree-m polynomial, in lexicographic
+    order of (c_0, ..., c_{m-1}) from all zeros, with no monic divisor of
+    degree 1..m/2.  The generator is the smallest element whose powers,
+    taken by schoolbook products, first return to 1 after p^m - 1 steps;
+    that walk is the exp table.
+    """
+    q = p**m
+    for low in itertools.product(range(p), repeat=m):
+        modulus = low + (1,)
+        if not any(
+            _divides(_coeffs(i, p, d) + (1,), modulus, p)
+            for d in range(1, m // 2 + 1)
+            for i in range(p**d)
+        ):
+            break
+    for g in range(2, q):
+        exp = [1]
+        while True:
+            nxt = _encode(naive_polymul_mod(_coeffs(exp[-1], p, m), _coeffs(g, p, m), modulus, p), p)
+            if nxt == 1:
+                break
+            exp.append(nxt)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, a in enumerate(exp):
+        log[a] = i
+    return modulus, exp, log
+
+
+SMALL_EXTENSIONS = [
+    (p, m)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    for m in range(2, 13)
+    if p**m <= 4096
+]
 
 
 class TestConstruction:
@@ -51,6 +114,30 @@ class TestConstruction:
 
     def test_deterministic(self):
         assert make_field(5, 3).modulus == make_field(5, 3).modulus
+
+    @pytest.mark.parametrize("p,m", SMALL_EXTENSIONS)
+    def test_tables_match_reference_builder(self, p, m):
+        F = make_field(p, m)
+        modulus, exp, log = reference_tables(p, m)
+        assert F.modulus == modulus
+        assert F._exp == exp
+        assert F._log == log
+
+    @pytest.mark.parametrize(
+        "p,m,modulus",
+        [
+            (2, 16, (1,) + (0,) * 10 + (1, 0, 1, 0, 1, 1)),
+            (3, 10, (1,) + (0,) * 7 + (2, 0, 1)),
+        ],
+    )
+    def test_large_field_tables(self, p, m, modulus):
+        F = make_field(p, m)
+        assert F.modulus == modulus
+        assert all(F._exp[F._log[a]] == a for a in range(1, F.order))
+        rng = random.Random(f"gf-{p}-{m}")
+        for _ in range(2000):
+            a, b = rng.randrange(F.order), rng.randrange(F.order)
+            assert F.coeffs(F.mul(a, b)) == naive_polymul_mod(F.coeffs(a), F.coeffs(b), modulus, p)
 
 
 class TestArithmetic:
@@ -122,8 +209,6 @@ class TestEmbedding:
         assert embed(F2.element(1), F4).val == 1
 
     def test_homomorphism_random_pairs(self):
-        import random
-
         rng = random.Random(7)
         F4, F16 = make_field(2, 2), make_field(2, 4)
         for _ in range(100):

@@ -158,6 +158,16 @@ class TestLinearChange:
         with pytest.raises(InvalidInputError):
             f.linear_change([[1, 1], [1, 1]])
 
+    def test_entries_outside_the_field_rejected(self):
+        f = parse_poly("z0^2 + z1^2", F3, 2)
+        for bad in (3, 4, -1):
+            with pytest.raises(InvalidInputError, match=rf"entry \[0\]\[0\] = {bad} "):
+                f.linear_change([[bad, 0], [0, 1]])
+        # over GF(9) the entry 4 is the element t + 1, and (t + 1)^2 = 2t
+        F9 = make_field(3, 2)
+        g = f.lift_to(F9).linear_change([[4, 0], [0, 1]])
+        assert g == parse_poly("(2*t)*z0^2 + z1^2", F9, 2)
+
     def test_substitution_evaluation_commutes(self):
         rng = random.Random(5)
         from strangeci.exactla import MatrixOverField, mat_vec, rank
