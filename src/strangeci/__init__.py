@@ -34,6 +34,7 @@ from .geometry import (
     tangent_space,
 )
 from .strangeness import (
+    GradedIdeal,
     StrangeLocus,
     StrangeReport,
     cone_corollary_check,

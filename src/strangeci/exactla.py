@@ -8,6 +8,8 @@ span-membership witnesses are therefore reproducible across runs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import FieldMismatchError, InvalidInputError
 from .gf import Field, FieldElement
 
@@ -35,16 +37,6 @@ class MatrixOverField:
         self.rows = clean
         self.nrows = len(clean)
         self.ncols = ncols
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.field, self.rows[i][j])
-
-    def transpose(self) -> "MatrixOverField":
-        return MatrixOverField(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
 
     def __repr__(self) -> str:
         return f"<{self.nrows}x{self.ncols} matrix over {self.field}>"
@@ -102,6 +94,33 @@ def rref(field: Field, rows: list[list[int]], ncols: int) -> tuple[list[list[int
         pr += 1
         if pr == m:
             break
+    return R, pivots
+
+
+def _rref_mod_p(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """:func:`rref` over GF(p) on an int64 array: the same pivots and rows.
+
+    Each pivot updates only the trailing block, as the pivot row is zero
+    left of its pivot.  Entries stay below p <= 2^20, so products fit in int64.
+    """
+    R = np.array(A, dtype=np.int64) % p
+    pivots: list[int] = []
+    col = 0
+    while len(pivots) < len(R):
+        pr = len(pivots)
+        nonzero = np.flatnonzero(R[pr:, col:].any(axis=0))
+        if not nonzero.size:
+            break
+        col += int(nonzero[0])
+        sel = pr + int(np.flatnonzero(R[pr:, col])[0])
+        R[[pr, sel]] = R[[sel, pr]]
+        R[pr, col:] = R[pr, col:] * pow(int(R[pr, col]), p - 2, p) % p
+        f = R[:, col].copy()
+        f[pr] = 0
+        rows = np.flatnonzero(f)
+        R[rows, col:] = (R[rows, col:] - f[rows, None] * R[pr, col:]) % p
+        pivots.append(col)
+        col += 1
     return R, pivots
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -285,10 +284,6 @@ class Field:
     @property
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for val in range(self.order):
-            yield FieldElement(self, val)
 
     def format(self, a: int) -> str:
         if self.m == 1:

@@ -1,10 +1,15 @@
 """Decision procedures for strangeness, cones, and graded ideal membership.
 
+Every decision reduces to membership in graded pieces I_d of an ideal.  A
+:class:`GradedIdeal` builds each degree-d Macaulay matrix (the products
+m * f^k of degree d) once and eliminates it once; every membership and
+annihilator question is then read from that echelon form.
+
 Strangeness of a complete-intersection system S for a GF(p)-rational point
 v is decided algebraically: move v to (1:0:...:0) by a deterministic
 coordinate change, then check that the z_0-partial of every transformed
-generator lies in the matching graded piece of the generated ideal.  For a
-single hypersurface this degenerates to "f_{z_0} is the zero polynomial".
+generator lies in the matching graded piece.  For a single hypersurface
+this degenerates to "f_{z_0} is the zero polynomial".
 
 The strange locus is the linear space of all valid vertex lifts, computed
 in one exact linear solve; the cone test decides whether the ideal admits
@@ -14,11 +19,12 @@ generators free of the vertex coordinate, slice by slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from math import comb
 
-from .errors import InvalidInputError, UnsupportedVertexError
-from .exactla import MatrixOverField, in_span, mat_mul, rank_and_kernel
-from .gf import Field
+import numpy as np
+
+from .errors import FieldMismatchError, InvalidInputError, UnsupportedVertexError
+from .exactla import MatrixOverField, _rref_mod_p, in_span, mat_mul, rank_and_kernel, rref
 from .geometry import LinearSubspace, PolynomialSystem, ProjectivePoint
 from .hompoly import (
     HomogeneousPolynomial,
@@ -77,57 +83,126 @@ class StrangeLocus:
 # -- graded ideal membership ----------------------------------------------
 
 
-def _span_products(
-    S: PolynomialSystem, d: int
-) -> tuple[list[Monomial], list[tuple[int, Monomial]], list[list[int]]]:
-    """Degree-d products m*f^k spanning the graded piece of the ideal.
+class GradedIdeal:
+    """The ideal of homogeneous generators, one graded piece I_d at a time.
 
-    Returns (monomial basis of degree d, product labels (k, multiplier
-    monomial), product coefficient vectors).
+    Each piece is built as a Macaulay matrix and eliminated at most once per
+    object; membership, annihilators and the Hilbert function are read from
+    that echelon form.
     """
-    basis = monomials_of_degree(S.n + 1, d)
-    index = {mono: i for i, mono in enumerate(basis)}
-    labels: list[tuple[int, Monomial]] = []
-    vectors: list[list[int]] = []
-    for k, g in enumerate(S.gens):
-        dd = d - g.degree
-        if dd < 0:
-            continue
-        for mult in monomials_of_degree(S.n + 1, dd):
-            prod = g.multiply_monomial(mult)
-            vec = [0] * len(basis)
-            for mono, c in prod.terms.items():
-                vec[index[mono]] = c
-            labels.append((k, mult))
-            vectors.append(vec)
-    return basis, labels, vectors
+
+    def __init__(self, gens):
+        self.gens = list(gens)
+        if not self.gens:
+            raise InvalidInputError("an ideal needs at least one generator")
+        self.field, self.n_vars = self.gens[0].field, self.gens[0].n_vars
+        self._check_ring(self.gens)
+        self._pieces: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._binom = np.zeros((0, self.n_vars - 1), dtype=np.int64)
+
+    def _check_ring(self, polys) -> None:
+        if any(h.field != self.field or h.n_vars != self.n_vars for h in polys):
+            raise FieldMismatchError("polynomials live in different rings")
+
+    def _dim(self, d: int) -> int:
+        return comb(d + self.n_vars - 1, self.n_vars - 1)
+
+    def _index(self, E: np.ndarray, d: int) -> np.ndarray:
+        """Position in monomials_of_degree of each degree-d exponent vector (last axis of E).
+
+        Before e come, per variable i but the last, the C(s - 1 + k, k) monomials that agree
+        with e before i and exceed it at i, where e leaves degree s to the k variables after i.
+        """
+        n = self.n_vars
+        if len(self._binom) <= d:
+            table = [comb(s - 1 + k, k) for s in range(d + 1) for k in range(1, n)]
+            self._binom = np.array(table, dtype=np.int64).reshape(d + 1, n - 1)
+        rest = d - np.cumsum(E[..., :-1], axis=-1)
+        return self._binom[rest, np.arange(n - 2, -1, -1)].sum(axis=-1)
+
+    def vectors(self, polys, d: int) -> np.ndarray:
+        """Coefficient rows of degree-d polynomials in monomials_of_degree order."""
+        self._check_ring(polys)
+        T = np.zeros((len(polys), self._dim(d)), dtype=np.int64)
+        terms = [(i, mono, c) for i, h in enumerate(polys) for mono, c in h.terms.items()]
+        if terms:
+            rows, monos, coeffs = zip(*terms)
+            T[rows, self._index(np.array(monos), d)] = coeffs
+        return T
+
+    def macaulay_matrix(self, d: int) -> np.ndarray:
+        """The products m * f^k of degree d as rows: generator k, then multiplier
+        monomials, both in order; columns in monomials_of_degree order."""
+        n = self.n_vars
+        blocks = [np.zeros((0, self._dim(d)), dtype=np.int64)]
+        for g in self.gens:
+            if g.degree <= d:
+                mults = np.array(monomials_of_degree(n, d - g.degree), dtype=np.int64)
+                terms = np.array(list(g.terms), dtype=np.int64).reshape(-1, n)
+                A = np.zeros((len(mults), self._dim(d)), dtype=np.int64)
+                cols = self._index(mults[:, None, :] + terms[None], d)
+                A[np.arange(len(mults))[:, None], cols] = list(g.terms.values())
+                blocks.append(A)
+        return np.concatenate(blocks)
+
+    def _piece(self, d: int) -> tuple[np.ndarray, list[int]]:
+        """Nonzero rows of the reduced echelon form of I_d, and their pivots."""
+        if d not in self._pieces:
+            A, F = self.macaulay_matrix(d), self.field
+            if F.m == 1:
+                R, pivots = _rref_mod_p(A, F.p)
+            else:
+                rows, pivots = rref(F, A.tolist(), A.shape[1])
+                R = np.array(rows, dtype=np.int64).reshape(A.shape)
+            self._pieces[d] = (R[: len(pivots)], pivots)
+        return self._pieces[d]
+
+    def residues(self, T: np.ndarray, d: int) -> np.ndarray:
+        """Rows t of T (degree d) reduced modulo I_d, read at the free columns:
+        entry j is phi_j(t) for row j of :meth:`annihilator`, all zero iff t is in I_d."""
+        R, pivots = self._piece(d)
+        F = self.field
+        if not pivots:
+            return T
+        if F.m == 1:
+            T = (T - T[:, pivots] @ R) % F.p
+        else:
+            P = mat_mul(MatrixOverField(F, T[:, pivots].tolist(), ncols=len(pivots)), MatrixOverField(F, R))
+            diff = [list(map(F.sub, t, q)) for t, q in zip(T.tolist(), P.rows)]
+            T = np.array(diff, dtype=np.int64).reshape(T.shape)
+        return np.delete(T, pivots, axis=1)
+
+    def contains(self, h: HomogeneousPolynomial) -> bool:
+        """Whether h lies in the graded piece of its degree."""
+        return h.is_zero() or not self.residues(self.vectors([h], h.degree), h.degree).any()
+
+    def annihilator(self, d: int) -> np.ndarray:
+        """The functionals vanishing on I_d, one per row: the reduced-echelon
+        kernel :func:`rank_and_kernel` gives for the Macaulay matrix."""
+        return self.residues(np.eye(self._dim(d), dtype=np.int64), d).T
+
+    def hilbert_function(self, d: int) -> int:
+        """dim S_d - dim I_d."""
+        return self._dim(d) - len(self._piece(d)[1]) if d >= 0 else 0
 
 
 def graded_membership(
     h: HomogeneousPolynomial, S: PolynomialSystem
 ) -> tuple[bool, MembershipWitness | None]:
-    """Exact membership of h in the degree-deg(h) graded piece of the ideal."""
-    if h.is_zero():
-        zero_mults = [
-            HomogeneousPolynomial.zero(S.field, S.n + 1, max(h.degree - e, 0))
-            for e in S.degrees
-        ]
-        return True, MembershipWitness(zero_mults)
-    basis, labels, vectors = _span_products(S, h.degree)
-    index = {mono: i for i, mono in enumerate(basis)}
-    target = [0] * len(basis)
-    for mono, c in h.terms.items():
-        target[index[mono]] = c
-    ok, coeffs = in_span(S.field, target, vectors)
-    if not ok:
+    """Exact membership of h in the degree-deg(h) graded piece of the ideal.
+
+    A member's witness is solved for once, over the unreduced products
+    m * f^k, with the coefficients of free products zero.
+    """
+    ideal, d, n1 = GradedIdeal(S.gens), h.degree, S.n + 1
+    if not ideal.contains(h):
         return False, None
-    mults = [
-        HomogeneousPolynomial.zero(S.field, S.n + 1, max(h.degree - e, 0))
-        for e in S.degrees
-    ]
+    _, coeffs = in_span(S.field, ideal.vectors([h], d)[0].tolist(), ideal.macaulay_matrix(d).tolist())
+    labels = [(k, mono) for k, e in enumerate(S.degrees) if e <= d for mono in monomials_of_degree(n1, d - e)]
+    mults = [HomogeneousPolynomial.zero(S.field, n1, max(d - e, 0)) for e in S.degrees]
     for (k, mono), c in zip(labels, coeffs):
         if c:
-            mults[k] = mults[k] + HomogeneousPolynomial.monomial(S.field, S.n + 1, mono, c)
+            mults[k] = mults[k] + HomogeneousPolynomial.monomial(S.field, n1, mono, c)
     return True, MembershipWitness(mults)
 
 
@@ -172,10 +247,10 @@ def is_strange_for(S: PolynomialSystem, v: ProjectivePoint) -> StrangeReport:
     v = _require_prime_rational(v)
     M = move_point_to_origin_chart(v)
     SM = S.linear_change(M.rows)
+    ideal = GradedIdeal(SM.gens)
     for k, g in enumerate(SM.gens):
         dg = g.partial_derivative(0)
-        ok, _ = graded_membership(dg, SM)
-        if not ok:
+        if not ideal.contains(dg):
             return StrangeReport(
                 system=S,
                 vertex=v,
@@ -187,8 +262,8 @@ def is_strange_for(S: PolynomialSystem, v: ProjectivePoint) -> StrangeReport:
                     "graded piece of the ideal"
                 ),
             )
-    witness, _ = normalize_system(SM)
-    return StrangeReport(system=S, vertex=v, verdict=True, witness_generators=list(witness.gens))
+    witness = [normalize_z0(g) for g in SM.gens]
+    return StrangeReport(system=S, vertex=v, verdict=True, witness_generators=witness)
 
 
 def strange_locus(S: PolynomialSystem) -> StrangeLocus:
@@ -202,32 +277,11 @@ def strange_locus(S: PolynomialSystem) -> StrangeLocus:
     """
     F = S.field
     n1 = S.n + 1
+    ideal = GradedIdeal(S.gens)
     condition_rows: list[list[int]] = []
     for g in S.gens:
-        d = g.degree - 1
-        basis, _, vectors = _span_products(S, d)
-        index = {mono: i for i, mono in enumerate(basis)}
-        grads = []
-        for i in range(n1):
-            vec = [0] * len(basis)
-            for mono, c in g.partial_derivative(i).terms.items():
-                vec[index[mono]] = c
-            grads.append(vec)
-        if vectors:
-            _, functionals = rank_and_kernel(MatrixOverField(F, vectors, ncols=len(basis)))
-        else:
-            functionals = [
-                [1 if j == i else 0 for j in range(len(basis))] for i in range(len(basis))
-            ]
-        for phi in functionals:
-            # a reduced-echelon kernel vector is nonzero only at its free
-            # column and at pivot columns, so apply it at those entries only
-            support = [(k, a) for k, a in enumerate(phi) if a]
-            if F.m == 1:
-                row = [sum(a * grad[k] for k, a in support) % F.p for grad in grads]
-            else:
-                row = [reduce(F.add, (F.mul(a, grad[k]) for k, a in support), 0) for grad in grads]
-            condition_rows.append(row)
+        grads = ideal.vectors([g.partial_derivative(i) for i in range(n1)], g.degree - 1)
+        condition_rows += ideal.residues(grads, g.degree - 1).T.tolist()
     _, kernel = rank_and_kernel(MatrixOverField(F, condition_rows, ncols=n1))
     return StrangeLocus(LinearSubspace(F, n1, kernel))
 
@@ -241,18 +295,8 @@ def normalize_system(S: PolynomialSystem) -> tuple[PolynomialSystem, bool]:
     Flag true implies S is strange for (1:0:...:0).
     """
     normalized = PolynomialSystem([normalize_z0(g) for g in S.gens])
-    equal = True
-    for g in S.gens:
-        ok, _ = graded_membership(g, normalized)
-        if not ok:
-            equal = False
-            break
-    if equal:
-        for g in normalized.gens:
-            ok, _ = graded_membership(g, S)
-            if not ok:
-                equal = False
-                break
+    ideal, normal_ideal = GradedIdeal(S.gens), GradedIdeal(normalized.gens)
+    equal = all(map(normal_ideal.contains, S.gens)) and all(map(ideal.contains, normalized.gens))
     return normalized, equal
 
 
@@ -285,12 +329,8 @@ def is_cone_with_vertex(S: PolynomialSystem, v: ProjectivePoint) -> bool:
     v = _require_prime_rational(v)
     M = move_point_to_origin_chart(v)
     SM = S.linear_change(M.rows)
-    for g in SM.gens:
-        for j, h in sorted(_z0_slices(g).items()):
-            ok, _ = graded_membership(h, SM)
-            if not ok:
-                return False
-    return True
+    ideal = GradedIdeal(SM.gens)
+    return all(ideal.contains(h) for g in SM.gens for _, h in sorted(_z0_slices(g).items()))
 
 
 def cone_corollary_check(S: PolynomialSystem, v: ProjectivePoint) -> bool:

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from strangeci.errors import InvalidInputError
 from strangeci.exactla import (
     MatrixOverField,
+    _rref_mod_p,
     in_span,
     invert,
     mat_mul,
@@ -58,7 +60,7 @@ class TestRankAndKernel:
         for _ in range(40):
             field = random.Random(rng.random()).choice([F2, F3, F4])
             M = random_matrix(rng, field, rng.randint(1, 5), rng.randint(1, 5))
-            assert rank(M) == rank(M.transpose())
+            assert rank(M) == rank(MatrixOverField(M.field, [list(c) for c in zip(*M.rows)], ncols=M.nrows))
 
     def test_kernel_basis_deterministic(self):
         M = MatrixOverField(F3, [[1, 2, 1], [2, 1, 1]])
@@ -86,6 +88,47 @@ class TestPrimeFieldElimination:
                 assert (R, pivots) == rref(Fp2, rows, n)
                 deficient += len(pivots) < min(m, n)
         assert deficient >= 10
+
+
+class TestArrayKernel:
+    """The int64 array elimination returns the rows and pivots of the list kernel."""
+
+    # 1048573 is the largest prime below the field-order bound 2^20: it pins
+    # the int64 headroom of the f * row products
+    PRIMES = (2, 3, 5, 7, 1048573)
+
+    @staticmethod
+    def _check(p, rows, n):
+        R, pivots = _rref_mod_p(np.array(rows, dtype=np.int64).reshape(len(rows), n), p)
+        assert R.dtype == np.int64 and R.shape == (len(rows), n)
+        assert (R.tolist(), pivots) == rref(make_field(p), rows, n)
+        return len(pivots)
+
+    def test_matches_list_kernel_on_seeded_matrices(self):
+        rng = random.Random(61)
+        checked = deficient = 0
+        for p in self.PRIMES:
+            for _ in range(24):
+                m, n = rng.randint(1, 14), rng.randint(1, 16)
+                # a product through an inner dimension r has rank at most r
+                r = rng.randint(0, min(m, n))
+                B = [[rng.randrange(p) for _ in range(r)] for _ in range(m)]
+                C = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+                rows = [[sum(B[i][k] * C[k][j] for k in range(r)) % p for j in range(n)] for i in range(m)]
+                deficient += self._check(p, rows, n) < min(m, n)
+                checked += 1
+        assert checked >= 100 and deficient >= 20
+
+    def test_degenerate_shapes(self):
+        for p in self.PRIMES:
+            assert self._check(p, [[0] * 5 for _ in range(3)], 5) == 0
+            assert self._check(p, [], 4) == 0
+            assert self._check(p, [[] for _ in range(3)], 0) == 0
+            assert self._check(p, [[p - 1] * 6 for _ in range(4)], 6) == 1
+
+    def test_reduces_entries_outside_the_field(self):
+        R, pivots = _rref_mod_p(np.array([[7, 3], [2, 5]]), 5)
+        assert (R.tolist(), pivots) == rref(make_field(5), [[2, 3], [2, 0]], 2)
 
 
 class TestInSpan:

@@ -1,10 +1,14 @@
 import itertools
 import random
+from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strangeci.errors import InvalidInputError, UnsupportedVertexError
-from strangeci.exactla import MatrixOverField, mat_vec, rank
+from strangeci.errors import FieldMismatchError, InvalidInputError, UnsupportedVertexError
+from strangeci.exactla import MatrixOverField, in_span, mat_vec, rank, rank_and_kernel
 from strangeci.families import (
     quadric_normal_form,
     strange_hypersurface_p_divides,
@@ -21,6 +25,7 @@ from strangeci.geometry import (
 from strangeci.gf import make_field
 from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree, normalize_z0, parse_poly
 from strangeci.strangeness import (
+    GradedIdeal,
     cone_corollary_check,
     graded_membership,
     is_cone_with_vertex,
@@ -79,6 +84,155 @@ class TestGradedMembership:
             assert ok
             recon = w.multipliers[0] * S.gens[0] + w.multipliers[1] * S.gens[1]
             assert recon == h
+
+
+def _span_verdict(gens, h):
+    """Membership of h in I_deg(h) from the products m * f_k, eliminated by in_span."""
+    d, F = h.degree, h.field
+    basis = monomials_of_degree(h.n_vars, d)
+    products = [
+        g.multiply_monomial(m)
+        for g in gens
+        if g.degree <= d
+        for m in monomials_of_degree(h.n_vars, d - g.degree)
+    ]
+    ok, _ = in_span(F, [h.terms.get(m, 0) for m in basis], [[q.terms.get(m, 0) for m in basis] for q in products])
+    return ok
+
+
+@st.composite
+def membership_cases(draw, fields):
+    """(generators, h): about half the h are built as ideal members, half drawn at random."""
+    F = draw(st.sampled_from(fields))
+    n_vars = draw(st.integers(2, 4))
+
+    def form(e, nonzero=False):
+        basis = monomials_of_degree(n_vars, e)
+        coeffs = st.lists(st.integers(0, F.order - 1), min_size=len(basis), max_size=len(basis))
+        return HomogeneousPolynomial.from_coeff_vector(
+            F, n_vars, e, basis, draw(coeffs.filter(any) if nonzero else coeffs)
+        )
+
+    gens = [form(e, nonzero=True) for e in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+    member = draw(st.booleans())
+    d = draw(st.integers(min(g.degree for g in gens) if member else 0, 4))
+    if not member:
+        return gens, form(d)
+    h = HomogeneousPolynomial.zero(F, n_vars, d)
+    for g in gens:
+        if g.degree <= d:
+            h = h + form(d - g.degree, nonzero=True) * g
+    return gens, h
+
+
+class TestGradedIdeal:
+    def test_macaulay_rows_are_the_products_in_order(self):
+        S = PolynomialSystem.parse(["z0*z1 + z2^2", "z1^3 + 2*z0*z2^2"], F3, 3)
+        ideal = GradedIdeal(S.gens)
+        basis = monomials_of_degree(3, 4)
+        expected = [
+            [g.multiply_monomial(m).terms.get(b, 0) for b in basis]
+            for g in S.gens
+            for m in monomials_of_degree(3, 4 - g.degree)
+        ]
+        assert ideal.macaulay_matrix(4).tolist() == expected
+        assert ideal.macaulay_matrix(1).shape == (0, 3)
+
+    def test_vectors_follow_monomials_of_degree(self):
+        for n_vars, d in ((1, 3), (2, 0), (3, 4), (5, 3), (100, 2)):
+            F = F5
+            ideal = GradedIdeal([HomogeneousPolynomial.monomial(F, n_vars, (1,) + (0,) * (n_vars - 1))])
+            basis = monomials_of_degree(n_vars, d)
+            V = ideal.vectors([HomogeneousPolynomial.monomial(F, n_vars, m, 2) for m in basis], d)
+            assert V.shape == (len(basis), len(basis))
+            assert (V.argmax(axis=1) == np.arange(len(basis))).all() and (V.sum(axis=1) == 2).all()
+
+    def test_many_variables_low_degree(self):
+        q = parse_poly(" + ".join(f"z{2 * i}*z{2 * i + 1}" for i in range(50)), F3, 100)
+        ideal = GradedIdeal([q])
+        assert ideal.contains(q.scale(2)) and not ideal.contains(parse_poly("z0*z1", F3, 100))
+        assert ideal.hilbert_function(2) == comb(101, 2) - 1
+
+    def test_annihilator_is_the_kernel_of_the_piece(self):
+        for F in (F3, make_field(3, 2)):
+            S = PolynomialSystem.parse(["z0*z1 + z2^2", "z1^2 + z0*z3"], F, 4)
+            ideal = GradedIdeal(S.gens)
+            for d in range(5):
+                A = ideal.macaulay_matrix(d)
+                _, kernel = rank_and_kernel(MatrixOverField(F, A.tolist(), ncols=A.shape[1]))
+                assert ideal.annihilator(d).tolist() == kernel
+                assert ideal.hilbert_function(d) == len(kernel)
+
+    def test_rejects_mixed_rings(self):
+        with pytest.raises(InvalidInputError):
+            GradedIdeal([])
+        ideal = GradedIdeal([parse_poly("z0*z1", F3, 3)])
+        with pytest.raises(FieldMismatchError):
+            ideal.contains(parse_poly("z0*z1", F5, 3))
+        with pytest.raises(FieldMismatchError):
+            GradedIdeal([parse_poly("z0*z1", F3, 3), parse_poly("z0", F3, 2)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(membership_cases(fields=(F2, F3, F5)))
+    def test_contains_agrees_with_groebner_oracle(self, case):
+        sympy = pytest.importorskip("sympy")
+        gens, h = case
+        z = sympy.symbols(f"z0:{h.n_vars}")
+
+        def expr(f):
+            return sympy.Add(*(c * sympy.Mul(*(v**e for v, e in zip(z, m))) for m, c in f.terms.items()))
+
+        G = sympy.groebner([expr(g) for g in gens], *z, modulus=h.field.p, order="grevlex")
+        assert GradedIdeal(gens).contains(h) == G.contains(expr(h))
+
+    @settings(max_examples=100, deadline=None)
+    @given(membership_cases(fields=(make_field(2, 2), make_field(3, 2))))
+    def test_contains_agrees_with_span_products_over_extension_fields(self, case):
+        gens, h = case
+        assert GradedIdeal(gens).contains(h) == _span_verdict(gens, h)
+
+    def test_contains_near_the_field_order_bound(self):
+        """Over GF(1048573) the sums t[pivots] @ R stay exact in int64."""
+        F = make_field(1048573)
+        rng = random.Random(67)
+        members = 0
+        for _ in range(12):
+            gens = [
+                HomogeneousPolynomial.from_coeff_vector(
+                    F, 4, e, monomials_of_degree(4, e), [rng.randrange(F.p) for _ in monomials_of_degree(4, e)]
+                )
+                for e in (2, 2)
+            ]
+            mult = [rng.randrange(F.p) for _ in monomials_of_degree(4, 1)]
+            h = gens[0] * HomogeneousPolynomial.from_coeff_vector(F, 4, 1, monomials_of_degree(4, 1), mult)
+            if rng.random() < 0.5:
+                h = h + HomogeneousPolynomial.monomial(F, 4, (0, 0, 0, 3), rng.randrange(1, F.p))
+            verdict = GradedIdeal(gens).contains(h)
+            assert verdict == _span_verdict(gens, h)
+            members += verdict
+        assert 0 < members < 12
+
+    @staticmethod
+    def _ci_hilbert(n_vars, degrees, top):
+        """Coefficients of prod(1 - t^e) / (1 - t)^n_vars up to t^top."""
+        num = [1] + [0] * top
+        for e in degrees:
+            num = [num[k] - (num[k - e] if k >= e else 0) for k in range(top + 1)]
+        return [sum(num[j] * comb(k - j + n_vars - 1, n_vars - 1) for j in range(k + 1)) for k in range(top + 1)]
+
+    def test_hilbert_function_of_quadrics(self):
+        for N in range(2, 5):
+            for p in (2, 3, 5):
+                ideal = GradedIdeal(quadric_normal_form(N, p).gens)
+                assert [ideal.hilbert_function(d) for d in range(3)] == self._ci_hilbert(N + 1, (2,), 2)
+
+    def test_hilbert_function_tells_a_complete_intersection(self):
+        ci = GradedIdeal(PolynomialSystem.parse(["z0*z1 + z2^2", "z1^2 + z0*z3"], F3, 4).gens)
+        assert [ci.hilbert_function(d) for d in range(5)] == [1, 4, 8, 12, 16]
+        assert self._ci_hilbert(4, (2, 2), 4) == [1, 4, 8, 12, 16]
+        non_ci = GradedIdeal(PolynomialSystem.parse(["z0*z1", "z0*z2"], F3, 4).gens)
+        assert [non_ci.hilbert_function(d) for d in range(5)] == [1, 4, 8, 13, 19]
+        assert ci.hilbert_function(-1) == 0
 
 
 class TestMovePoint:
