@@ -156,8 +156,9 @@ class Field:
                 e >>= 1
             return r
 
+        # every element of GF(p) has order dividing p - 1 < q - 1: start past them
         g = None
-        for cand in range(2, q):
+        for cand in range(p, q):
             if all(pow_raw(cand, (q - 1) // f) != 1 for f in factors):
                 g = cand
                 break

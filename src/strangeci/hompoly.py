@@ -8,14 +8,20 @@ declared degree.
 
 Terms are kept in graded-lexicographic order with z_0 greatest; since all
 monomials of a homogeneous polynomial share the total degree, that is
-plain descending lexicographic order on exponent vectors.
+plain descending lexicographic order on exponent vectors, and the one column
+order of dense coefficient rows (:func:`monomial_rank`).  ``linear_change``
+expands f(L_0, ..., L_N) level-wise by Horner's scheme over numpy rows of
+base-p digits: one path for every GF(p^m), GF(p) being m = 1.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from itertools import combinations_with_replacement
-from math import factorial
+from itertools import chain, combinations_with_replacement
+from math import comb, factorial
+
+import numpy as np
 
 from .errors import (
     FieldMismatchError,
@@ -23,7 +29,7 @@ from .errors import (
     InvalidInputError,
     ParseError,
 )
-from .gf import Field, FieldElement
+from .gf import Field
 
 Monomial = tuple[int, ...]
 
@@ -38,6 +44,36 @@ def monomials_of_degree(n_vars: int, degree: int) -> list[Monomial]:
         out.append(tuple(exps))
     out.sort(reverse=True)
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _rank_table(n_vars: int, degree: int) -> np.ndarray:
+    """table[s, k - 1] = C(s - 1 + k, k) for s <= degree and 0 < k < n_vars."""
+    table = [comb(s - 1 + k, k) for s in range(degree + 1) for k in range(1, n_vars)]
+    return np.array(table, dtype=np.int64).reshape(degree + 1, n_vars - 1)
+
+
+def monomial_rank(E: np.ndarray, degree: int) -> np.ndarray:
+    """Position in monomials_of_degree of each degree-``degree`` exponent vector (last axis of E).
+
+    Before e come, per variable i but the last, the C(s - 1 + k, k) monomials that agree
+    with e before i and exceed it at i, where e leaves degree s to the k variables after i.
+    """
+    n = E.shape[-1]
+    rest = degree - np.cumsum(E[..., :-1], axis=-1)
+    return _rank_table(n, degree)[rest, np.arange(n - 2, -1, -1)].sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _monomial_array(n_vars: int, degree: int) -> np.ndarray:
+    return np.array(monomials_of_degree(n_vars, degree), dtype=np.int64).reshape(-1, n_vars)
+
+
+@functools.lru_cache(maxsize=64)
+def _times_z(n_vars: int, degree: int) -> np.ndarray:
+    """Rank in degree + 1 of each degree-``degree`` monomial (row) times z_j (column j)."""
+    E, unit = _monomial_array(n_vars, degree), np.eye(n_vars, dtype=np.int64)
+    return np.stack([monomial_rank(E + unit[j], degree + 1) for j in range(n_vars)], axis=1)
 
 
 class HomogeneousPolynomial:
@@ -195,6 +231,18 @@ class HomogeneousPolynomial:
                 terms.pop(nm, None)
         return HomogeneousPolynomial(F, self.n_vars, max(self.degree - 1, 0), terms)
 
+    def gradient_rows(self) -> np.ndarray:
+        """Coefficient rows of f_{z_0}, ..., f_{z_N}: row i holds c * (w_i mod p) at the rank of
+        w - e_i for each term c * z^w with w_i > 0, an integer acting digit by digit."""
+        F, n, d = self.field, self.n_vars, max(self.degree - 1, 0)
+        monos = np.fromiter(chain.from_iterable(self.terms), np.int64, len(self.terms) * n).reshape(-1, n)
+        var, term = np.nonzero(monos.T)
+        place, coeffs = F.p ** np.arange(F.m), np.array(list(self.terms.values()), dtype=np.int64)[term]
+        digits = coeffs[:, None] // place % F.p * (monos[term, var, None] % F.p) % F.p
+        out = np.zeros((n, comb(d + n - 1, n - 1)), dtype=np.int64)
+        out[var, monomial_rank(monos[term] - np.eye(n, dtype=np.int64)[var], d)] = digits @ place
+        return out
+
     def iterated_derivative_z0(self, j: int) -> "HomogeneousPolynomial":
         """j-fold formal derivative with respect to z_0."""
         g = self
@@ -255,6 +303,7 @@ class HomogeneousPolynomial:
 
         M is given as rows of integer-encoded entries of the polynomial's
         field; an entry outside range(field.order) is rejected, not reduced.
+        :func:`_expand` expands f(M z) level-wise over base-p digit rows.
         """
         from .exactla import MatrixOverField, rank_and_kernel
 
@@ -273,9 +322,7 @@ class HomogeneousPolynomial:
         rank, _ = rank_and_kernel(MatrixOverField(F, rows))
         if rank < n:
             raise InvalidInputError("matrix is singular")
-        # L_i = sum_j M[i][j] z_j as its (j, coefficient) pairs
-        images = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
-        return HomogeneousPolynomial(F, n, self.degree, _substitute(F, self.terms, images))
+        return HomogeneousPolynomial(F, n, self.degree, _expand(F, self.terms, self.degree, rows))
 
     # -- text form --------------------------------------------------------
 
@@ -286,36 +333,44 @@ class HomogeneousPolynomial:
         return f"<{self.field} poly deg {self.degree}: {format_poly(self)}>"
 
 
-def _substitute(
-    F: Field, terms: dict[Monomial, int], images: list[list[tuple[int, int]]]
-) -> dict[Monomial, int]:
-    """Term map of f(L_0, ..., L_N), for f given by its homogeneous term map.
+def _expand(F: Field, terms: dict[Monomial, int], degree: int, rows: list[list[int]]) -> dict[Monomial, int]:
+    """Term map of f(L_0, ..., L_N), L_i = sum_j rows[i][j] z_j, by Horner's scheme level-wise.
 
-    Horner's scheme on the first variable: f = sum_i z_i * f_i, where f_i
-    collects the terms whose first variable is z_i, divided by z_i.  Then
-    f(L) = sum_i L_i * f_i(L), and every product is added into one map, so
-    each quotient is expanded once rather than each term separately.
+    A term c * z_(s_1) ... z_(s_e), s_1 <= ... <= s_e, lies below the level-k node P = (s_1, ..., s_k),
+    which holds the row over the degree-(e - k) monomials of W(P), the sum of c * L_(s_(k+1)) ...
+    L_(s_e) over the terms below P.  As W(P) = sum_i L_i * W(P + (i,)), a level step multiplies each row
+    by the form of its node's last variable, one z_j at a time so that memory stays at nodes x
+    columns, and adds it into the parent's row; W(()) = f(L).  Rows hold m base-p digits per
+    coefficient; a * x is the m x m GF(p) matrix with rows the digits of a * t^r, applied to x.
+    int64 is exact: a bin collects at most n children x n variables x m digits products below
+    p^2 before the reduction mod p once per level, and n^2 * m * p^2 < 2^63 for p^m <= 2^20
+    (MAX_ORDER) and n < 2^11.
     """
-    if not terms or not any(next(iter(terms))):
+    if not terms or degree == 0:
         return dict(terms)
-    quotients: dict[int, dict[Monomial, int]] = {}
-    for mono, c in terms.items():
-        i = next(k for k, e in enumerate(mono) if e)
-        quotients.setdefault(i, {})[mono[:i] + (mono[i] - 1,) + mono[i + 1 :]] = c
-    prime = F.m == 1
-    out: dict[Monomial, int] = {}
-    for i, quotient in quotients.items():
-        for mono, c in _substitute(F, quotient, images).items():
-            for j, a in images[i]:
-                key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
-                if prime:
-                    out[key] = out.get(key, 0) + c * a
-                else:
-                    out[key] = F.add(out.get(key, 0), F.mul(c, a))
-    if prime:
-        p = F.p
-        return {mono: c % p for mono, c in out.items() if c % p}
-    return {mono: c for mono, c in out.items() if c}
+    n, e, m, p, place = len(rows), degree, F.m, F.p, F.p ** np.arange(F.m, dtype=np.int64)
+    # times[i, j, r, s] = digit s of M[i][j] * t^r, built once per distinct entry
+    values, index = np.unique(np.array(rows, dtype=np.int64), return_inverse=True)
+    products = [[F.mul(a, b) for b in place.tolist()] for a in values.tolist()]
+    times = (np.array(products, dtype=np.int64)[..., None] // place % p)[index.reshape(n, n)]
+    # each term's variables, ascending; sorting them puts equal prefixes side by side
+    monos = np.fromiter(chain.from_iterable(terms), np.int64, len(terms) * n)
+    seq = np.repeat(np.tile(np.arange(n), len(terms)), monos).reshape(-1, e)
+    order = np.lexsort(seq.T[::-1])
+    seq, coeffs = seq[order], np.fromiter(terms.values(), np.int64, len(terms))[order]
+    first = np.ones((len(seq), e + 1), dtype=bool)  # first[t, k]: term t starts its level-k node
+    first[1:, 1:], first[1:, 0] = np.logical_or.accumulate(seq[1:] != seq[:-1], axis=1), False
+    W = (coeffs[:, None] // place % p)[:, :, None]
+    for k in range(e, 0, -1):
+        nodes = np.flatnonzero(first[:, k])
+        last, cols = seq[nodes, k - 1], _times_z(n, e - k)
+        out = np.zeros((len(nodes), m, comb(e - k + n, n - 1)), dtype=np.int64)
+        for j in np.flatnonzero(times[last].any(axis=(0, 2, 3))):
+            out[:, :, cols[:, j]] += sum(times[last, j, r, :, None] * W[:, r, None, :] for r in range(m))
+        W = np.add.reduceat(out, np.flatnonzero(first[nodes, k - 1]), axis=0) % p
+    coeffs = place @ W[0]
+    nz = np.flatnonzero(coeffs)
+    return dict(zip(map(tuple, _monomial_array(n, e)[nz].tolist()), coeffs[nz].tolist()))
 
 
 def normalize_z0(g: HomogeneousPolynomial) -> HomogeneousPolynomial:

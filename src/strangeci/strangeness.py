@@ -30,6 +30,7 @@ from .hompoly import (
     HomogeneousPolynomial,
     Monomial,
     format_poly,
+    monomial_rank,
     monomials_of_degree,
     normalize_z0,
 )
@@ -98,7 +99,6 @@ class GradedIdeal:
         self.field, self.n_vars = self.gens[0].field, self.gens[0].n_vars
         self._check_ring(self.gens)
         self._pieces: dict[int, tuple[np.ndarray, list[int]]] = {}
-        self._binom = np.zeros((0, self.n_vars - 1), dtype=np.int64)
 
     def _check_ring(self, polys) -> None:
         if any(h.field != self.field or h.n_vars != self.n_vars for h in polys):
@@ -107,19 +107,6 @@ class GradedIdeal:
     def _dim(self, d: int) -> int:
         return comb(d + self.n_vars - 1, self.n_vars - 1)
 
-    def _index(self, E: np.ndarray, d: int) -> np.ndarray:
-        """Position in monomials_of_degree of each degree-d exponent vector (last axis of E).
-
-        Before e come, per variable i but the last, the C(s - 1 + k, k) monomials that agree
-        with e before i and exceed it at i, where e leaves degree s to the k variables after i.
-        """
-        n = self.n_vars
-        if len(self._binom) <= d:
-            table = [comb(s - 1 + k, k) for s in range(d + 1) for k in range(1, n)]
-            self._binom = np.array(table, dtype=np.int64).reshape(d + 1, n - 1)
-        rest = d - np.cumsum(E[..., :-1], axis=-1)
-        return self._binom[rest, np.arange(n - 2, -1, -1)].sum(axis=-1)
-
     def vectors(self, polys, d: int) -> np.ndarray:
         """Coefficient rows of degree-d polynomials in monomials_of_degree order."""
         self._check_ring(polys)
@@ -127,7 +114,7 @@ class GradedIdeal:
         terms = [(i, mono, c) for i, h in enumerate(polys) for mono, c in h.terms.items()]
         if terms:
             rows, monos, coeffs = zip(*terms)
-            T[rows, self._index(np.array(monos), d)] = coeffs
+            T[rows, monomial_rank(np.array(monos), d)] = coeffs
         return T
 
     def macaulay_matrix(self, d: int) -> np.ndarray:
@@ -140,7 +127,7 @@ class GradedIdeal:
                 mults = np.array(monomials_of_degree(n, d - g.degree), dtype=np.int64)
                 terms = np.array(list(g.terms), dtype=np.int64).reshape(-1, n)
                 A = np.zeros((len(mults), self._dim(d)), dtype=np.int64)
-                cols = self._index(mults[:, None, :] + terms[None], d)
+                cols = monomial_rank(mults[:, None, :] + terms[None], d)
                 A[np.arange(len(mults))[:, None], cols] = list(g.terms.values())
                 blocks.append(A)
         return np.concatenate(blocks)
@@ -278,10 +265,7 @@ def strange_locus(S: PolynomialSystem) -> StrangeLocus:
     F = S.field
     n1 = S.n + 1
     ideal = GradedIdeal(S.gens)
-    condition_rows: list[list[int]] = []
-    for g in S.gens:
-        grads = ideal.vectors([g.partial_derivative(i) for i in range(n1)], g.degree - 1)
-        condition_rows += ideal.residues(grads, g.degree - 1).T.tolist()
+    condition_rows = [row for g in S.gens for row in ideal.residues(g.gradient_rows(), g.degree - 1).T.tolist()]
     _, kernel = rank_and_kernel(MatrixOverField(F, condition_rows, ncols=n1))
     return StrangeLocus(LinearSubspace(F, n1, kernel))
 

@@ -123,6 +123,19 @@ class TestConstruction:
         assert F._exp == exp
         assert F._log == log
 
+    @pytest.mark.parametrize("p,m", [(p, m) for p, m in SMALL_EXTENSIONS if p**m <= 1 << 10])
+    def test_generator_is_least_primitive_element(self, p, m):
+        """The generator search skips GF(p), whose elements never have order q - 1."""
+        F, q = make_field(p, m), p**m
+
+        def order(g):
+            acc, k = _coeffs(g, p, m), 1
+            while acc != _coeffs(1, p, m):
+                acc, k = naive_polymul_mod(acc, _coeffs(g, p, m), F.modulus, p), k + 1
+            return k
+
+        assert F._exp[1] == next(g for g in range(1, q) if order(g) == q - 1)
+
     @pytest.mark.parametrize(
         "p,m,modulus",
         [

@@ -1,8 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strangeci.errors import HomogeneityError, InvalidInputError, ParseError
+from strangeci.exactla import MatrixOverField, invert, rank
+from strangeci.geometry import ProjectivePoint
 from strangeci.gf import make_field
 from strangeci.hompoly import (
     HomogeneousPolynomial,
@@ -22,6 +27,40 @@ def random_poly(rng, field, n_vars, degree):
     return HomogeneousPolynomial(
         field, n_vars, degree, {m: rng.randrange(field.order) for m in basis}
     )
+
+
+def random_change(rng, F, n, kind):
+    """Rows of an invertible matrix: random, a shear of the first column, or a permutation."""
+    if kind == "permutation":
+        perm = rng.sample(range(n), n)
+        return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+    if kind == "shear":
+        from strangeci.strangeness import move_point_to_origin_chart
+
+        coords = [rng.randrange(F.order) for _ in range(n)]
+        coords[rng.randrange(n)] = 1
+        return move_point_to_origin_chart(ProjectivePoint(F, coords)).rows
+    while True:
+        rows = [[rng.randrange(F.order) for _ in range(n)] for _ in range(n)]
+        if rank(MatrixOverField(F, rows)) == n:
+            return rows
+
+
+def naive_change(f, rows):
+    """sum_m c_m * prod_i L_i^(m_i), L_i = sum_j rows[i][j] z_j, from polynomial + and * only."""
+    F, n = f.field, f.n_vars
+    L = [
+        HomogeneousPolynomial(F, n, 1, {tuple(int(k == j) for k in range(n)): rows[i][j] for j in range(n)})
+        for i in range(n)
+    ]
+    out = HomogeneousPolynomial.zero(F, n, f.degree)
+    for mono, c in f.terms.items():
+        term = HomogeneousPolynomial.monomial(F, n, (0,) * n, c)
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                term = term * L[i]
+        out = out + term
+    return out
 
 
 class TestParse:
@@ -188,8 +227,6 @@ class TestLinearChange:
     def test_matches_termwise_expansion(self):
         """Equal to sum_m c_m * prod_i L_i^(m_i), built from polynomial + and *."""
         rng = random.Random(31)
-        from strangeci.exactla import MatrixOverField, rank
-
         for _ in range(30):
             F = make_field(*rng.choice([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]))
             n = rng.randint(1, 5)
@@ -198,20 +235,56 @@ class TestLinearChange:
                 rows = [[rng.randrange(F.order) for _ in range(n)] for _ in range(n)]
                 if rank(MatrixOverField(F, rows)) == n:
                     break
-            L = [
-                HomogeneousPolynomial(
-                    F, n, 1, {tuple(int(k == j) for k in range(n)): rows[i][j] for j in range(n)}
-                )
-                for i in range(n)
-            ]
-            want = HomogeneousPolynomial.zero(F, n, f.degree)
-            for mono, c in f.terms.items():
-                term = HomogeneousPolynomial.monomial(F, n, (0,) * n, c)
-                for i, e in enumerate(mono):
-                    for _ in range(e):
-                        term = term * L[i]
-                want = want + term
-            assert f.linear_change(rows) == want
+            assert f.linear_change(rows) == naive_change(f, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([(2, 1), (3, 1), (5, 1), (1048573, 1), (2, 2), (3, 2), (2, 8)]),
+        st.sampled_from(["full", "shear", "permutation"]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_matches_naive_expansion_and_round_trips(self, pm, kind, dense, seed):
+        rng = random.Random(seed)
+        F = make_field(*pm)
+        n, e = rng.randint(1, 6), rng.randint(0, 5)
+        basis = monomials_of_degree(n, e)
+        # dense f takes every monomial, kept to at most 56 so that the oracle stays quick
+        if dense and len(basis) > 56:
+            e = min(e, 2)
+            basis = monomials_of_degree(n, e)
+        picked = basis if dense else rng.sample(basis, min(len(basis), rng.randint(1, 6)))
+        f = HomogeneousPolynomial(F, n, e, {mono: rng.randrange(1, F.order) for mono in picked})
+        rows = random_change(rng, F, n, kind)
+        assert f.linear_change(rows) == naive_change(f, rows)
+        back = invert(MatrixOverField(F, rows)).rows
+        assert f.linear_change(rows).linear_change(back) == f
+
+    @pytest.mark.parametrize(
+        "n,e,nterms,kind",
+        [(30, 4, 25, "shear"), (100, 2, 60, "permutation")],
+    )
+    def test_large_sparse_inputs_in_small_memory(self, n, e, nterms, kind):
+        """Rows are nodes x monomials: a nodes x monomials x variables block would take
+        hundreds of MB here."""
+        rng = random.Random(f"{n}-{e}")
+        F = make_field(5)
+        terms = {}
+        while len(terms) < nterms:
+            mono = [0] * n
+            for _ in range(e):
+                mono[rng.randrange(n)] += 1
+            terms[tuple(mono)] = rng.randrange(1, 5)
+        f = HomogeneousPolynomial(F, n, e, terms)
+        rows = random_change(rng, F, n, kind)
+        tracemalloc.start()
+        try:
+            g = f.linear_change(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == naive_change(f, rows)
+        assert peak < 64 << 20
 
     def test_composition_law(self):
         rng = random.Random(9)
@@ -228,6 +301,22 @@ class TestLinearChange:
         # (f o B) o A substitutes z <- B*A*z
         BA = mat_mul(MB, MA).rows
         assert f.linear_change(BA) == f.linear_change(B).linear_change(A)
+
+
+class TestGradientRows:
+    @pytest.mark.parametrize("pm", [(3, 1), (1048573, 1), (3, 2)])
+    def test_rows_are_the_partials_vectors(self, pm):
+        from strangeci.strangeness import GradedIdeal
+
+        F = make_field(*pm)
+        rng = random.Random(f"gradient-{pm}")
+        for _ in range(40):
+            n, e = rng.randint(1, 6), rng.randint(1, 5)
+            basis = monomials_of_degree(n, e)
+            f = HomogeneousPolynomial(F, n, e, {m: rng.randrange(F.order) for m in basis if rng.random() < 0.5})
+            ideal = GradedIdeal([f])
+            want = ideal.vectors([f.partial_derivative(i) for i in range(n)], e - 1)
+            assert (f.gradient_rows() == want).all()
 
 
 class TestNormalizeOperator:
