@@ -287,38 +287,6 @@ def is_singular_at(S: PolynomialSystem, a: ProjectivePoint) -> bool:
 _CHUNK_CELLS = 1 << 16  # monomial values held at once by a block evaluator
 
 
-class _VecField:
-    """Vectorized arithmetic on integer-encoded GF(p^m) values."""
-
-    def __init__(self, field: Field):
-        self.p = field.p
-        self.m = field.m
-        self.q = field.order
-        if field.m > 1:
-            self.exp = np.array(field._exp + field._exp, dtype=np.int64)
-            self.log = np.array(field._log, dtype=np.int64)
-
-    def add(self, a, b):
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        out = np.zeros_like(a)
-        shift = 1
-        x, y = a, b
-        for _ in range(self.m):
-            out += ((x + y) % self.p) * shift
-            x = x // self.p
-            y = y // self.p
-            shift *= self.p
-        return out
-
-    def mul(self, a, b):
-        if self.m == 1:
-            return (a * b) % self.p
-        return np.where((a != 0) & (b != 0), self.exp[self.log[a] + self.log[b]], 0)
-
-
 class _BlockEvaluator:
     """Evaluates polynomials with prime-field coefficients at blocks of points.
 
@@ -333,33 +301,31 @@ class _BlockEvaluator:
     row chunks of at most _CHUNK_CELLS monomials.
     """
 
-    def __init__(self, polys: list[HomogeneousPolynomial], vf: _VecField):
+    def __init__(self, polys: list[HomogeneousPolynomial], F: Field):
         monos = sorted({mono for f in polys for mono in f.terms}, reverse=True)
-        self.vf = vf
+        self.F = F
         self.E = np.array(monos, dtype=np.int64).reshape(len(monos), polys[0].n_vars)
         # entries of a digit plane @ C stay below T * (p-1)^2 < 2^63 for T < 2^23
         self.C = np.array(
             [[f.terms.get(mono, 0) for f in polys] for mono in monos], dtype=np.int64
         ).reshape(len(monos), len(polys))
         self.rows = max(1, _CHUNK_CELLS // max(len(monos), 1))
-        if vf.m == 1:
+        if F.m == 1:
             self.emax = self.E.max(axis=0, initial=0)
         else:
-            q1 = vf.q - 1
-            self.zero_log = int(self.E.sum(axis=1).max(initial=0)) * (q1 - 1) + 1
+            _, log, self.digits = F.array_tables()
+            self.zero_log = int(self.E.sum(axis=1).max(initial=0)) * (F.order - 2) + 1
             # float64 so that the product runs in BLAS; every sum is below 2^53
-            self.log = vf.log.astype(np.float64)
+            self.log = log.astype(np.float64)
             self.log[0] = self.zero_log
             self.ET = self.E.T.astype(np.float64)
-            values = np.append(vf.exp[:q1], 0)  # index q1 stands for a zero monomial
-            self.digits = [values // vf.p**d % vf.p for d in range(vf.m)]
 
     def _digit_planes(self, X: np.ndarray):
         """Digit d of every monomial at the points X, for d = 0..m-1."""
-        vf = self.vf
-        if vf.m > 1:
+        F = self.F
+        if F.m > 1:
             L = (self.log[X] @ self.ET).astype(np.int64)
-            idx = np.where(L < self.zero_log, L % (vf.q - 1), vf.q - 1)
+            idx = np.where(L < self.zero_log, L % (F.order - 1), F.order - 1)
             for table in self.digits:
                 yield table[idx]
             return
@@ -369,13 +335,13 @@ class _BlockEvaluator:
                 continue
             powers = np.ones((X.shape[0], emax + 1), dtype=np.int64)
             for e in range(1, emax + 1):
-                powers[:, e] = powers[:, e - 1] * X[:, j] % vf.p
-            V = V * powers[:, self.E[:, j]] % vf.p
+                powers[:, e] = powers[:, e - 1] * X[:, j] % F.p
+            V = V * powers[:, self.E[:, j]] % F.p
         yield V
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Values at the points X (k x n_vars), shape (k, len(polys))."""
-        p = self.vf.p
+        p = self.F.p
         out = np.zeros((X.shape[0], self.C.shape[1]), dtype=np.int64)
         for s in range(0, X.shape[0], self.rows):
             for d, plane in enumerate(self._digit_planes(X[s : s + self.rows])):
@@ -383,7 +349,7 @@ class _BlockEvaluator:
         return out
 
 
-def _rank_below(J: np.ndarray, r: int, vf: _VecField) -> np.ndarray:
+def _rank_below(J: np.ndarray, r: int, F: Field) -> np.ndarray:
     """Mask of the points k whose r x (N+1) Jacobian J[k] has rank < r.
 
     For r >= 2 this is fraction-free Gaussian elimination batched over the
@@ -403,8 +369,8 @@ def _rank_below(J: np.ndarray, r: int, vf: _VecField) -> np.ndarray:
         col = np.argmax(row != 0, axis=1)
         piv = np.where(has, row[at, col], 1)[:, None]
         for j in range(i + 1, r):
-            minus = vf.mul(A[at, j, col], vf.p - 1)[:, None]  # -J[j, col]; p-1 encodes -1
-            A[:, j, :] = vf.add(vf.mul(A[:, j, :], piv), vf.mul(row, minus))
+            minus = F.mul_array(A[at, j, col], F.p - 1)[:, None]  # -J[j, col]; p-1 encodes -1
+            A[:, j, :] = F.add_array(F.mul_array(A[:, j, :], piv), F.mul_array(row, minus))
     return rank < r
 
 
@@ -467,9 +433,8 @@ def singular_search(
     used = 0
     for m in range(1, m_max + 1):
         F = make_field(p, m)
-        vf = _VecField(F)
-        gen_evals = [_BlockEvaluator([g], vf) for g in gens]
-        jacobian = _BlockEvaluator(partials, vf)
+        gen_evals = [_BlockEvaluator([g], F) for g in gens]
+        jacobian = _BlockEvaluator(partials, F)
         level_hits: list[ProjectivePoint] = []
         for coords in _point_blocks(F.order, n1):
             used += coords.shape[0]
@@ -483,7 +448,7 @@ def singular_search(
             for ev in gen_evals:
                 pts = pts[ev(pts)[:, 0] == 0]
             J = jacobian(pts).reshape(pts.shape[0], S.r, n1)
-            for row in pts[_rank_below(J, S.r, vf)]:
+            for row in pts[_rank_below(J, S.r, F)]:
                 level_hits.append(ProjectivePoint(F, [int(v) for v in row]))
         for pt in level_hits:
             d = pt.minimal_subfield_degree()

@@ -5,8 +5,8 @@ coefficient vector (c_0, ..., c_{m-1}) over GF(p), low degree first, is
 encoded as c_0 + c_1*p + ... + c_{m-1}*p^(m-1).  The integer encoding
 doubles as the deterministic enumeration order (odometer, low-degree
 coefficient fastest).  A :class:`Field` exposes arithmetic directly on the
-integer encodings; :class:`FieldElement` is a thin operator-overloading
-wrapper on top of that.
+integer encodings, on Python ints and elementwise on int64 numpy arrays;
+:class:`FieldElement` is a thin operator-overloading wrapper on top of that.
 
 The reduction modulus of GF(p^m) is the lexicographically least monic
 irreducible polynomial of degree m over GF(p), coefficients compared low
@@ -108,7 +108,7 @@ class Field:
     guarantees one object per (p, m).
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "_exp", "_log")
+    __slots__ = ("p", "m", "order", "modulus", "_exp", "_log", "_arrays")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -117,6 +117,7 @@ class Field:
         self.modulus = modulus  # full coefficient tuple, low degree first, monic
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         if m > 1:
             self._build_tables()
 
@@ -261,6 +262,37 @@ class Field:
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
+
+    # -- elementwise arithmetic on int64 arrays of encodings ---------------
+
+    def array_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """int64 tables of an extension field, built on first use: exp twice
+        over, so that a sum of two logs indexes it unreduced; log; and
+        digits[d], mapping k < q-1 to digit d of g^k and q-1 to 0."""
+        if self._arrays is None:
+            exp = np.array(self._exp, dtype=np.int64)
+            values = np.append(exp, 0)  # index q-1 stands for zero
+            digits = values // self.p ** np.arange(self.m, dtype=np.int64)[:, None] % self.p
+            self._arrays = (np.concatenate([exp, exp]), np.array(self._log, dtype=np.int64), digits)
+        return self._arrays
+
+    def add_array(self, a, b) -> np.ndarray:
+        p = self.p
+        if self.m == 1:
+            return (a + b) % p
+        if p == 2:
+            return a ^ b
+        out, shift = 0, 1
+        for _ in range(self.m):
+            out = out + (a + b) % p * shift
+            a, b, shift = a // p, b // p, shift * p
+        return out
+
+    def mul_array(self, a, b) -> np.ndarray:
+        if self.m == 1:
+            return a * b % self.p
+        exp2, log, _ = self.array_tables()
+        return np.where((a != 0) & (b != 0), exp2[log[a] + log[b]], 0)
 
     # -- representation ---------------------------------------------------
 

@@ -233,14 +233,14 @@ class HomogeneousPolynomial:
 
     def gradient_rows(self) -> np.ndarray:
         """Coefficient rows of f_{z_0}, ..., f_{z_N}: row i holds c * (w_i mod p) at the rank of
-        w - e_i for each term c * z^w with w_i > 0, an integer acting digit by digit."""
+        w - e_i for each term c * z^w with w_i > 0."""
         F, n, d = self.field, self.n_vars, max(self.degree - 1, 0)
         monos = np.fromiter(chain.from_iterable(self.terms), np.int64, len(self.terms) * n).reshape(-1, n)
         var, term = np.nonzero(monos.T)
-        place, coeffs = F.p ** np.arange(F.m), np.array(list(self.terms.values()), dtype=np.int64)[term]
-        digits = coeffs[:, None] // place % F.p * (monos[term, var, None] % F.p) % F.p
+        coeffs = np.fromiter(self.terms.values(), np.int64, len(self.terms))[term]
         out = np.zeros((n, comb(d + n - 1, n - 1)), dtype=np.int64)
-        out[var, monomial_rank(monos[term] - np.eye(n, dtype=np.int64)[var], d)] = digits @ place
+        ranks = monomial_rank(monos[term] - np.eye(n, dtype=np.int64)[var], d)
+        out[var, ranks] = F.mul_array(coeffs, monos[term, var] % F.p)
         return out
 
     def iterated_derivative_z0(self, j: int) -> "HomogeneousPolynomial":

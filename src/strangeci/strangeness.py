@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .errors import FieldMismatchError, InvalidInputError, UnsupportedVertexError
-from .exactla import MatrixOverField, _rref_mod_p, in_span, mat_mul, rank_and_kernel, rref
+from .exactla import MatrixOverField, _rref_mod_p, in_span, rank_and_kernel, rref
 from .geometry import LinearSubspace, PolynomialSystem, ProjectivePoint
 from .hompoly import (
     HomogeneousPolynomial,
@@ -146,7 +146,10 @@ class GradedIdeal:
 
     def residues(self, T: np.ndarray, d: int) -> np.ndarray:
         """Rows t of T (degree d) reduced modulo I_d, read at the free columns:
-        entry j is phi_j(t) for row j of :meth:`annihilator`, all zero iff t is in I_d."""
+        entry j is phi_j(t) for row j of :meth:`annihilator`, all zero iff t is in I_d.
+
+        T - T[:, pivots] @ R; over GF(p^m) one pivot column at a time, which is the
+        same, as R is reduced: clearing a pivot column leaves the others unchanged."""
         R, pivots = self._piece(d)
         F = self.field
         if not pivots:
@@ -154,9 +157,9 @@ class GradedIdeal:
         if F.m == 1:
             T = (T - T[:, pivots] @ R) % F.p
         else:
-            P = mat_mul(MatrixOverField(F, T[:, pivots].tolist(), ncols=len(pivots)), MatrixOverField(F, R))
-            diff = [list(map(F.sub, t, q)) for t, q in zip(T.tolist(), P.rows)]
-            T = np.array(diff, dtype=np.int64).reshape(T.shape)
+            minus_R = F.mul_array(R, F.p - 1)  # p-1 encodes -1
+            for row, col in zip(minus_R, pivots):
+                T = F.add_array(T, F.mul_array(T[:, col, None], row))
         return np.delete(T, pivots, axis=1)
 
     def contains(self, h: HomogeneousPolynomial) -> bool:
@@ -199,18 +202,18 @@ def graded_membership(
 def move_point_to_origin_chart(v: ProjectivePoint) -> MatrixOverField:
     """Deterministic invertible M with M * e_0 equal to the lift of v.
 
-    The permutation bringing the first nonzero coordinate of v to slot 0,
-    followed by the shear clearing the remaining coordinates.  Depends only
-    on the normalized v.
+    The identity with column 0 replaced by the lift of v and, when the
+    first nonzero coordinate of v has index pivot > 0, column pivot
+    replaced by e_0.  Depends only on the normalized v.
     """
-    F = v.field
     n1 = len(v.coords)
     pivot = next(i for i, c in enumerate(v.coords) if c)
-    perm = [[1 if j == (i if i not in (0, pivot) else (pivot if i == 0 else 0)) else 0 for j in range(n1)] for i in range(n1)]
-    w = list(v.coords)
-    w[0], w[pivot] = w[pivot], w[0]
-    shear = [[w[i] if j == 0 else (1 if i == j else 0) for j in range(n1)] for i in range(n1)]
-    return mat_mul(MatrixOverField(F, perm), MatrixOverField(F, shear))
+    rows = [[int(i == j) for j in range(n1)] for i in range(n1)]
+    for row, c in zip(rows, v.coords):
+        row[0] = c
+    if pivot:
+        rows[0][pivot], rows[pivot][pivot] = 1, 0
+    return MatrixOverField(v.field, rows)
 
 
 def _require_prime_rational(v: ProjectivePoint) -> ProjectivePoint:
@@ -226,15 +229,19 @@ def _require_prime_rational(v: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint(make_field(F.p), list(v.coords))
 
 
+def _moved(S: PolynomialSystem, v: ProjectivePoint) -> tuple[ProjectivePoint, PolynomialSystem, GradedIdeal]:
+    """v as a GF(p)-point, S with v moved to (1:0:...:0), and the ideal of the moved system."""
+    v = _require_prime_rational(v)
+    SM = S.linear_change(move_point_to_origin_chart(v).rows)
+    return v, SM, GradedIdeal(SM.gens)
+
+
 # -- strangeness ----------------------------------------------------------
 
 
 def is_strange_for(S: PolynomialSystem, v: ProjectivePoint) -> StrangeReport:
     """Decide whether the system is strange for the GF(p)-rational point v."""
-    v = _require_prime_rational(v)
-    M = move_point_to_origin_chart(v)
-    SM = S.linear_change(M.rows)
-    ideal = GradedIdeal(SM.gens)
+    v, SM, ideal = _moved(S, v)
     for k, g in enumerate(SM.gens):
         dg = g.partial_derivative(0)
         if not ideal.contains(dg):
@@ -310,10 +317,7 @@ def is_cone_with_vertex(S: PolynomialSystem, v: ProjectivePoint) -> bool:
     each slice degree by degree, and conversely slices in the ideal let the
     generators be rewritten z_0-free.
     """
-    v = _require_prime_rational(v)
-    M = move_point_to_origin_chart(v)
-    SM = S.linear_change(M.rows)
-    ideal = GradedIdeal(SM.gens)
+    _, SM, ideal = _moved(S, v)
     return all(ideal.contains(h) for g in SM.gens for _, h in sorted(_z0_slices(g).items()))
 
 

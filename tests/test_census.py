@@ -14,7 +14,7 @@ from strangeci.census import (
     verify_singularity_theorem,
 )
 from strangeci.errors import BudgetExceededError, InvalidInputError
-from strangeci.geometry import PolynomialSystem, ProjectivePoint, enumerate_points
+from strangeci.geometry import PolynomialSystem, ProjectivePoint, enumerate_points, singular_search
 from strangeci.gf import make_field
 from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree
 
@@ -119,6 +119,38 @@ class TestVerifyTheorem:
                 F = make_field(3, m)
                 lifted = PolynomialSystem([g.lift_to(F) for g in rec.system.gens])
                 assert is_singular_at(lifted, pt)
+
+    @pytest.mark.parametrize(
+        "budget,kinds",
+        [
+            (1000, {"found by m_max", "found after m_max", "unresolved"}),
+            (50, {"found by m_max", "unresolved"}),  # the budget runs out before m_max
+        ],
+    )
+    def test_one_search_matches_two_passes(self, budget, kinds):
+        """The one search up to 2*m_max gives the points of a search up to m_max
+        followed, when that finds nothing, by a second search up to 2*m_max with
+        a fresh budget."""
+        spec = CensusSpec(p=2, N=3, degrees=(4,), count=30, seed=0, m_max=2)
+        records = verify_singularity_theorem(spec, budget_per_sample=budget)["records"]
+        reference = []
+        for S in sample_hv(spec):
+            points = []
+            for bound in (spec.m_max, 2 * spec.m_max):
+                try:
+                    points = singular_search(S, bound, budget=budget, stop_early=True)
+                except BudgetExceededError as exc:
+                    points = list(exc.partial)
+                if points:
+                    break
+            reference.append(points)
+        assert [rec.singular_points for rec in records] == reference
+        assert [rec.resolution for rec in records] == ["found" if pts else "unresolved" for pts in reference]
+        seen = {
+            "unresolved" if not pts else "found by m_max" if pts[0][0] <= spec.m_max else "found after m_max"
+            for pts in reference
+        }
+        assert seen == kinds
 
 
 class TestEulerRankLemma:

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,6 +215,24 @@ class TestArithmetic:
             for e in range(6):
                 assert F.pow(a, e) == acc
                 acc = F.mul(acc, a)
+
+
+class TestArrayArithmetic:
+    @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+    def test_matches_scalar_on_every_pair(self, p, m):
+        F = make_field(p, m)
+        a, b = np.meshgrid(np.arange(F.order), np.arange(F.order), indexing="ij")
+        pairs = [[(x, y) for y in range(F.order)] for x in range(F.order)]
+        assert F.add_array(a, b).tolist() == [[F.add(x, y) for x, y in row] for row in pairs]
+        assert F.mul_array(a, b).tolist() == [[F.mul(x, y) for x, y in row] for row in pairs]
+
+    def test_tables_built_once_per_field(self):
+        F = make_field(3, 3)
+        exp2, log, digits = tables = F.array_tables()
+        F.mul_array(np.arange(27), np.arange(27))
+        assert make_field(3, 3).array_tables() is tables
+        assert exp2.tolist() == F._exp + F._exp and log.tolist() == F._log
+        assert digits.T.tolist() == [list(F.coeffs(a)) for a in F._exp] + [[0, 0, 0]]
 
 
 class TestEmbedding:

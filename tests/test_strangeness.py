@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strangeci.errors import FieldMismatchError, InvalidInputError, UnsupportedVertexError
-from strangeci.exactla import MatrixOverField, in_span, mat_vec, rank, rank_and_kernel
+from strangeci.exactla import MatrixOverField, in_span, mat_mul, mat_vec, rank, rank_and_kernel
 from strangeci.families import (
     quadric_normal_form,
     strange_hypersurface_p_divides,
@@ -154,7 +154,7 @@ class TestGradedIdeal:
         assert ideal.hilbert_function(2) == comb(101, 2) - 1
 
     def test_annihilator_is_the_kernel_of_the_piece(self):
-        for F in (F3, make_field(3, 2)):
+        for F in (F3, make_field(3, 2), F4, make_field(2, 3)):
             S = PolynomialSystem.parse(["z0*z1 + z2^2", "z1^2 + z0*z3"], F, 4)
             ideal = GradedIdeal(S.gens)
             for d in range(5):
@@ -260,6 +260,24 @@ class TestMovePoint:
     def test_deterministic(self):
         v = parse_point("(0:1:2)", F3)
         assert move_point_to_origin_chart(v).rows == move_point_to_origin_chart(v).rows
+
+    @pytest.mark.parametrize("p,m,n1", [(2, 1, 4), (2, 2, 4), (3, 2, 4), (3, 1, 5), (5, 1, 6)])
+    def test_is_swap_times_shear(self, p, m, n1):
+        """On every nonzero coordinate vector: the permutation swapping slot 0 and
+        the first nonzero slot of v, times the shear whose column 0 is the
+        swapped lift of v."""
+        F = make_field(p, m)
+        for vec in itertools.product(range(F.order), repeat=n1):
+            if not any(vec):
+                continue
+            v = ProjectivePoint(F, vec)
+            pivot = next(i for i, c in enumerate(v.coords) if c)
+            swap = {0: pivot, pivot: 0}
+            perm = [[int(j == swap.get(i, i)) for j in range(n1)] for i in range(n1)]
+            w = [v.coords[swap.get(i, i)] for i in range(n1)]
+            shear = [[w[i] if j == 0 else int(i == j) for j in range(n1)] for i in range(n1)]
+            expected = mat_mul(MatrixOverField(F, perm), MatrixOverField(F, shear))
+            assert move_point_to_origin_chart(v).rows == expected.rows
 
 
 class TestIsStrangeFor:
