@@ -26,8 +26,6 @@ from .geometry import (
     enumerate_points,
     gauss_map,
     is_singular_at,
-    jacobian_D,
-    jacobian_Dprime,
     jacobian_full,
     parse_point,
     singular_search,

@@ -7,14 +7,14 @@ bounded field extensions.
 The search enumerates normalized projective representatives (first nonzero
 coordinate 1) over GF(p^m) for m = 1..m_max, in numpy blocks of points.
 Both stages are vectorized over a block.  A block evaluator computes a
-list of polynomials at once from exponent and coefficient matrices (over
-extension fields, through the discrete-log tables).  The zero-set filter
-evaluates each generator on the points the previous generators left; one
-evaluator for all r(N+1) partial derivatives gives the survivors' r x (N+1)
-Jacobians, and their rank is tested by Gaussian elimination batched over
-the survivors.  Found points are reported at their minimal field of
-definition, Galois orbits collapsed to the representative least in
-enumeration order.
+list of polynomials at once from exponent and coefficient matrices, through
+the field's discrete-log tables, in one path for GF(p) and GF(p^m) alike.
+The zero-set filter evaluates each generator on the points the previous
+generators left; one evaluator for all r(N+1) partial derivatives gives the
+survivors' r x (N+1) Jacobians, and their rank is tested by Gaussian
+elimination batched over the survivors.  Found points are reported at their
+minimal field of definition, Galois orbits collapsed to the representative
+least in enumeration order.
 """
 
 from __future__ import annotations
@@ -241,18 +241,6 @@ def jacobian_full(S: PolynomialSystem, a: ProjectivePoint) -> MatrixOverField:
     return MatrixOverField(F, rows, ncols=S.n + 1)
 
 
-def jacobian_D(S: PolynomialSystem, a: ProjectivePoint) -> MatrixOverField:
-    """Columns j = 1..N (drops the vanishing z_0-column of strange systems)."""
-    full = jacobian_full(S, a)
-    return MatrixOverField(full.field, [row[1:] for row in full.rows], ncols=S.n)
-
-
-def jacobian_Dprime(S: PolynomialSystem, a: ProjectivePoint) -> MatrixOverField:
-    """Columns j = 1..N-1."""
-    full = jacobian_full(S, a)
-    return MatrixOverField(full.field, [row[1:-1] for row in full.rows], ncols=S.n - 1)
-
-
 def tangent_space(S: PolynomialSystem, x: ProjectivePoint) -> LinearSubspace:
     """Embedded tangent space at a smooth point, as the kernel of the Jacobian."""
     if not S.on_zero_set(x):
@@ -291,61 +279,40 @@ class _BlockEvaluator:
     """Evaluates polynomials with prime-field coefficients at blocks of points.
 
     E (T x n_vars) holds the exponent vectors of the union of the supports
-    and C (T x len(polys)) the coefficients.  Coefficients in GF(p) act on
-    each base-p digit of a monomial value separately, so digit d of the
-    values is (digit_d(monomials) @ C) mod p.  Over GF(p) the monomial values
-    come from per-variable power tables mod p.  Over GF(p^m), m > 1, the
-    monomial with logs L = log[coords] @ E.T has digit d equal to
-    digits[d][L mod (q-1)]; log[0] is set above any sum of logs of nonzero
-    values, so a larger L marks a vanishing monomial.  Points are taken in
-    row chunks of at most _CHUNK_CELLS monomials.
+    and C (T x len(polys)) the coefficients.  Every field takes one path,
+    through its discrete-log tables: the monomial with logs
+    L = log[coords] @ E.T has digit d equal to digits[d][L mod (q-1)], and
+    log[0] is set above any sum of logs of nonzero values, so a larger L
+    marks a vanishing monomial.  Coefficients in GF(p) act on each base-p
+    digit separately, so digit d of the values is (digit_d(monomials) @ C)
+    mod p.  Points are taken in row chunks of at most _CHUNK_CELLS monomials.
     """
 
     def __init__(self, polys: list[HomogeneousPolynomial], F: Field):
         monos = sorted({mono for f in polys for mono in f.terms}, reverse=True)
         self.F = F
-        self.E = np.array(monos, dtype=np.int64).reshape(len(monos), polys[0].n_vars)
+        E = np.array(monos, dtype=np.int64).reshape(len(monos), polys[0].n_vars)
         # entries of a digit plane @ C stay below T * (p-1)^2 < 2^63 for T < 2^23
         self.C = np.array(
             [[f.terms.get(mono, 0) for f in polys] for mono in monos], dtype=np.int64
         ).reshape(len(monos), len(polys))
         self.rows = max(1, _CHUNK_CELLS // max(len(monos), 1))
-        if F.m == 1:
-            self.emax = self.E.max(axis=0, initial=0)
-        else:
-            _, log, self.digits = F.array_tables()
-            self.zero_log = int(self.E.sum(axis=1).max(initial=0)) * (F.order - 2) + 1
-            # float64 so that the product runs in BLAS; every sum is below 2^53
-            self.log = log.astype(np.float64)
-            self.log[0] = self.zero_log
-            self.ET = self.E.T.astype(np.float64)
-
-    def _digit_planes(self, X: np.ndarray):
-        """Digit d of every monomial at the points X, for d = 0..m-1."""
-        F = self.F
-        if F.m > 1:
-            L = (self.log[X] @ self.ET).astype(np.int64)
-            idx = np.where(L < self.zero_log, L % (F.order - 1), F.order - 1)
-            for table in self.digits:
-                yield table[idx]
-            return
-        V = np.ones((X.shape[0], self.E.shape[0]), dtype=np.int64)
-        for j, emax in enumerate(self.emax):
-            if emax == 0:
-                continue
-            powers = np.ones((X.shape[0], emax + 1), dtype=np.int64)
-            for e in range(1, emax + 1):
-                powers[:, e] = powers[:, e - 1] * X[:, j] % F.p
-            V = V * powers[:, self.E[:, j]] % F.p
-        yield V
+        _, log, self.digits = F.array_tables()
+        self.zero_log = int(E.sum(axis=1).max(initial=0)) * (F.order - 2) + 1
+        # float64 so that the product runs in BLAS; every sum is below 2^53
+        self.log = log.astype(np.float64)
+        self.log[0] = self.zero_log
+        self.ET = E.T.astype(np.float64)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Values at the points X (k x n_vars), shape (k, len(polys))."""
-        p = self.F.p
+        p, q1 = self.F.p, self.F.order - 1
         out = np.zeros((X.shape[0], self.C.shape[1]), dtype=np.int64)
         for s in range(0, X.shape[0], self.rows):
-            for d, plane in enumerate(self._digit_planes(X[s : s + self.rows])):
-                out[s : s + self.rows] += (plane @ self.C % p) * p**d
+            L = (self.log[X[s : s + self.rows]] @ self.ET).astype(np.int64)
+            idx = np.where(L < self.zero_log, L % q1, q1)
+            for d, table in enumerate(self.digits):
+                out[s : s + self.rows] += (table[idx] @ self.C % p) * p**d
         return out
 
 

@@ -16,8 +16,9 @@ constant term 0 is divisible by x.  The exp/log tables are the powers of g,
 the smallest element of order p^m - 1.  Multiplication by g is a
 GF(p)-linear map on coefficient vectors; numpy applies it to all p^m
 encodings in blocks, giving one table of a -> g * a, and a walk of that
-table from 1 fills exp and log.  Construction is therefore a pure function
-of (p, m).
+table from 1 fills exp and log.  Every field has these tables; GF(p), whose
+scalar arithmetic is plain modular arithmetic, builds them on the first call
+to :meth:`Field.array_tables`.  Construction is a pure function of (p, m).
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class Field:
         if m > 1:
             self._build_tables()
 
-    # -- discrete-log tables (extension fields only) --------------------
+    # -- discrete-log tables (built with the field when m > 1) -------------
 
     def _mul_raw(self, a: int, b: int) -> int:
         p = self.p
@@ -157,9 +158,9 @@ class Field:
                 e >>= 1
             return r
 
-        # every element of GF(p) has order dividing p - 1 < q - 1: start past them
+        # start past GF(p) when m > 1: its elements have orders dividing p - 1
         g = None
-        for cand in range(p, q):
+        for cand in range(1 if m == 1 else p, q):
             if all(pow_raw(cand, (q - 1) // f) != 1 for f in factors):
                 g = cand
                 break
@@ -169,8 +170,9 @@ class Field:
         # h low digits (at most _CHUNK values) and the rest, so the digits of
         # g * a are the images of the two parts added mod p, one block of rows
         # per value of the high part.  The blocks give a -> g * a for every a.
-        # C ints suffice: digit sums stay below m * p^2 and encodings
-        # below MAX_ORDER.
+        # C ints suffice: encodings stay below MAX_ORDER, digit sums below
+        # m * p^2 when m > 1, and products below (p - 1) * g when m = 1, at
+        # most 58 712 016 < 2^31 over the primes p < MAX_ORDER (p = 946969).
         place = p ** np.arange(m, dtype=np.intc)
         by_g = np.array([_digits(self._mul_raw(g, p**j), p, m) for j in range(m)], dtype=np.intc)
         h = 1
@@ -266,10 +268,13 @@ class Field:
     # -- elementwise arithmetic on int64 arrays of encodings ---------------
 
     def array_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """int64 tables of an extension field, built on first use: exp twice
-        over, so that a sum of two logs indexes it unreduced; log; and
-        digits[d], mapping k < q-1 to digit d of g^k and q-1 to 0."""
+        """int64 tables of any field, built on first use: exp twice over, so
+        that a sum of two logs indexes it unreduced; log; and digits[d],
+        mapping k < q-1 to digit d of g^k and q-1 to 0.  Over GF(p) this is
+        the first call that builds the exp/log tables at all."""
         if self._arrays is None:
+            if self._exp is None:
+                self._build_tables()
             exp = np.array(self._exp, dtype=np.int64)
             values = np.append(exp, 0)  # index q-1 stands for zero
             digits = values // self.p ** np.arange(self.m, dtype=np.int64)[:, None] % self.p

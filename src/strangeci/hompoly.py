@@ -305,7 +305,7 @@ class HomogeneousPolynomial:
         field; an entry outside range(field.order) is rejected, not reduced.
         :func:`_expand` expands f(M z) level-wise over base-p digit rows.
         """
-        from .exactla import MatrixOverField, rank_and_kernel
+        from .exactla import MatrixOverField, rank
 
         rows = [list(r) for r in matrix]
         n = self.n_vars
@@ -319,8 +319,7 @@ class HomogeneousPolynomial:
                         f"matrix entry [{i}][{j}] = {c!r} is not an element of {F} "
                         f"(an integer in range({F.order}))"
                     )
-        rank, _ = rank_and_kernel(MatrixOverField(F, rows))
-        if rank < n:
+        if rank(MatrixOverField(F, rows)) < n:
             raise InvalidInputError("matrix is singular")
         return HomogeneousPolynomial(F, n, self.degree, _expand(F, self.terms, self.degree, rows))
 

@@ -1,5 +1,7 @@
 import random
 
+import numpy as np
+
 import pytest
 
 from strangeci.errors import (
@@ -19,15 +21,16 @@ from strangeci.geometry import (
     ProjectivePoint,
     enumerate_points,
     gauss_map,
+    _BlockEvaluator,
+    _point_blocks,
     is_singular_at,
-    jacobian_D,
-    jacobian_Dprime,
     jacobian_full,
     parse_point,
     singular_search,
     tangent_space,
 )
 from strangeci.gf import make_field
+from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -79,10 +82,11 @@ class TestJacobians:
     def test_quadric_gradient(self):
         S = PolynomialSystem.parse(["z0^2 + z1*z2"], F2, 3)
         a = parse_point("(1:1:1)", F2)
-        # partials are (0, z2, z1)
-        assert jacobian_full(S, a).rows == [[0, 1, 1]]
-        assert jacobian_D(S, a).rows == [[1, 1]]
-        assert jacobian_Dprime(S, a).rows == [[1]]
+        # partials are (0, z2, z1); D drops column 0, D' columns 0 and N
+        rows = jacobian_full(S, a).rows
+        assert rows == [[0, 1, 1]]
+        assert [row[1:] for row in rows] == [[1, 1]]
+        assert [row[1:-1] for row in rows] == [[1]]
 
     def test_p_divides_family_vanishing_row(self):
         S = strange_hypersurface_p_divides(3, 3, 3)
@@ -92,9 +96,10 @@ class TestJacobians:
     def test_shapes(self):
         S = PolynomialSystem.parse(["z0*z1 + z2^2", "z1^2 + z0*z3"], F5, 4)
         a = parse_point("(1:0:0:0)", F5)
-        assert jacobian_full(S, a).ncols == 4
-        assert jacobian_D(S, a).ncols == 3
-        assert jacobian_Dprime(S, a).ncols == 2
+        J = jacobian_full(S, a)
+        assert J.ncols == 4
+        assert [len(row[1:]) for row in J.rows] == [3, 3]
+        assert [len(row[1:-1]) for row in J.rows] == [2, 2]
 
 
 class TestTangentAndGauss:
@@ -175,6 +180,42 @@ class TestIsSingularAt:
 
                 Ma = ProjectivePoint(F3, mat_vec(M, list(a.coords)))
                 assert is_singular_at(SM, a) == is_singular_at(S, Ma)
+
+
+class TestBlockEvaluator:
+    """The log-table evaluator against the scalar HomogeneousPolynomial.evaluate."""
+
+    @staticmethod
+    def polys(F, n_vars, rng):
+        """Dense forms of degrees 0..4, whose monomials give a zero coordinate
+        exponent 0 or a positive one; a form whose every monomial involves z0;
+        and one of degree q + 1, whose exponents pass q - 1."""
+        pad = (0,) * (n_vars - 2)
+        out = []
+        for e in range(5):
+            basis = monomials_of_degree(n_vars, e)
+            out.append(HomogeneousPolynomial(F, n_vars, e, {mo: rng.randrange(1, F.p) for mo in basis}))
+        out.append(HomogeneousPolynomial(F, n_vars, 3, {(3, 0) + pad: 1, (1, 2) + pad: F.p - 1}))
+        q = F.order
+        out.append(HomogeneousPolynomial(F, n_vars, q + 1, {(q + 1, 0) + pad: 1, (1, q) + pad: 1, pad + (0, q + 1): 1}))
+        return out
+
+    # over GF(2), q - 1 = 1: every nonzero log is 0 and the zero sentinel is 1
+    @pytest.mark.parametrize("p,n_vars", [(2, 4), (3, 3), (65521, 3)])
+    def test_matches_scalar_evaluate(self, p, n_vars):
+        F = make_field(p)
+        rng = random.Random(f"block-{p}")
+        polys = self.polys(F, n_vars, rng)
+        # random points, a third of the coordinates zero
+        rows = [[0 if rng.random() < 0.3 else rng.randrange(p) for _ in range(n_vars)] for _ in range(300)]
+        points = [np.array(rows, dtype=np.int64)]
+        if p < 5:  # every point of P^(n_vars - 1)
+            points.extend(_point_blocks(p, n_vars))
+        X = np.concatenate(points)
+        got = _BlockEvaluator(polys, F)(X)
+        assert got.shape == (len(X), len(polys))
+        assert got.tolist() == [[f.evaluate(row.tolist(), F) for f in polys] for row in X]
+        assert (got[X.any(axis=1)] != 0).any() and (got[:, 1:] == 0).any()
 
 
 class TestSingularSearch:

@@ -124,9 +124,14 @@ class TestConstruction:
         assert F._exp == exp
         assert F._log == log
 
-    @pytest.mark.parametrize("p,m", [(p, m) for p, m in SMALL_EXTENSIONS if p**m <= 1 << 10])
+    @pytest.mark.parametrize(
+        "p,m",
+        [(p, m) for p, m in SMALL_EXTENSIONS if p**m <= 1 << 10]
+        + [(p, 1) for p in range(2, 1 << 10) if all(p % d for d in range(2, p))],
+    )
     def test_generator_is_least_primitive_element(self, p, m):
-        """The generator search skips GF(p), whose elements never have order q - 1."""
+        """Over GF(p^m), m > 1, the generator search skips GF(p), whose
+        elements never have order q - 1; over GF(p) it starts at 1."""
         F, q = make_field(p, m), p**m
 
         def order(g):
@@ -135,7 +140,30 @@ class TestConstruction:
                 acc, k = naive_polymul_mod(acc, _coeffs(g, p, m), F.modulus, p), k + 1
             return k
 
-        assert F._exp[1] == next(g for g in range(1, q) if order(g) == q - 1)
+        exp2, log, _ = F.array_tables()
+        assert exp2[1] == next(g for g in range(1, q) if order(g) == q - 1)
+        assert (exp2[log[1:]] == np.arange(1, q)).all()
+        assert (log[exp2[: q - 1]] == np.arange(q - 1)).all()
+
+    def test_prime_field_tables_wait_for_array_tables(self):
+        """GF(p) scalar arithmetic, elimination, linear changes and graded
+        ideals build no exp/log tables; array_tables builds them once."""
+        from strangeci.exactla import MatrixOverField, rank
+        from strangeci.hompoly import HomogeneousPolynomial
+        from strangeci.strangeness import GradedIdeal
+
+        F = make_field(1048573)
+        a, b = F.p - 2, 12345
+        assert F.mul(F.div(a, b), b) == a and F.pow(F.inv(a), -1) == a
+        assert rank(MatrixOverField(F, [[a, b], [b, a]])) == 2
+        f = HomogeneousPolynomial(F, 2, 2, {(2, 0): a, (1, 1): b})
+        g = f.linear_change([[1, 1], [0, 1]])
+        assert GradedIdeal([f]).contains(f * g.partial_derivative(0))
+        assert F._exp is None and F._log is None and F._arrays is None
+        fresh = make_field.__wrapped__(1021)
+        assert fresh._exp is None
+        tables = fresh.array_tables()
+        assert fresh._exp is not None and fresh.array_tables() is tables
 
     @pytest.mark.parametrize(
         "p,m,modulus",
