@@ -63,9 +63,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"error: {self.prog}: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, *, polys: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, polys: bool = True, ext: bool = False) -> None:
+    """Flags shared by the subcommands; --ext only for those that parse a point."""
     parser.add_argument("--char", type=int, required=True, metavar="P", help="field characteristic")
-    parser.add_argument("--ext", type=int, default=1, metavar="M", help="extension degree")
+    if ext:
+        parser.add_argument("--ext", type=int, default=1, metavar="M", help="extension degree of points")
     parser.add_argument("--n", type=int, required=True, metavar="N", help="ambient dimension of P^N")
     if polys:
         parser.add_argument("--poly", action="append", default=None, help="generator (repeatable)")
@@ -80,8 +82,10 @@ def _load_system(args) -> PolynomialSystem:
         with open(args.infile, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
         # header: p N e1 e2 ...
-        head = lines[0].split()
-        p, n = int(head[0]), int(head[1])
+        try:
+            p, n = map(int, lines[0].split()[:2])
+        except (IndexError, ValueError):
+            raise InvalidInputError(f"{args.infile}: header must start with the integers p N") from None
         if p != args.char or n != args.n:
             raise InvalidInputError("file header disagrees with --char/--n flags")
         texts.extend(lines[1:])
@@ -330,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("strange-check", help="decide strangeness for a vertex")
-    _add_common(sp)
+    _add_common(sp, ext=True)
     sp.add_argument("--vertex", required=True)
     sp.set_defaults(func=cmd_strange_check)
 
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_normalize_system)
 
     sp = sub.add_parser("cone-check", help="decide the cone property for a vertex")
-    _add_common(sp)
+    _add_common(sp, ext=True)
     sp.add_argument("--vertex", required=True)
     sp.set_defaults(func=cmd_cone_check)
 
@@ -357,17 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_singular_search)
 
     sp = sub.add_parser("tangent", help="embedded tangent space at a smooth point")
-    _add_common(sp)
+    _add_common(sp, ext=True)
     sp.add_argument("--point", required=True)
     sp.set_defaults(func=cmd_tangent)
 
     sp = sub.add_parser("gauss", help="Gauss map image of a smooth hypersurface point")
-    _add_common(sp)
+    _add_common(sp, ext=True)
     sp.add_argument("--point", required=True)
     sp.set_defaults(func=cmd_gauss)
 
     sp = sub.add_parser("family", help="construct a named example family")
-    _add_common(sp)
+    _add_common(sp, ext=True)
     sp.add_argument("--id", required=True, choices=["quadric", "p-divides", "p-not-divides", "cone"])
     sp.add_argument("--e", type=int, default=None, help="degree for hypersurface families")
     sp.add_argument("--vertex", default=None, help="vertex for the cone family")

@@ -13,18 +13,19 @@ irreducible polynomial of degree m over GF(p), coefficients compared low
 degree first, found by scanning candidates in that order with trial
 division.  The scan starts at constant term 1, because every candidate with
 constant term 0 is divisible by x.  The exp/log tables are the powers of g,
-the smallest element of order p^m - 1.  Multiplication by g is a
-GF(p)-linear map on coefficient vectors; numpy applies it to all p^m
-encodings in blocks, giving one table of a -> g * a, and a walk of that
-table from 1 fills exp and log.  Every field has these tables; GF(p), whose
-scalar arithmetic is plain modular arithmetic, builds them on the first call
-to :meth:`Field.array_tables`.  Construction is a pure function of (p, m).
+the smallest element of order p^m - 1, filled in numpy by repeated
+doubling: multiplying the first n powers by g^n, a GF(p)-linear map on
+coefficient vectors, gives the next n.  Each table is held once, as a
+read-only int64 array: scalar arithmetic indexes memoryviews of it and
+:meth:`Field.array_tables` returns it.  Every field has these tables; GF(p),
+whose scalar arithmetic is plain modular arithmetic, builds them on the
+first call to :meth:`Field.array_tables`.  Construction is a pure function
+of (p, m).
 """
 
 from __future__ import annotations
 
 import functools
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ import numpy as np
 from .errors import FieldMismatchError, InvalidInputError, ParseError
 
 MAX_ORDER = 1 << 20
-_CHUNK = 4096  # most encodings per numpy block when building the exp/log tables
 
 
 def is_prime(n: int) -> bool:
@@ -116,11 +116,14 @@ class Field:
         self.m = m
         self.order = p**m
         self.modulus = modulus  # full coefficient tuple, low degree first, monic
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
+        self._exp: memoryview | None = None  # read-only views of the int64 tables
+        self._log: memoryview | None = None
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         if m > 1:
             self._build_tables()
+
+    def __reduce__(self):
+        return make_field, (self.p, self.m)
 
     # -- discrete-log tables (built with the field when m > 1) -------------
 
@@ -165,39 +168,33 @@ class Field:
                 g = cand
                 break
         assert g is not None
-        # Multiplication by g is GF(p)-linear on coefficient vectors: row j of
-        # its matrix holds the digits of g * x^j.  An encoding splits into its
-        # h low digits (at most _CHUNK values) and the rest, so the digits of
-        # g * a are the images of the two parts added mod p, one block of rows
-        # per value of the high part.  The blocks give a -> g * a for every a.
-        # C ints suffice: encodings stay below MAX_ORDER, digit sums below
-        # m * p^2 when m > 1, and products below (p - 1) * g when m = 1, at
-        # most 58 712 016 < 2^31 over the primes p < MAX_ORDER (p = 946969).
-        place = p ** np.arange(m, dtype=np.intc)
-        by_g = np.array([_digits(self._mul_raw(g, p**j), p, m) for j in range(m)], dtype=np.intc)
-        h = 1
-        while h < m and p ** (h + 1) <= _CHUNK:
-            h += 1
-
-        def images(rows: np.ndarray) -> np.ndarray:
-            k = len(rows)
-            return np.arange(p**k, dtype=np.intc)[:, None] // place[:k] % p @ rows
-
-        low = images(by_g[:h])
-        times_g = array("i")
-        for high in images(by_g[h:]):
-            block = low + high
-            block %= p
-            times_g.frombytes((block @ place).tobytes())
-        exp = [1] * (q - 1)
-        log = [0] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = times_g[acc]
-        self._exp = exp
-        self._log = log
+        # exp holds g^0, ..., g^(q-2) twice over, so that a sum of two logs
+        # indexes it unreduced.  Row j of M holds the digits of c * x^j: the
+        # matrix of multiplication by c = g^n on coefficient vectors.  Once
+        # exp[:n] is filled, c * exp[:n] are the next n powers, and M @ M is the
+        # matrix of c^2, so about log2(q) doublings fill exp.  Over GF(p^m),
+        # m > 1, c * a is the sum of c * (the h low digits of a) and c * (the
+        # rest), each read from a table of about sqrt(q) products.
+        h, place = m // 2, p ** np.arange(m, dtype=np.int64)
+        M = np.array([_digits(self._mul_raw(g, p**j), p, m) for j in range(m)], dtype=np.int64)
+        exp = np.empty(2 * (q - 1), dtype=np.int64)
+        exp[0], n = 1, 1
+        while n < q - 1:
+            a = exp[: min(n, q - 1 - n)]
+            if m == 1:
+                exp[n : n + len(a)] = a * M[0, 0] % p
+            else:
+                low, high = (
+                    np.arange(p**k)[:, None] // place[:k] % p @ rows % p @ place
+                    for k, rows in ((h, M[:h]), (m - h, M[h:]))
+                )
+                exp[n : n + len(a)] = self.add_array(low[a % p**h], high[a // p**h])
+            n, M = n + len(a), M @ M % p
+        exp[q - 1 :] = exp[: q - 1]
+        log = np.zeros(q, dtype=np.int64)
+        log[exp[: q - 1]] = np.arange(q - 1)
+        exp.flags.writeable = log.flags.writeable = False
+        self._exp, self._log = memoryview(exp), memoryview(log)
 
     # -- integer-encoded arithmetic --------------------------------------
 
@@ -217,18 +214,11 @@ class Field:
         return r
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (-a) % p
-        if p == 2:
+            return (-a) % self.p
+        if self.p == 2:
             return a
-        r = 0
-        shift = 1
-        while a:
-            r += ((p - a % p) % p) * shift
-            a //= p
-            shift *= p
-        return r
+        return self.mul(a, self.p - 1)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -238,16 +228,14 @@ class Field:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        q1 = self.order - 1
-        return self._exp[(self._log[a] + self._log[b]) % q1]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        q1 = self.order - 1
-        return self._exp[(q1 - self._log[a]) % q1]
+        return self._exp[self.order - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -259,8 +247,7 @@ class Field:
             return 1 if e == 0 else 0
         if self.m == 1:
             return pow(a, e, self.p)
-        q1 = self.order - 1
-        return self._exp[(self._log[a] * e) % q1]
+        return self._exp[(self._log[a] * e) % (self.order - 1)]
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
@@ -268,17 +255,19 @@ class Field:
     # -- elementwise arithmetic on int64 arrays of encodings ---------------
 
     def array_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """int64 tables of any field, built on first use: exp twice over, so
-        that a sum of two logs indexes it unreduced; log; and digits[d],
-        mapping k < q-1 to digit d of g^k and q-1 to 0.  Over GF(p) this is
-        the first call that builds the exp/log tables at all."""
+        """Read-only int64 tables, the very arrays scalar arithmetic reads:
+        exp twice over, so that a sum of two logs indexes it unreduced; log;
+        and digits[d], mapping k < q-1 to digit d of g^k and q-1 to 0, built
+        on first use.  Over GF(p) this is the first call that builds the
+        exp/log tables at all."""
         if self._arrays is None:
             if self._exp is None:
                 self._build_tables()
-            exp = np.array(self._exp, dtype=np.int64)
-            values = np.append(exp, 0)  # index q-1 stands for zero
+            exp2, log = self._exp.obj, self._log.obj
+            values = np.append(exp2[: self.order - 1], 0)  # index q-1 stands for zero
             digits = values // self.p ** np.arange(self.m, dtype=np.int64)[:, None] % self.p
-            self._arrays = (np.concatenate([exp, exp]), np.array(self._log, dtype=np.int64), digits)
+            digits.flags.writeable = False
+            self._arrays = (exp2, log, digits)
         return self._arrays
 
     def add_array(self, a, b) -> np.ndarray:
@@ -393,13 +382,18 @@ class Field:
         return hash((self.p, self.m))
 
 
-@functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> Field:
-    """Construct GF(p^m) deterministically.
+    """Construct GF(p^m) deterministically: one object per (p, m), however
+    the arguments are spelled (``make_field(3)``, ``make_field(3, m=1)``).
 
     The modulus is the lexicographically least monic irreducible polynomial
     of degree m over GF(p), coefficients compared low degree first.
     """
+    return _make_field(p, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _make_field(p: int, m: int) -> Field:
     if not isinstance(p, int) or p < 2:
         raise InvalidInputError(f"characteristic must be prime, got {p}")
     if not isinstance(m, int) or m < 1:
@@ -423,6 +417,9 @@ def make_field(p: int, m: int = 1) -> Field:
         if _is_irreducible(poly, p):
             return Field(p, m, tuple(poly))
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+make_field.cache_info = _make_field.cache_info  # misses count cold constructions
 
 
 @dataclass(frozen=True, slots=True)

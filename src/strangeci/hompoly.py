@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import re
 from itertools import chain, combinations_with_replacement
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -243,13 +243,6 @@ class HomogeneousPolynomial:
         out[var, ranks] = F.mul_array(coeffs, monos[term, var] % F.p)
         return out
 
-    def iterated_derivative_z0(self, j: int) -> "HomogeneousPolynomial":
-        """j-fold formal derivative with respect to z_0."""
-        g = self
-        for _ in range(j):
-            g = g.partial_derivative(0)
-        return g
-
     def evaluate(self, coords, point_field: Field | None = None) -> int:
         """Evaluate at a coordinate vector of integer-encoded elements.
 
@@ -375,20 +368,17 @@ def _expand(F: Field, terms: dict[Monomial, int], degree: int, rows: list[list[i
 def normalize_z0(g: HomogeneousPolynomial) -> HomogeneousPolynomial:
     """Kill the z_0-partial while preserving the ideal modulo z_0.
 
-    Returns g + sum_{j=1}^{p-1} (-1)^j z_0^j / j! * d^j g / d z_0^j.  The
-    result has zero z_0-partial and differs from g by a multiple of z_0.
+    Returns g + sum_{j=1}^{p-1} (-1)^j z_0^j / j! * d^j g / d z_0^j.  That
+    operator multiplies a term c * z_0^a * r by sum_{j <= min(a, p-1)} (-1)^j
+    C(a, j): 1 for a = 0, 0 for 0 < a < p, and (-1)^(p-1) C(a-1, p-1) for
+    a >= p, which by Lucas's theorem is 1 mod p when p divides a and 0
+    otherwise.  So the result keeps exactly the terms whose z_0-exponent p
+    divides: it has zero z_0-partial and differs from g by a multiple of z_0.
     """
-    F = g.field
-    p = F.p
-    out = g
-    for j in range(1, p):
-        dj = g.iterated_derivative_z0(j)
-        if dj.is_zero():
-            continue
-        scalar = ((-1) ** j * pow(factorial(j) % p, p - 2, p)) % p
-        exps = tuple(j if i == 0 else 0 for i in range(g.n_vars))
-        out = out + dj.multiply_monomial(exps, scalar)
-    return out
+    p = g.field.p
+    return HomogeneousPolynomial(
+        g.field, g.n_vars, g.degree, {mono: c for mono, c in g.terms.items() if mono[0] % p == 0}
+    )
 
 
 _TOKEN_RE = re.compile(r"z(\d+)(?:\^(\d+))?$")

@@ -12,6 +12,7 @@ from strangeci.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
     EXIT_OK,
+    build_parser,
     main,
 )
 from strangeci.families import quadric_normal_form
@@ -243,6 +244,34 @@ class TestInputHandling:
             "strange-locus", "--char", "2", "--n", "2", "--in", str(path),
         )
         assert code == EXIT_INVALID and "header" in err
+
+    @pytest.mark.parametrize("header", ["", "x 3", "2"], ids=["empty", "not-an-integer", "one-field"])
+    def test_bad_file_header_one_error_line(self, capsys, tmp_path, header):
+        path = tmp_path / "system.txt"
+        path.write_text(header + "\n")
+        code, out, err = run(
+            capsys,
+            "strange-locus", "--char", "2", "--n", "2", "--in", str(path),
+        )
+        self.assert_one_error_line(code, out, err)
+        assert "header must start with the integers p N" in err
+
+    def test_ext_only_where_a_point_is_read(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["strange-locus", "--char", "2", "--n", "2", "--poly", "z0", "--ext", "2"])
+        out = capsys.readouterr()
+        self.assert_one_error_line(exc.value.code, out.out, out.err)
+        assert "unrecognized arguments: --ext 2" in out.err
+        # argparse takes --ext as an abbreviation where a longer flag starts with it
+        args = build_parser().parse_args(
+            ["singular-search", "--char", "2", "--n", "2", "--poly", "z0", "--ext", "1"]
+        )
+        assert args.ext_bound == 1 and not hasattr(args, "ext")
+        for cmd in ("strange-check", "cone-check", "tangent", "gauss", "family"):
+            point = {"family": ["--id", "cone"], "tangent": ["--point", "(1:0:0)"],
+                     "gauss": ["--point", "(1:0:0)"]}.get(cmd, ["--vertex", "(1:0:0)"])
+            args = build_parser().parse_args([cmd, "--char", "2", "--n", "2", "--ext", "2", *point])
+            assert args.ext == 2
 
     def test_no_generators(self, capsys):
         code, _, err = run(capsys, "strange-locus", "--char", "2", "--n", "2")

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strangeci.errors import FieldMismatchError, InvalidInputError
-from strangeci.gf import FieldElement, embed, make_field
+from strangeci.gf import Field, FieldElement, embed, make_field
 
 
 def naive_polymul_mod(a, b, mod, p):
@@ -116,13 +118,26 @@ class TestConstruction:
     def test_deterministic(self):
         assert make_field(5, 3).modulus == make_field(5, 3).modulus
 
+    @pytest.mark.parametrize("p,m", [(3, 1), (2, 4), (5, 2)])
+    def test_one_object_per_field(self, p, m):
+        """Every spelling of (p, m), and a pickle or deep-copy round trip,
+        gives the one cached field."""
+        F = make_field(p, m)
+        assert make_field(p, m=m) is F and make_field(p=p, m=m) is F
+        if m == 1:
+            assert make_field(p) is F and make_field(p=p) is F
+        assert pickle.loads(pickle.dumps(F)) is F and copy.deepcopy(F) is F
+        x = F.element(F.order - 1)
+        assert pickle.loads(pickle.dumps(x)).field is F and copy.deepcopy(x) == x
+
     @pytest.mark.parametrize("p,m", SMALL_EXTENSIONS)
     def test_tables_match_reference_builder(self, p, m):
         F = make_field(p, m)
         modulus, exp, log = reference_tables(p, m)
+        exp2, log_table, _ = F.array_tables()
         assert F.modulus == modulus
-        assert F._exp == exp
-        assert F._log == log
+        assert exp2.tolist() == exp + exp
+        assert log_table.tolist() == log
 
     @pytest.mark.parametrize(
         "p,m",
@@ -160,7 +175,7 @@ class TestConstruction:
         g = f.linear_change([[1, 1], [0, 1]])
         assert GradedIdeal([f]).contains(f * g.partial_derivative(0))
         assert F._exp is None and F._log is None and F._arrays is None
-        fresh = make_field.__wrapped__(1021)
+        fresh = Field(1021, 1, (0, 1))
         assert fresh._exp is None
         tables = fresh.array_tables()
         assert fresh._exp is not None and fresh.array_tables() is tables
@@ -259,8 +274,22 @@ class TestArrayArithmetic:
         exp2, log, digits = tables = F.array_tables()
         F.mul_array(np.arange(27), np.arange(27))
         assert make_field(3, 3).array_tables() is tables
-        assert exp2.tolist() == F._exp + F._exp and log.tolist() == F._log
-        assert digits.T.tolist() == [list(F.coeffs(a)) for a in F._exp] + [[0, 0, 0]]
+        _, exp, log_ref = reference_tables(3, 3)
+        assert exp2.tolist() == exp + exp and log.tolist() == log_ref
+        assert digits.T.tolist() == [list(F.coeffs(a)) for a in exp] + [[0, 0, 0]]
+
+    def test_scalar_and_array_arithmetic_read_one_table(self):
+        """Each exp/log table is held once, as a read-only int64 array that
+        scalar mul reads and array_tables returns; no field keeps a list."""
+        fields = [make_field(2, 16), make_field(3, 10), make_field(1048573)]
+        for F in fields:
+            exp2, log, digits = F.array_tables()
+            assert np.shares_memory(exp2, F._exp) and np.shares_memory(log, F._log)
+            assert not (exp2.flags.writeable or log.flags.writeable or digits.flags.writeable)
+            assert exp2.dtype == log.dtype == np.int64 and len(exp2) == 2 * (F.order - 1)
+            a, b = F.order - 2, F.order // 3
+            assert F.mul_array(np.array([a]), np.array([b]))[0] == F.mul(a, b)
+            assert not any(isinstance(getattr(F, slot), list) for slot in Field.__slots__)
 
 
 class TestEmbedding:

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -125,7 +126,9 @@ class TestDerivative:
         for p in (2, 3, 5):
             F = make_field(p)
             f = random_poly(rng, F, 3, p + 1)
-            assert f.iterated_derivative_z0(p).is_zero()
+            for _ in range(p):
+                f = f.partial_derivative(0)
+            assert f.is_zero()
 
     def test_leibniz_rule(self):
         rng = random.Random(11)
@@ -342,6 +345,26 @@ class TestNormalizeOperator:
             assert gt.partial_derivative(0).is_zero()
             diff = gt - g
             assert all(mono[0] > 0 for mono in diff.terms)
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (5, 2)])
+    def test_matches_taylor_series_operator(self, p, m):
+        """The exponent filter equals sum_{j<p} (-z_0)^j / j! * d^j g / d z_0^j,
+        taken term by term from the derivatives as the reference."""
+
+        def taylor(g):
+            out, dj = g, g
+            for j in range(1, p):
+                dj = dj.partial_derivative(0)
+                if not dj.is_zero():
+                    scalar = (-1) ** j * pow(math.factorial(j) % p, p - 2, p) % p
+                    out = out + dj.multiply_monomial((j,) + (0,) * (g.n_vars - 1), scalar)
+            return out
+
+        rng = random.Random(f"normalize-{p}-{m}")
+        F = make_field(p, m)
+        for _ in range(30):
+            g = random_poly(rng, F, rng.randint(1, 3), rng.randint(0, 3 * p))
+            assert normalize_z0(g) == taylor(g)
 
 
 class TestInvariants:
