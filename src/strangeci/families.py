@@ -9,7 +9,7 @@ that plants an isolated singular point away from the vertex.
 from __future__ import annotations
 
 from .errors import InvalidInputError
-from .exactla import MatrixOverField, rank
+from .exactla import rank
 from .gf import Field, make_field
 from .geometry import PolynomialSystem, ProjectivePoint, jacobian_full
 from .hompoly import HomogeneousPolynomial
@@ -142,12 +142,8 @@ def prop31_construct(
         if g.evaluate(coords, F) != 0:
             raise InvalidInputError(f"f^{k}(beta) must vanish (beta must lie on Z)")
     if len(gens) > 1:
-        # Jacobian of (f^2, ..., f^r) with respect to z_1..z_N at beta
-        rows = [
-            [g.partial_derivative(j).evaluate(coords, F) for j in range(1, n_vars)]
-            for g in gens[1:]
-        ]
-        if rank(MatrixOverField(F, rows, ncols=N)) >= len(gens) - 1:
+        # the z_0 column of the Jacobian of the z_0-free f^2, ..., f^r is zero
+        if rank(jacobian_full(PolynomialSystem(gens[1:]), ProjectivePoint(F, coords))) >= len(gens) - 1:
             raise InvalidInputError("beta must be a singular point of Z")
     scalar = F.div(f1_beta, F.pow(beta[0], e1 - p))
     exps = [0] * n_vars

@@ -278,25 +278,25 @@ _CHUNK_CELLS = 1 << 16  # monomial values held at once by a block evaluator
 class _BlockEvaluator:
     """Evaluates polynomials with prime-field coefficients at blocks of points.
 
-    E (T x n_vars) holds the exponent vectors of the union of the supports
-    and C (T x len(polys)) the coefficients.  Every field takes one path,
-    through its discrete-log tables: the monomial with logs
-    L = log[coords] @ E.T has digit d equal to digits[d][L mod (q-1)], and
-    log[0] is set above any sum of logs of nonzero values, so a larger L
-    marks a vanishing monomial.  Coefficients in GF(p) act on each base-p
-    digit separately, so digit d of the values is (digit_d(monomials) @ C)
-    mod p.  Points are taken in row chunks of at most _CHUNK_CELLS monomials.
+    E (T x n_vars) stacks the exponent rows of every polynomial's view, and
+    column k of C (T x len(polys)) holds polynomial k's coefficients in its
+    own rows.  Every field takes one path, through its discrete-log tables:
+    the monomial with logs L = log[coords] @ E.T has digit d equal to
+    digits[d][L mod (q-1)], and log[0] is set above any sum of logs of
+    nonzero values, so a larger L marks a vanishing monomial.  Coefficients
+    in GF(p) act on each base-p digit separately, so digit d of the values
+    is (digit_d(monomials) @ C) mod p.  Points are taken in row chunks of at
+    most _CHUNK_CELLS monomials.
     """
 
     def __init__(self, polys: list[HomogeneousPolynomial], F: Field):
-        monos = sorted({mono for f in polys for mono in f.terms}, reverse=True)
+        Es, cs = zip(*(f.arrays() for f in polys))
         self.F = F
-        E = np.array(monos, dtype=np.int64).reshape(len(monos), polys[0].n_vars)
+        E = np.concatenate(Es)
         # entries of a digit plane @ C stay below T * (p-1)^2 < 2^63 for T < 2^23
-        self.C = np.array(
-            [[f.terms.get(mono, 0) for f in polys] for mono in monos], dtype=np.int64
-        ).reshape(len(monos), len(polys))
-        self.rows = max(1, _CHUNK_CELLS // max(len(monos), 1))
+        owner = np.repeat(np.eye(len(polys), dtype=np.int64), [len(c) for c in cs], axis=0)
+        self.C = owner * np.concatenate(cs)[:, None]
+        self.rows = max(1, _CHUNK_CELLS // max(len(E), 1))
         _, log, self.digits = F.array_tables()
         self.zero_log = int(E.sum(axis=1).max(initial=0)) * (F.order - 2) + 1
         # float64 so that the product runs in BLAS; every sum is below 2^53

@@ -389,15 +389,16 @@ def make_field(p: int, m: int = 1) -> Field:
     The modulus is the lexicographically least monic irreducible polynomial
     of degree m over GF(p), coefficients compared low degree first.
     """
+    # checked before the cache, which keys 3.0 and 3 alike
+    if not isinstance(p, int) or p < 2:
+        raise InvalidInputError(f"characteristic must be prime, got {p}")
+    if not isinstance(m, int) or m < 1:
+        raise InvalidInputError(f"extension degree must be >= 1, got {m}")
     return _make_field(p, m)
 
 
 @functools.lru_cache(maxsize=None)
 def _make_field(p: int, m: int) -> Field:
-    if not isinstance(p, int) or p < 2:
-        raise InvalidInputError(f"characteristic must be prime, got {p}")
-    if not isinstance(m, int) or m < 1:
-        raise InvalidInputError(f"extension degree must be >= 1, got {m}")
     # the bound comes before the trial-division primality test, which would
     # run for hours on a large characteristic; as p >= 2, an m above the
     # bound's bit length exceeds it without computing p^m

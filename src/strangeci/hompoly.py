@@ -12,6 +12,11 @@ plain descending lexicographic order on exponent vectors, and the one column
 order of dense coefficient rows (:func:`monomial_rank`).  ``linear_change``
 expands f(L_0, ..., L_N) level-wise by Horner's scheme over numpy rows of
 base-p digits: one path for every GF(p^m), GF(p) being m = 1.
+
+``.terms`` is the public term map; numpy code reads ``arrays()``, one cached,
+read-only int64 view (E, c) of it, built on first use or kept from the arrays
+that made the polynomial.  Only the public constructor validates terms; the
+library builds through ``_trusted``, and +, * and parsing share :func:`_merge`.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ def _times_z(n_vars: int, degree: int) -> np.ndarray:
 class HomogeneousPolynomial:
     """Immutable sparse homogeneous polynomial over a finite field."""
 
-    __slots__ = ("field", "n_vars", "degree", "terms")
+    __slots__ = ("field", "n_vars", "degree", "terms", "_arrays")
 
     def __init__(self, field: Field, n_vars: int, degree: int, terms: dict[Monomial, int]):
         if n_vars < 1:
@@ -106,8 +111,21 @@ class HomogeneousPolynomial:
         self.n_vars = n_vars
         self.degree = degree
         self.terms = clean
+        self._arrays = None
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, field: Field, n_vars: int, degree: int, terms=None, arrays=None):
+        """A polynomial the library built, checked no further: exponent vectors of length n_vars and
+        sum degree, nonzero coefficients in range(field.order).  Give the term map, the int64 view
+        (E, c) of it, or only the view, which is then made read-only and the map read from it."""
+        f = object.__new__(cls)
+        if terms is None:
+            arrays[0].flags.writeable = arrays[1].flags.writeable = False
+            terms = dict(zip(map(tuple, arrays[0].tolist()), arrays[1].tolist()))
+        f.field, f.n_vars, f.degree, f.terms, f._arrays = field, n_vars, degree, terms, arrays
+        return f
 
     @classmethod
     def zero(cls, field: Field, n_vars: int, degree: int) -> "HomogeneousPolynomial":
@@ -140,8 +158,14 @@ class HomogeneousPolynomial:
     def __hash__(self) -> int:
         return hash((self.field, self.n_vars, self.degree, frozenset(self.terms.items())))
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), reverse=True)
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only int64 view (E, c): row i of E and c[i] are the i-th entry of ``terms``."""
+        if self._arrays is None:
+            E = np.fromiter(chain.from_iterable(self.terms), np.int64).reshape(-1, self.n_vars)
+            c = np.fromiter(self.terms.values(), np.int64)
+            E.flags.writeable = c.flags.writeable = False
+            self._arrays = (E, c)
+        return self._arrays
 
     # -- arithmetic -------------------------------------------------------
 
@@ -154,45 +178,26 @@ class HomogeneousPolynomial:
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise HomogeneityError("cannot add homogeneous polynomials of different degrees")
         degree = other.degree if self.is_zero() and other.terms else self.degree
-        F = self.field
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = F.add(terms.get(mono, 0), c)
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-        return HomogeneousPolynomial(F, self.n_vars, degree, terms)
+        (E1, c1), (E2, c2) = self.arrays(), other.arrays()
+        return _merge(self.field, self.n_vars, degree, np.concatenate([E1, E2]), np.concatenate([c1, c2]))
 
     def __neg__(self) -> "HomogeneousPolynomial":
-        F = self.field
-        return HomogeneousPolynomial(
-            F, self.n_vars, self.degree, {m: F.neg(c) for m, c in self.terms.items()}
-        )
+        return self.scale(self.field.p - 1)  # p - 1 encodes -1
 
     def __sub__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
         return self + (-other)
 
     def scale(self, c: int) -> "HomogeneousPolynomial":
-        F = self.field
-        c %= F.order
-        return HomogeneousPolynomial(
-            F, self.n_vars, self.degree, {m: F.mul(v, c) for m, v in self.terms.items()}
-        )
+        F, c = self.field, c % self.field.order
+        terms = {m: F.mul(v, c) for m, v in self.terms.items()} if c else {}
+        return HomogeneousPolynomial._trusted(F, self.n_vars, self.degree, terms)
 
     def __mul__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
         self._check_compatible(other)
-        F = self.field
-        terms: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = F.add(terms.get(mono, 0), F.mul(c1, c2))
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
-        return HomogeneousPolynomial(F, self.n_vars, self.degree + other.degree, terms)
+        (E1, c1), (E2, c2) = self.arrays(), other.arrays()
+        E = (E1[:, None] + E2[None]).reshape(-1, self.n_vars)
+        c = self.field.mul_array(c1[:, None], c2[None]).ravel()
+        return _merge(self.field, self.n_vars, self.degree + other.degree, E, c)
 
     def multiply_monomial(self, exps: Monomial, coeff: int = 1) -> "HomogeneousPolynomial":
         F = self.field
@@ -213,34 +218,23 @@ class HomogeneousPolynomial:
         if not 0 <= i < self.n_vars:
             raise InvalidInputError(f"variable index {i} out of range")
         F = self.field
-        terms: dict[Monomial, int] = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            k = F.mul(c, e % F.p)
-            if k == 0:
-                continue
-            new = list(mono)
-            new[i] = e - 1
-            nm = tuple(new)
-            s = F.add(terms.get(nm, 0), k)
-            if s:
-                terms[nm] = s
-            else:
-                terms.pop(nm, None)
-        return HomogeneousPolynomial(F, self.n_vars, max(self.degree - 1, 0), terms)
+        # w -> w - e_i is one-to-one, and c * (w_i mod p) is zero only when p divides w_i
+        terms = {
+            mono[:i] + (mono[i] - 1,) + mono[i + 1 :]: F.mul(c, mono[i] % F.p)
+            for mono, c in self.terms.items()
+            if mono[i] % F.p
+        }
+        return HomogeneousPolynomial._trusted(F, self.n_vars, max(self.degree - 1, 0), terms)
 
     def gradient_rows(self) -> np.ndarray:
         """Coefficient rows of f_{z_0}, ..., f_{z_N}: row i holds c * (w_i mod p) at the rank of
         w - e_i for each term c * z^w with w_i > 0."""
         F, n, d = self.field, self.n_vars, max(self.degree - 1, 0)
-        monos = np.fromiter(chain.from_iterable(self.terms), np.int64, len(self.terms) * n).reshape(-1, n)
+        monos, coeffs = self.arrays()
         var, term = np.nonzero(monos.T)
-        coeffs = np.fromiter(self.terms.values(), np.int64, len(self.terms))[term]
         out = np.zeros((n, comb(d + n - 1, n - 1)), dtype=np.int64)
         ranks = monomial_rank(monos[term] - np.eye(n, dtype=np.int64)[var], d)
-        out[var, ranks] = F.mul_array(coeffs, monos[term, var] % F.p)
+        out[var, ranks] = F.mul_array(coeffs[term], monos[term, var] % F.p)
         return out
 
     def evaluate(self, coords, point_field: Field | None = None) -> int:
@@ -289,7 +283,7 @@ class HomogeneousPolynomial:
             return self
         if field.p != self.field.p or any(c >= self.field.p for c in self.terms.values()):
             raise FieldMismatchError("can only lift prime-subfield coefficients")
-        return HomogeneousPolynomial(field, self.n_vars, self.degree, dict(self.terms))
+        return HomogeneousPolynomial._trusted(field, self.n_vars, self.degree, dict(self.terms), self._arrays)
 
     def linear_change(self, matrix) -> "HomogeneousPolynomial":
         """Substitute z_i <- sum_j M[i][j] z_j for an invertible matrix M.
@@ -314,7 +308,7 @@ class HomogeneousPolynomial:
                     )
         if rank(MatrixOverField(F, rows)) < n:
             raise InvalidInputError("matrix is singular")
-        return HomogeneousPolynomial(F, n, self.degree, _expand(F, self.terms, self.degree, rows))
+        return HomogeneousPolynomial._trusted(F, n, self.degree, arrays=_expand(self, rows))
 
     # -- text form --------------------------------------------------------
 
@@ -325,8 +319,8 @@ class HomogeneousPolynomial:
         return f"<{self.field} poly deg {self.degree}: {format_poly(self)}>"
 
 
-def _expand(F: Field, terms: dict[Monomial, int], degree: int, rows: list[list[int]]) -> dict[Monomial, int]:
-    """Term map of f(L_0, ..., L_N), L_i = sum_j rows[i][j] z_j, by Horner's scheme level-wise.
+def _expand(f: HomogeneousPolynomial, rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The view (E, c) of f(L_0, ..., L_N), L_i = sum_j rows[i][j] z_j, by Horner's scheme level-wise.
 
     A term c * z_(s_1) ... z_(s_e), s_1 <= ... <= s_e, lies below the level-k node P = (s_1, ..., s_k),
     which holds the row over the degree-(e - k) monomials of W(P), the sum of c * L_(s_(k+1)) ...
@@ -338,18 +332,18 @@ def _expand(F: Field, terms: dict[Monomial, int], degree: int, rows: list[list[i
     p^2 before the reduction mod p once per level, and n^2 * m * p^2 < 2^63 for p^m <= 2^20
     (MAX_ORDER) and n < 2^11.
     """
-    if not terms or degree == 0:
-        return dict(terms)
-    n, e, m, p, place = len(rows), degree, F.m, F.p, F.p ** np.arange(F.m, dtype=np.int64)
+    F, (E, c), e = f.field, f.arrays(), f.degree
+    if not len(c) or e == 0:
+        return E, c
+    n, m, p, place = len(rows), F.m, F.p, F.p ** np.arange(F.m, dtype=np.int64)
     # times[i, j, r, s] = digit s of M[i][j] * t^r, built once per distinct entry
     values, index = np.unique(np.array(rows, dtype=np.int64), return_inverse=True)
     products = [[F.mul(a, b) for b in place.tolist()] for a in values.tolist()]
     times = (np.array(products, dtype=np.int64)[..., None] // place % p)[index.reshape(n, n)]
     # each term's variables, ascending; sorting them puts equal prefixes side by side
-    monos = np.fromiter(chain.from_iterable(terms), np.int64, len(terms) * n)
-    seq = np.repeat(np.tile(np.arange(n), len(terms)), monos).reshape(-1, e)
+    seq = np.repeat(np.tile(np.arange(n), len(c)), E.ravel()).reshape(-1, e)
     order = np.lexsort(seq.T[::-1])
-    seq, coeffs = seq[order], np.fromiter(terms.values(), np.int64, len(terms))[order]
+    seq, coeffs = seq[order], c[order]
     first = np.ones((len(seq), e + 1), dtype=bool)  # first[t, k]: term t starts its level-k node
     first[1:, 1:], first[1:, 0] = np.logical_or.accumulate(seq[1:] != seq[:-1], axis=1), False
     W = (coeffs[:, None] // place % p)[:, :, None]
@@ -362,7 +356,18 @@ def _expand(F: Field, terms: dict[Monomial, int], degree: int, rows: list[list[i
         W = np.add.reduceat(out, np.flatnonzero(first[nodes, k - 1]), axis=0) % p
     coeffs = place @ W[0]
     nz = np.flatnonzero(coeffs)
-    return dict(zip(map(tuple, _monomial_array(n, e)[nz].tolist()), coeffs[nz].tolist()))
+    return _monomial_array(n, e)[nz], coeffs[nz]
+
+
+def _merge(F: Field, n_vars: int, degree: int, E: np.ndarray, c: np.ndarray) -> HomogeneousPolynomial:
+    """The sum of the terms c[i] * z^E[i], all of degree ``degree``: rows sorted descending, equal ones
+    added digit by digit mod p (one digit over GF(p)), zero sums dropped."""
+    order = np.lexsort(E.T[::-1])[::-1]
+    E, c, place = E[order], c[order], F.p ** np.arange(F.m, dtype=np.int64)
+    starts = np.flatnonzero(np.diff(E, axis=0, prepend=-1).any(axis=1))
+    sums = np.add.reduceat(c[:, None] // place % F.p, starts) % F.p @ place
+    nz = np.flatnonzero(sums)
+    return HomogeneousPolynomial._trusted(F, n_vars, degree, arrays=(E[starts[nz]], sums[nz]))
 
 
 def normalize_z0(g: HomogeneousPolynomial) -> HomogeneousPolynomial:
@@ -376,12 +381,12 @@ def normalize_z0(g: HomogeneousPolynomial) -> HomogeneousPolynomial:
     divides: it has zero z_0-partial and differs from g by a multiple of z_0.
     """
     p = g.field.p
-    return HomogeneousPolynomial(
+    return HomogeneousPolynomial._trusted(
         g.field, g.n_vars, g.degree, {mono: c for mono, c in g.terms.items() if mono[0] % p == 0}
     )
 
 
-_TOKEN_RE = re.compile(r"z(\d+)(?:\^(\d+))?$")
+_TOKEN_RE = re.compile(r"z(\d+)(?:\^(\d{1,9}))?$")  # exponents stay far below int64
 
 
 def parse_poly(text: str, field: Field, n_vars: int) -> HomogeneousPolynomial:
@@ -426,7 +431,7 @@ def parse_poly(text: str, field: Field, n_vars: int) -> HomogeneousPolynomial:
 
     F = field
     degree: int | None = None
-    terms: dict[Monomial, int] = {}
+    monos, coeffs = [], []
     for sgn, term in raw_terms:
         # split factors at top-level '*'
         factors = []
@@ -473,14 +478,9 @@ def parse_poly(text: str, field: Field, n_vars: int) -> HomogeneousPolynomial:
             degree = d
         elif d != degree:
             raise HomogeneityError(f"term {term!r} has degree {d}, expected {degree}")
-        mono = tuple(exps)
-        c = F.add(terms.get(mono, 0), coeff)
-        if c:
-            terms[mono] = c
-        else:
-            terms.pop(mono, None)
-    assert degree is not None
-    return HomogeneousPolynomial(field, n_vars, degree, terms)
+        monos.append(exps)
+        coeffs.append(coeff)
+    return _merge(F, n_vars, degree, np.array(monos, dtype=np.int64), np.array(coeffs, dtype=np.int64))
 
 
 def format_poly(f: HomogeneousPolynomial) -> str:
@@ -488,7 +488,7 @@ def format_poly(f: HomogeneousPolynomial) -> str:
         return "0"
     F = f.field
     parts = []
-    for mono, c in f.sorted_terms():
+    for mono, c in sorted(f.terms.items(), reverse=True):
         factors = []
         if c != 1 or all(e == 0 for e in mono):
             cs = F.format(c)

@@ -111,10 +111,9 @@ class GradedIdeal:
         """Coefficient rows of degree-d polynomials in monomials_of_degree order."""
         self._check_ring(polys)
         T = np.zeros((len(polys), self._dim(d)), dtype=np.int64)
-        terms = [(i, mono, c) for i, h in enumerate(polys) for mono, c in h.terms.items()]
-        if terms:
-            rows, monos, coeffs = zip(*terms)
-            T[rows, monomial_rank(np.array(monos), d)] = coeffs
+        for i, h in enumerate(polys):
+            E, c = h.arrays()
+            T[i, monomial_rank(E, d)] = c
         return T
 
     def macaulay_matrix(self, d: int) -> np.ndarray:
@@ -125,10 +124,9 @@ class GradedIdeal:
         for g in self.gens:
             if g.degree <= d:
                 mults = np.array(monomials_of_degree(n, d - g.degree), dtype=np.int64)
-                terms = np.array(list(g.terms), dtype=np.int64).reshape(-1, n)
+                E, c = g.arrays()
                 A = np.zeros((len(mults), self._dim(d)), dtype=np.int64)
-                cols = monomial_rank(mults[:, None, :] + terms[None], d)
-                A[np.arange(len(mults))[:, None], cols] = list(g.terms.values())
+                A[np.arange(len(mults))[:, None], monomial_rank(mults[:, None, :] + E[None], d)] = c
                 blocks.append(A)
         return np.concatenate(blocks)
 
@@ -189,10 +187,11 @@ def graded_membership(
         return False, None
     _, coeffs = in_span(S.field, ideal.vectors([h], d)[0].tolist(), ideal.macaulay_matrix(d).tolist())
     labels = [(k, mono) for k, e in enumerate(S.degrees) if e <= d for mono in monomials_of_degree(n1, d - e)]
-    mults = [HomogeneousPolynomial.zero(S.field, n1, max(d - e, 0)) for e in S.degrees]
+    terms: list[dict[Monomial, int]] = [{} for _ in S.degrees]
     for (k, mono), c in zip(labels, coeffs):
         if c:
-            mults[k] = mults[k] + HomogeneousPolynomial.monomial(S.field, n1, mono, c)
+            terms[k][mono] = c
+    mults = [HomogeneousPolynomial._trusted(S.field, n1, max(d - e, 0), t) for e, t in zip(S.degrees, terms)]
     return True, MembershipWitness(mults)
 
 
@@ -296,16 +295,11 @@ def normalize_system(S: PolynomialSystem) -> tuple[PolynomialSystem, bool]:
 
 def _z0_slices(g: HomogeneousPolynomial) -> dict[int, HomogeneousPolynomial]:
     """Decompose g = sum_j z_0^j h_j with z_0-free slices h_j."""
-    F = g.field
     slices: dict[int, dict[Monomial, int]] = {}
     for mono, c in g.terms.items():
-        j = mono[0]
-        stripped = (0,) + mono[1:]
-        slices.setdefault(j, {})[stripped] = c
-    return {
-        j: HomogeneousPolynomial(F, g.n_vars, g.degree - j, terms)
-        for j, terms in slices.items()
-    }
+        slices.setdefault(mono[0], {})[(0,) + mono[1:]] = c
+    F, n = g.field, g.n_vars
+    return {j: HomogeneousPolynomial._trusted(F, n, g.degree - j, terms) for j, terms in slices.items()}
 
 
 def is_cone_with_vertex(S: PolynomialSystem, v: ProjectivePoint) -> bool:

@@ -115,6 +115,13 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             make_field(2, 0)
 
+    def test_float_arguments_rejected_whatever_the_cache_holds(self):
+        """The cache keys 3.0 like 3, so types are checked before it is read."""
+        assert make_field(3).order == 3
+        for args in [(3.0,), (3, 1.0), (3.0, 1.0)]:
+            with pytest.raises(InvalidInputError):
+                make_field(*args)
+
     def test_deterministic(self):
         assert make_field(5, 3).modulus == make_field(5, 3).modulus
 

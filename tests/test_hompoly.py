@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +95,12 @@ class TestParse:
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_poly("z0^2 + qq", F2, 3)
+
+    def test_exponent_beyond_nine_digits_rejected(self):
+        """Exponent rows are int64, so a parsed exponent has at most nine digits."""
+        assert parse_poly("z0^999999999", F2, 2).degree == 999999999
+        with pytest.raises(ParseError):
+            parse_poly("z0^99999999999999999999", F2, 2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_parse_format_roundtrip(self, seed):
@@ -376,3 +383,117 @@ class TestInvariants:
     def test_zero_coefficients_never_stored(self):
         f = parse_poly("z0^2 + 2*z0^2", F3, 2)
         assert (2, 0) not in f.terms or f.terms[(2, 0)] != 0
+
+
+VIEW_FIELDS = [(2, 1), (3, 1), (1048573, 1), (2, 2), (3, 2), (2, 8)]
+
+
+def check_view(f):
+    """arrays() is one read-only int64 view equal to .terms row by row, and f is already valid."""
+    E, c = view = f.arrays()
+    assert f.arrays() is view and not (E.flags.writeable or c.flags.writeable)
+    assert E.dtype == c.dtype == np.int64 and E.shape == (len(f.terms), f.n_vars)
+    assert list(zip(map(tuple, E.tolist()), c.tolist())) == list(f.terms.items())
+    assert (c != 0).all()
+    assert f == HomogeneousPolynomial(f.field, f.n_vars, f.degree, dict(f.terms))
+
+
+def schoolbook_add(f, g):
+    F, terms = f.field, dict(f.terms)
+    for mono, c in g.terms.items():
+        s = F.add(terms.get(mono, 0), c)
+        if s:
+            terms[mono] = s
+        else:
+            terms.pop(mono, None)
+    return terms
+
+
+def schoolbook_mul(f, g):
+    F, terms = f.field, {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            s = F.add(terms.get(mono, 0), F.mul(c1, c2))
+            if s:
+                terms[mono] = s
+            else:
+                terms.pop(mono, None)
+    return terms
+
+
+def sparse_poly(rng, F, n, e, density):
+    return HomogeneousPolynomial(
+        F, n, e, {m: rng.randrange(F.order) for m in monomials_of_degree(n, e) if rng.random() < density}
+    )
+
+
+class TestArrayView:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pm=st.sampled_from(VIEW_FIELDS),
+        n=st.integers(1, 4),
+        e=st.integers(0, 4),
+        density=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_every_constructor_path(self, pm, n, e, density, seed):
+        from strangeci.strangeness import _z0_slices
+
+        F, rng = make_field(*pm), random.Random(seed)
+        f, g = sparse_poly(rng, F, n, e, density), sparse_poly(rng, F, n, e, 0.5)
+        prime = sparse_poly(rng, make_field(F.p), n, e, density)
+        made = [
+            f,
+            parse_poly(format_poly(f), F, n),
+            f.linear_change(random_change(rng, F, n, rng.choice(["random", "shear", "permutation"]))),
+            *(f.partial_derivative(i) for i in range(n)),
+            prime.lift_to(F),
+            normalize_z0(f),
+            f + g,
+            f + (-f),
+            f * g,
+            *_z0_slices(f).values(),
+        ]
+        for h in made:
+            check_view(h)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pm=st.sampled_from(VIEW_FIELDS),
+        n=st.integers(1, 4),
+        e1=st.integers(0, 3),
+        e2=st.integers(0, 3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_add_mul_parse_match_schoolbook(self, pm, n, e1, e2, seed):
+        F, rng = make_field(*pm), random.Random(seed)
+        f, g, h = (sparse_poly(rng, F, n, e, rng.choice([0.0, 0.4, 1.0])) for e in (e1, e1, e2))
+        assert (f + g).terms == schoolbook_add(f, g)
+        assert (f - g).terms == schoolbook_add(f, -g)
+        assert (f * h).terms == schoolbook_mul(f, h) and (f * h).degree == e1 + e2
+        # a term list with repeats and signs parses to its schoolbook sum
+        monos = monomials_of_degree(n, e1)
+        picks = [(rng.choice(monos), rng.randrange(1, F.order), rng.random() < 0.3) for _ in range(rng.randint(1, 8))]
+        want: dict = {}
+        for mono, c, minus in picks:
+            s = F.add(want.get(mono, 0), F.neg(c) if minus else c)
+            if s:
+                want[mono] = s
+            else:
+                want.pop(mono, None)
+        text = " + ".join(
+            ("-" if minus else "") + "*".join([f"({F.format(c)})"] + [f"z{i}^{k}" for i, k in enumerate(mono) if k])
+            for mono, c, minus in picks
+        )
+        parsed = parse_poly(text, F, n)
+        assert parsed.terms == want and parsed.degree == e1
+
+    def test_cancellation_and_zero_operands_of_another_degree(self):
+        f = parse_poly("z0*z1 + 2*z1^2", F3, 2)
+        for zero in [f + (-f), f - f, parse_poly("z0*z1 - z0*z1", F3, 2)]:
+            assert zero.is_zero() and zero.degree == 2
+            check_view(zero)
+        z5 = HomogeneousPolynomial.zero(F3, 2, 5)
+        assert z5 + f == f and f + z5 == f and (z5 + z5).degree == 5
+        assert (f * z5).is_zero() and (f * z5).degree == 7
