@@ -5,20 +5,25 @@ Jacobian singularity criterion, and exhaustive singular-point search over
 bounded field extensions.
 
 The search enumerates normalized projective representatives (first nonzero
-coordinate 1) over GF(p^m) for m = 1..m_max, in numpy blocks of points.
-Both stages are vectorized over a block.  A block evaluator computes a
-list of polynomials at once from exponent and coefficient matrices, through
-the field's discrete-log tables, in one path for GF(p) and GF(p^m) alike.
-The zero-set filter evaluates each generator on the points the previous
-generators left; one evaluator for all r(N+1) partial derivatives gives the
-survivors' r x (N+1) Jacobians, and their rank is tested by Gaussian
-elimination batched over the survivors.  Found points are reported at their
-minimal field of definition, Galois orbits collapsed to the representative
-least in enumeration order.
+coordinate 1) over GF(p^m) for m = 1..m_max, in blocks of 2^16 points.  A
+block evaluator computes polynomials at once from exponent and coefficient
+matrices through the field's discrete-log tables, one path for every field.
+On a grid of at least 2^10 points and 16 times the tail grid, the first
+generator f splits at a tail t, the last w = 2 coordinates (w = 1 when
+q^2 > 2^14), and a head h in P^(N-w): f(h, t) is the sum over tail exponents
+tau of t^tau g_tau(h), and multiplying by g_tau(h) is the m x m matrix over
+GF(p) whose column j holds the digits of g_tau(h) x^j.  So f's digits on a
+chunk of heads times all tails are one float64 product P = (heads*m x tau*m)
+@ (tau*m x tails), exact while f's term count times m(p-1)^2 is below 2^51,
+and zero mod p where P == p rint(P/p).  Other grids, zero heads, later
+generators and the r(N+1) partials at the survivors take the block
+evaluator, and a batched Gaussian elimination tests the Jacobian ranks.
+Points come at their minimal field, one per Galois orbit.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 
@@ -272,7 +277,16 @@ def is_singular_at(S: PolynomialSystem, a: ProjectivePoint) -> bool:
 
 # -- singular-point search ------------------------------------------------
 
-_CHUNK_CELLS = 1 << 16  # monomial values held at once by a block evaluator
+_BLOCK = 1 << 16  # points a search block holds, and monomial values a block evaluator holds, at once
+
+
+@functools.lru_cache(maxsize=8)
+def _float_log(F: Field, zero_log: int) -> np.ndarray:
+    """F's log table as read-only float64, with log[0] set to zero_log."""
+    log = F.array_tables()[1].astype(np.float64)
+    log[0] = zero_log
+    log.flags.writeable = False
+    return log
 
 
 class _BlockEvaluator:
@@ -280,29 +294,29 @@ class _BlockEvaluator:
 
     E (T x n_vars) stacks the exponent rows of every polynomial's view, and
     column k of C (T x len(polys)) holds polynomial k's coefficients in its
-    own rows.  Every field takes one path, through its discrete-log tables:
-    the monomial with logs L = log[coords] @ E.T has digit d equal to
+    own rows; any such pair (E, C) can be given in place of the polynomials.
+    Every field takes one path, through its discrete-log tables: the
+    monomial with logs L = log[coords] @ E.T has digit d equal to
     digits[d][L mod (q-1)], and log[0] is set above any sum of logs of
     nonzero values, so a larger L marks a vanishing monomial.  Coefficients
     in GF(p) act on each base-p digit separately, so digit d of the values
     is (digit_d(monomials) @ C) mod p.  Points are taken in row chunks of at
-    most _CHUNK_CELLS monomials.
+    most _BLOCK monomials.
     """
 
-    def __init__(self, polys: list[HomogeneousPolynomial], F: Field):
-        Es, cs = zip(*(f.arrays() for f in polys))
-        self.F = F
-        E = np.concatenate(Es)
+    def __init__(self, polys: list[HomogeneousPolynomial] | tuple[np.ndarray, np.ndarray], F: Field):
+        if not isinstance(polys, tuple):
+            Es, cs = zip(*(f.arrays() for f in polys))
+            owner = np.repeat(np.eye(len(polys), dtype=np.int64), [len(c) for c in cs], axis=0)
+            polys = np.concatenate(Es), owner * np.concatenate(cs)[:, None]
+        (E, self.C), self.F = polys, F
         # entries of a digit plane @ C stay below T * (p-1)^2 < 2^63 for T < 2^23
-        owner = np.repeat(np.eye(len(polys), dtype=np.int64), [len(c) for c in cs], axis=0)
-        self.C = owner * np.concatenate(cs)[:, None]
-        self.rows = max(1, _CHUNK_CELLS // max(len(E), 1))
-        _, log, self.digits = F.array_tables()
+        self.rows = max(1, _BLOCK // max(len(E), 1))
+        self.digits = F.array_tables()[2]
         self.zero_log = int(E.sum(axis=1).max(initial=0)) * (F.order - 2) + 1
         # float64 so that the product runs in BLAS; every sum is below 2^53
-        self.log = log.astype(np.float64)
-        self.log[0] = self.zero_log
-        self.ET = E.T.astype(np.float64)
+        self.log = _float_log(F, self.zero_log)
+        self.E, self.ET = E, E.T.astype(np.float64)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Values at the points X (k x n_vars), shape (k, len(polys))."""
@@ -341,7 +355,7 @@ def _rank_below(J: np.ndarray, r: int, F: Field) -> np.ndarray:
     return rank < r
 
 
-def _point_blocks(q: int, n_plus_1: int, block: int = 1 << 16):
+def _point_blocks(q: int, n_plus_1: int, block: int = _BLOCK):
     """Yield blocks of normalized projective representatives over GF(q).
 
     For pivot position i the coordinates are (0,...,0,1,*,...,*) with the
@@ -373,6 +387,36 @@ def _point_blocks(q: int, n_plus_1: int, block: int = 1 << 16):
         yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _first_zeros(f: HomogeneousPolynomial, F: Field, n_plus_1: int):
+    """Yield (points enumerated, the zeros of f among them) in enumeration order,
+    by the head x tail product of the module docstring where it applies."""
+    q, p, m = F.order, F.p, F.m
+    w = 2 if 4 * q * q <= _BLOCK else 1  # a wider tail grid costs more to set up than it saves
+    E, c = f.arrays()
+    rest, exact = _point_blocks(q, n_plus_1), len(c) * m * (p - 1) ** 2 < 1 << 51
+    if exact and q**w <= _BLOCK and max(1 << 10, 16 * q**w) <= (q**n_plus_1 - 1) // (q - 1):
+        taus, tau_of = np.unique(E[:, n_plus_1 - w :], axis=0, return_inverse=True)
+        place = p ** np.arange(m, dtype=np.int64)  # the encodings of x^j
+        heads = _BlockEvaluator((E[:, : n_plus_1 - w], np.eye(len(taus), dtype=np.int64)[tau_of] * c[:, None]), F)
+        tails = np.indices((q,) * w).reshape(w, -1).T  # odometer, last coordinate fastest
+        T = _BlockEvaluator((taus, np.eye(len(taus), dtype=np.int64)), F)(tails)
+        B = (T.T[:, None] // place[:, None] % p).reshape(-1, len(tails)).astype(np.float64)
+        buffers = np.empty((2, _BLOCK // len(tails) * m, len(tails)))  # fresh ones cost page faults
+        for H in _point_blocks(q, n_plus_1 - w, _BLOCK // len(tails)):
+            G = F.mul_array(heads(H)[:, :, None], place)  # g_tau(h) x^j, axes (head, tau, j)
+            A = (G[:, None] // place[:, None, None] % p).reshape(len(H) * m, -1)  # rows (head, digit)
+            P, R = buffers[:, : len(A)]
+            np.matmul(A.astype(np.float64), B, out=P)
+            np.multiply(np.rint(np.multiply(P, 1 / p, out=R), out=R), p, out=R)
+            zero = (R == P).reshape(len(H), m, -1).all(axis=1)
+            h, t = np.divmod(np.flatnonzero(zero), len(tails))  # head-major, tail fastest
+            yield len(H) * len(tails), np.concatenate([H[h], tails[t]], axis=1)
+        rest = (np.pad(X, ((0, 0), (n_plus_1 - w, 0))) for X in _point_blocks(q, w))  # zero heads
+    ev = _BlockEvaluator((E, c[:, None]), F)
+    for coords in rest:
+        yield len(coords), coords[ev(coords)[:, 0] == 0]
+
+
 def singular_search(
     S: PolynomialSystem,
     m_max: int = 3,
@@ -394,29 +438,25 @@ def singular_search(
     p = S.field.p
     n1 = S.n + 1
     gens = [g.lift_to(make_field(p)) for g in S.gens]  # coefficients must lie in GF(p)
-    partials = [g.partial_derivative(j) for g in gens for j in range(n1)]
+    later = [_BlockEvaluator([g], g.field) for g in gens[1:]]  # stacked once, re-aimed at each GF(p^m)
+    partials = _BlockEvaluator([g.partial_derivative(j) for g in gens for j in range(n1)], gens[0].field)
     found: list[tuple[int, ProjectivePoint]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     used = 0
     for m in range(1, m_max + 1):
         F = make_field(p, m)
-        gen_evals = [_BlockEvaluator([g], F) for g in gens]
-        jacobian = _BlockEvaluator(partials, F)
+        later_gens = [_BlockEvaluator((ev.E, ev.C), F) for ev in later]
+        jacobian = _BlockEvaluator((partials.E, partials.C), F)
         level_hits: list[ProjectivePoint] = []
-        for coords in _point_blocks(F.order, n1):
-            used += coords.shape[0]
+        for count, pts in _first_zeros(gens[0], F, n1):
+            used += count
             if used > budget:
-                raise BudgetExceededError(
-                    f"point budget {budget} exhausted at extension degree {m}",
-                    partial=found,
-                    completed_m=m - 1,
-                )
-            pts = coords
-            for ev in gen_evals:
+                msg = f"point budget {budget} exhausted at extension degree {m}"
+                raise BudgetExceededError(msg, partial=found, completed_m=m - 1)
+            for ev in later_gens:
                 pts = pts[ev(pts)[:, 0] == 0]
             J = jacobian(pts).reshape(pts.shape[0], S.r, n1)
-            for row in pts[_rank_below(J, S.r, F)]:
-                level_hits.append(ProjectivePoint(F, [int(v) for v in row]))
+            level_hits += [ProjectivePoint(F, row) for row in pts[_rank_below(J, S.r, F)].tolist()]
         for pt in level_hits:
             d = pt.minimal_subfield_degree()
             if d < m:

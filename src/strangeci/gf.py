@@ -255,17 +255,20 @@ class Field:
     # -- elementwise arithmetic on int64 arrays of encodings ---------------
 
     def array_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only int64 tables, the very arrays scalar arithmetic reads:
-        exp twice over, so that a sum of two logs indexes it unreduced; log;
-        and digits[d], mapping k < q-1 to digit d of g^k and q-1 to 0, built
-        on first use.  Over GF(p) this is the first call that builds the
-        exp/log tables at all."""
+        """Read-only tables: exp twice over, so that a sum of two logs indexes
+        it unreduced, and log, the very int64 arrays scalar arithmetic reads;
+        and digits[d], mapping k < q-1 to digit d of g^k and q-1 to 0, in the
+        smallest unsigned dtype that holds p - 1, built on first use.  Over
+        GF(p) this is the first call that builds the exp/log tables at all."""
         if self._arrays is None:
             if self._exp is None:
                 self._build_tables()
             exp2, log = self._exp.obj, self._log.obj
             values = np.append(exp2[: self.order - 1], 0)  # index q-1 stands for zero
-            digits = values // self.p ** np.arange(self.m, dtype=np.int64)[:, None] % self.p
+            digits = np.empty((self.m, self.order), dtype=np.min_scalar_type(self.p - 1))
+            for d in range(self.m):  # one digit at a time: no (m, q) int64 temporary
+                digits[d] = values % self.p
+                values //= self.p
             digits.flags.writeable = False
             self._arrays = (exp2, log, digits)
         return self._arrays

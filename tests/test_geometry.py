@@ -4,6 +4,7 @@ import numpy as np
 
 import pytest
 
+from strangeci import geometry
 from strangeci.errors import (
     BudgetExceededError,
     InvalidInputError,
@@ -22,6 +23,8 @@ from strangeci.geometry import (
     enumerate_points,
     gauss_map,
     _BlockEvaluator,
+    _first_zeros,
+    _float_log,
     _point_blocks,
     is_singular_at,
     jacobian_full,
@@ -217,13 +220,83 @@ class TestBlockEvaluator:
         assert got.tolist() == [[f.evaluate(row.tolist(), F) for f in polys] for row in X]
         assert (got[X.any(axis=1)] != 0).any() and (got[:, 1:] == 0).any()
 
+    def test_float_log_table_shared_and_read_only(self):
+        """Evaluators over one field and zero sentinel read one float64 log table."""
+        F = make_field(2, 4)
+        f = HomogeneousPolynomial(F2, 3, 2, {(2, 0, 0): 1, (0, 1, 1): 1})
+        a, b = _BlockEvaluator([f], F), _BlockEvaluator([f, f], F)
+        assert a.log is b.log is _float_log(F, a.zero_log)
+        assert a.log.dtype == np.float64 and not a.log.flags.writeable
+        assert a.log[0] == a.zero_log and a.log[1:].tolist() == F.array_tables()[1][1:].tolist()
+
+
+class TestSplitFilter:
+    """The head x tail product against the block evaluator over _point_blocks."""
+
+    @staticmethod
+    def random_form(p, n_vars, e, rng):
+        basis = monomials_of_degree(n_vars, e)
+        terms = {mo: rng.randrange(p) for mo in basis}
+        terms[basis[-1]] = 1
+        return HomogeneousPolynomial(make_field(p), n_vars, e, terms)
+
+    @staticmethod
+    def enumerated_grids(monkeypatch):
+        """The numbers of coordinates of the point grids _first_zeros goes on to
+        enumerate: the whole grid on the block path, heads and tails when split."""
+        grids = []
+
+        def spy(q, n, *args):
+            grids.append(n)
+            yield from _point_blocks(q, n, *args)
+
+        monkeypatch.setattr(geometry, "_point_blocks", spy)
+        return grids
+
+    # e = 0 stands for the smooth quadric quadric_normal_form(n_vars - 1, p)
+    @pytest.mark.parametrize(
+        "p,m,n_vars,e",
+        [(5, 2, 5, 0), (5, 2, 5, 3), (2, 6, 4, 3), (3, 3, 5, 2), (257, 1, 3, 2), (2, 4, 4, 4)],
+    )
+    def test_survivors_match_block_path_in_order(self, p, m, n_vars, e, monkeypatch):
+        rng = random.Random(f"split-{p}-{m}-{e}")
+        f = self.random_form(p, n_vars, e, rng) if e else quadric_normal_form(n_vars - 1, p).gens[0]
+        F = make_field(p, m)
+        grids = self.enumerated_grids(monkeypatch)
+        got = list(_first_zeros(f, F, n_vars))
+        assert grids and n_vars not in grids, "the grid should take the head x tail product"
+        ev = _BlockEvaluator([f], F)
+        blocks = list(_point_blocks(F.order, n_vars))
+        expect = np.concatenate([X[ev(X)[:, 0] == 0] for X in blocks])
+        assert sum(count for count, _ in got) == sum(len(X) for X in blocks)
+        assert np.array_equal(np.concatenate([pts for _, pts in got]), expect)
+        assert 0 < len(expect) < sum(len(X) for X in blocks)
+
+    @pytest.mark.parametrize("p,m,n_vars", [(2, 3, 4), (3, 2, 4), (5, 2, 3), (2, 6, 3)])
+    def test_small_grids_keep_block_path(self, p, m, n_vars, monkeypatch):
+        """Below 2^10 points, or 16 tail grids, the split's set-up costs more than it saves."""
+        grids = self.enumerated_grids(monkeypatch)
+        list(_first_zeros(self.random_form(p, n_vars, 3, random.Random(p)), make_field(p, m), n_vars))
+        assert grids == [n_vars]
+
+    def test_exact_budget_at_level_boundaries(self):
+        """781 points at m = 1 and 407 682 at m <= 2: the budget is charged
+        point for point on both the split and the block path."""
+        S = quadric_normal_form(4, 5)
+        assert singular_search(S, m_max=2, budget=407_682) == []
+        for budget, completed in [(407_681, 1), (780, 0)]:
+            with pytest.raises(BudgetExceededError) as exc:
+                singular_search(S, m_max=2, budget=budget)
+            assert exc.value.completed_m == completed and exc.value.partial == []
+
 
 class TestSingularSearch:
     def test_p_divides_family_exact_locus(self):
-        for N, e, p in [(2, 4, 2), (3, 3, 3), (2, 6, 3)]:
+        # (3, 4, 2) at m_max = 6 takes the head x tail product over GF(64)
+        for N, e, p, m_max in [(2, 4, 2, 2), (3, 3, 3, 2), (2, 6, 3, 2), (3, 4, 2, 6)]:
             F = make_field(p)
             S = strange_hypersurface_p_divides(N, e, p)
-            hits = singular_search(S, m_max=2)
+            hits = singular_search(S, m_max=m_max)
             assert hits == [(1, unit_point(F, N + 1, N))]
 
     def test_p_not_divides_family(self):

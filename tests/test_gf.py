@@ -285,6 +285,17 @@ class TestArrayArithmetic:
         assert exp2.tolist() == exp + exp and log.tolist() == log_ref
         assert digits.T.tolist() == [list(F.coeffs(a)) for a in exp] + [[0, 0, 0]]
 
+    @pytest.mark.parametrize(
+        "p,m,dtype", [(2, 16, np.uint8), (3, 10, np.uint8), (65521, 1, np.uint16), (1048573, 1, np.uint32)]
+    )
+    def test_digit_table_in_smallest_dtype(self, p, m, dtype):
+        """digits is one (m, q) array of the smallest unsigned dtype holding p - 1."""
+        F = make_field(p, m)
+        exp2, _, digits = F.array_tables()
+        assert digits.dtype == dtype and digits.shape == (m, F.order)
+        values = (digits.astype(np.int64) * p ** np.arange(m)[:, None]).sum(axis=0)
+        assert np.array_equal(values[:-1], exp2[: F.order - 1]) and values[-1] == 0
+
     def test_scalar_and_array_arithmetic_read_one_table(self):
         """Each exp/log table is held once, as a read-only int64 array that
         scalar mul reads and array_tables returns; no field keeps a list."""
