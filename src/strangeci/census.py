@@ -239,14 +239,8 @@ def phi_surjectivity_check(a: ProjectivePoint, e: int, b: list[int]) -> bool:
     if len(b) != N - 1:
         raise InvalidInputError(f"need {N - 1} target values")
     scale = F.inv(F.pow(a.coords[N], e - 1))
-    f = HomogeneousPolynomial.zero(F, N + 1, e)
-    for j, bj in enumerate(b, start=1):
-        if bj == 0:
-            continue
-        exps = [0] * (N + 1)
-        exps[j] += 1
-        exps[N] += e - 1
-        f = f + HomogeneousPolynomial.monomial(F, N + 1, tuple(exps), F.mul(bj, scale))
+    monos = [tuple(int(i == j) + (e - 1) * (i == N) for i in range(N + 1)) for j in range(1, N)]
+    f = HomogeneousPolynomial(F, N + 1, e, {mono: F.mul(bj, scale) for mono, bj in zip(monos, b)})
     if not f.partial_derivative(0).is_zero():
         return False
     for j, bj in enumerate(b, start=1):

@@ -3,7 +3,9 @@
 Matrices carry integer-encoded entries (see :mod:`strangeci.gf`) and a
 field reference.  Elimination uses deterministic pivoting: the first
 nonzero entry scanning left-to-right, top-to-bottom.  Kernel bases and
-span-membership witnesses are therefore reproducible across runs.
+span-membership witnesses are therefore reproducible across runs.  Small
+matrices are eliminated on lists by :func:`rref`; large ones, such as
+Macaulay matrices, on int64 arrays by :func:`rref_array`, with the same result.
 """
 
 from __future__ import annotations
@@ -97,30 +99,32 @@ def rref(field: Field, rows: list[list[int]], ncols: int) -> tuple[list[list[int
     return R, pivots
 
 
-def _rref_mod_p(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """:func:`rref` over GF(p) on an int64 array: the same pivots and rows.
+def rref_array(F: Field, A) -> tuple[np.ndarray, list[int]]:
+    """:func:`rref` on an int64 array, over any field: the same pivots and rows.
 
-    Each pivot updates only the trailing block, as the pivot row is zero
-    left of its pivot.  Entries stay below p <= 2^20, so products fit in int64.
+    Entries are first reduced mod the field order.  A pivot row is scaled with ``mul_array``;
+    its column is cleared from the other rows, in the trailing block only (the pivot row is
+    zero left of its pivot), by one update on base-p digits: digit s of f * y is
+    (to_digits(y) @ mul_matrices(f))[s] mod p, and with p <= 2^20 the m products summed fit in int64.
     """
-    R = np.array(A, dtype=np.int64) % p
+    R, p = np.array(A, dtype=np.int64) % F.order, F.p
     pivots: list[int] = []
-    col = 0
-    while len(pivots) < len(R):
+    for col in range(R.shape[1]):
         pr = len(pivots)
-        nonzero = np.flatnonzero(R[pr:, col:].any(axis=0))
-        if not nonzero.size:
+        if pr == len(R):
             break
-        col += int(nonzero[0])
-        sel = pr + int(np.flatnonzero(R[pr:, col])[0])
+        nonzero = R[pr:, col].nonzero()[0]
+        if not nonzero.size:
+            continue
+        sel = pr + int(nonzero[0])
         R[[pr, sel]] = R[[sel, pr]]
-        R[pr, col:] = R[pr, col:] * pow(int(R[pr, col]), p - 2, p) % p
+        R[pr, col:] = F.mul_array(R[pr, col:], F.inv(int(R[pr, col])))
         f = R[:, col].copy()
         f[pr] = 0
-        rows = np.flatnonzero(f)
-        R[rows, col:] = (R[rows, col:] - f[rows, None] * R[pr, col:]) % p
+        rows = f.nonzero()[0]
+        D = F.to_digits(R[rows, col:]) - F.to_digits(R[pr, col:]) @ F.mul_matrices(f[rows])
+        R[rows, col:] = D % p @ F.place
         pivots.append(col)
-        col += 1
     return R, pivots
 
 
@@ -130,11 +134,11 @@ def rank(M: MatrixOverField) -> int:
 
 
 def rank_and_kernel(M: MatrixOverField) -> tuple[int, list[list[int]]]:
-    """Rank and a reduced-echelon basis of the right kernel.
+    """Rank and a basis of the right kernel that is the identity on the free columns.
 
     Kernel vectors are returned as lists of integer-encoded entries; each
     basis vector has a 1 in its free column and zeros in the free columns
-    of the other basis vectors, so the basis is already reduced echelon.
+    of the other basis vectors.
     """
     F = M.field
     R, pivots = rref(F, M.rows, M.ncols)

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     SingularPointError,
 )
-from .exactla import MatrixOverField, rank, rank_and_kernel, rref
+from .exactla import MatrixOverField, in_span, rank, rank_and_kernel, rref
 from .gf import Field, FieldElement, make_field
 from .hompoly import HomogeneousPolynomial, format_poly, parse_poly
 
@@ -212,8 +212,6 @@ class LinearSubspace:
 
     def contains(self, vec) -> bool:
         vals = [e.val if isinstance(e, FieldElement) else int(e) % self.field.order for e in vec]
-        from .exactla import in_span
-
         ok, _ = in_span(self.field, vals, [list(b) for b in self.basis])
         return ok
 
@@ -289,13 +287,19 @@ def _float_log(F: Field, zero_log: int) -> np.ndarray:
     return log
 
 
+def _stack(polys: list[HomogeneousPolynomial]) -> tuple[np.ndarray, np.ndarray]:
+    """(E, C): E (T x n_vars) stacks the exponent rows of every polynomial's view, and
+    column k of C (T x len(polys)) holds polynomial k's coefficients in its own rows."""
+    Es, cs = zip(*(f.arrays() for f in polys))
+    owner = np.repeat(np.eye(len(polys), dtype=np.int64), [len(c) for c in cs], axis=0)
+    return np.concatenate(Es), owner * np.concatenate(cs)[:, None]
+
+
 class _BlockEvaluator:
     """Evaluates polynomials with prime-field coefficients at blocks of points.
 
-    E (T x n_vars) stacks the exponent rows of every polynomial's view, and
-    column k of C (T x len(polys)) holds polynomial k's coefficients in its
-    own rows; any such pair (E, C) can be given in place of the polynomials.
-    Every field takes one path, through its discrete-log tables: the
+    The polynomials are given as the pair (E, C) of :func:`_stack`, or as any
+    such pair.  Every field takes one path, through its discrete-log tables: the
     monomial with logs L = log[coords] @ E.T has digit d equal to
     digits[d][L mod (q-1)], and log[0] is set above any sum of logs of
     nonzero values, so a larger L marks a vanishing monomial.  Coefficients
@@ -305,18 +309,14 @@ class _BlockEvaluator:
     """
 
     def __init__(self, polys: list[HomogeneousPolynomial] | tuple[np.ndarray, np.ndarray], F: Field):
-        if not isinstance(polys, tuple):
-            Es, cs = zip(*(f.arrays() for f in polys))
-            owner = np.repeat(np.eye(len(polys), dtype=np.int64), [len(c) for c in cs], axis=0)
-            polys = np.concatenate(Es), owner * np.concatenate(cs)[:, None]
-        (E, self.C), self.F = polys, F
+        (E, self.C), self.F = polys if isinstance(polys, tuple) else _stack(polys), F
         # entries of a digit plane @ C stay below T * (p-1)^2 < 2^63 for T < 2^23
         self.rows = max(1, _BLOCK // max(len(E), 1))
         self.digits = F.array_tables()[2]
         self.zero_log = int(E.sum(axis=1).max(initial=0)) * (F.order - 2) + 1
         # float64 so that the product runs in BLAS; every sum is below 2^53
         self.log = _float_log(F, self.zero_log)
-        self.E, self.ET = E, E.T.astype(np.float64)
+        self.ET = E.T.astype(np.float64)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Values at the points X (k x n_vars), shape (k, len(polys))."""
@@ -396,15 +396,14 @@ def _first_zeros(f: HomogeneousPolynomial, F: Field, n_plus_1: int):
     rest, exact = _point_blocks(q, n_plus_1), len(c) * m * (p - 1) ** 2 < 1 << 51
     if exact and q**w <= _BLOCK and max(1 << 10, 16 * q**w) <= (q**n_plus_1 - 1) // (q - 1):
         taus, tau_of = np.unique(E[:, n_plus_1 - w :], axis=0, return_inverse=True)
-        place = p ** np.arange(m, dtype=np.int64)  # the encodings of x^j
         heads = _BlockEvaluator((E[:, : n_plus_1 - w], np.eye(len(taus), dtype=np.int64)[tau_of] * c[:, None]), F)
         tails = np.indices((q,) * w).reshape(w, -1).T  # odometer, last coordinate fastest
         T = _BlockEvaluator((taus, np.eye(len(taus), dtype=np.int64)), F)(tails)
-        B = (T.T[:, None] // place[:, None] % p).reshape(-1, len(tails)).astype(np.float64)
+        B = (T.T[:, None] // F.place[:, None] % p).reshape(-1, len(tails)).astype(np.float64)
         buffers = np.empty((2, _BLOCK // len(tails) * m, len(tails)))  # fresh ones cost page faults
         for H in _point_blocks(q, n_plus_1 - w, _BLOCK // len(tails)):
-            G = F.mul_array(heads(H)[:, :, None], place)  # g_tau(h) x^j, axes (head, tau, j)
-            A = (G[:, None] // place[:, None, None] % p).reshape(len(H) * m, -1)  # rows (head, digit)
+            G = F.mul_array(heads(H)[:, :, None], F.place)  # g_tau(h) x^j, axes (head, tau, j)
+            A = (G[:, None] // F.place[:, None, None] % p).reshape(len(H) * m, -1)  # rows (head, digit)
             P, R = buffers[:, : len(A)]
             np.matmul(A.astype(np.float64), B, out=P)
             np.multiply(np.rint(np.multiply(P, 1 / p, out=R), out=R), p, out=R)
@@ -438,15 +437,15 @@ def singular_search(
     p = S.field.p
     n1 = S.n + 1
     gens = [g.lift_to(make_field(p)) for g in S.gens]  # coefficients must lie in GF(p)
-    later = [_BlockEvaluator([g], g.field) for g in gens[1:]]  # stacked once, re-aimed at each GF(p^m)
-    partials = _BlockEvaluator([g.partial_derivative(j) for g in gens for j in range(n1)], gens[0].field)
+    later = [_stack([g]) for g in gens[1:]]  # stacked once, evaluated over each GF(p^m)
+    partials = _stack([g.partial_derivative(j) for g in gens for j in range(n1)])
     found: list[tuple[int, ProjectivePoint]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     used = 0
     for m in range(1, m_max + 1):
         F = make_field(p, m)
-        later_gens = [_BlockEvaluator((ev.E, ev.C), F) for ev in later]
-        jacobian = _BlockEvaluator((partials.E, partials.C), F)
+        later_gens = [_BlockEvaluator(EC, F) for EC in later]
+        jacobian = _BlockEvaluator(partials, F)
         level_hits: list[ProjectivePoint] = []
         for count, pts in _first_zeros(gens[0], F, n1):
             used += count

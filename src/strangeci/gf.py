@@ -5,7 +5,9 @@ coefficient vector (c_0, ..., c_{m-1}) over GF(p), low degree first, is
 encoded as c_0 + c_1*p + ... + c_{m-1}*p^(m-1).  The integer encoding
 doubles as the deterministic enumeration order (odometer, low-degree
 coefficient fastest).  A :class:`Field` exposes arithmetic directly on the
-integer encodings, on Python ints and elementwise on int64 numpy arrays;
+integer encodings, on Python ints and elementwise on int64 numpy arrays, and
+alone holds their digits for numpy code: ``place``, the encodings of x^j,
+:meth:`Field.to_digits` and :meth:`Field.mul_matrices`.
 :class:`FieldElement` is a thin operator-overloading wrapper on top of that.
 
 The reduction modulus of GF(p^m) is the lexicographically least monic
@@ -109,13 +111,15 @@ class Field:
     guarantees one object per (p, m).
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "_exp", "_log", "_arrays")
+    __slots__ = ("p", "m", "order", "modulus", "place", "_exp", "_log", "_arrays")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.order = p**m
         self.modulus = modulus  # full coefficient tuple, low degree first, monic
+        self.place = p ** np.arange(m, dtype=np.int64)  # the encodings of x^0, ..., x^(m-1)
+        self.place.flags.writeable = False
         self._exp: memoryview | None = None  # read-only views of the int64 tables
         self._log: memoryview | None = None
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -175,8 +179,7 @@ class Field:
         # matrix of c^2, so about log2(q) doublings fill exp.  Over GF(p^m),
         # m > 1, c * a is the sum of c * (the h low digits of a) and c * (the
         # rest), each read from a table of about sqrt(q) products.
-        h, place = m // 2, p ** np.arange(m, dtype=np.int64)
-        M = np.array([_digits(self._mul_raw(g, p**j), p, m) for j in range(m)], dtype=np.int64)
+        h, M = m // 2, self.to_digits([self._mul_raw(g, p**j) for j in range(m)])
         exp = np.empty(2 * (q - 1), dtype=np.int64)
         exp[0], n = 1, 1
         while n < q - 1:
@@ -185,7 +188,7 @@ class Field:
                 exp[n : n + len(a)] = a * M[0, 0] % p
             else:
                 low, high = (
-                    np.arange(p**k)[:, None] // place[:k] % p @ rows % p @ place
+                    self.to_digits(np.arange(p**k))[:, :k] @ rows % p @ self.place
                     for k, rows in ((h, M[:h]), (m - h, M[h:]))
                 )
                 exp[n : n + len(a)] = self.add_array(low[a % p**h], high[a // p**h])
@@ -290,6 +293,19 @@ class Field:
             return a * b % self.p
         exp2, log, _ = self.array_tables()
         return np.where((a != 0) & (b != 0), exp2[log[a] + log[b]], 0)
+
+    def to_digits(self, a) -> np.ndarray:
+        """The digits of the encodings a on a new last axis, low degree first:
+        their coordinates over GF(p), which ``digits @ place`` encodes again.
+        Over GF(p) an encoding is its own digit, and this is a view of a."""
+        a = np.asarray(a)
+        return a[..., None] if self.m == 1 else a[..., None] // self.place % self.p
+
+    def mul_matrices(self, a) -> np.ndarray:
+        """Multiplication by each of the encodings a as an m x m matrix over
+        GF(p): entry [..., j, s] is digit s of a * x^j, so that
+        ``to_digits(b) @ mul_matrices(a) % p`` is ``to_digits(a * b)``."""
+        return self.to_digits(self.mul_array(np.asarray(a)[..., None], self.place))
 
     # -- representation ---------------------------------------------------
 

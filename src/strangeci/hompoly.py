@@ -34,6 +34,7 @@ from .errors import (
     InvalidInputError,
     ParseError,
 )
+from .exactla import MatrixOverField, rank
 from .gf import Field
 
 Monomial = tuple[int, ...]
@@ -268,12 +269,11 @@ class HomogeneousPolynomial:
 
     def euler_identity_check(self) -> bool:
         """Whether sum_j z_j * f_{z_j} equals (e mod p) * f.  Always true."""
-        F = self.field
-        lhs = HomogeneousPolynomial.zero(F, self.n_vars, self.degree)
-        for j in range(self.n_vars):
-            exps = tuple(1 if i == j else 0 for i in range(self.n_vars))
-            lhs = lhs + self.partial_derivative(j).multiply_monomial(exps)
-        return lhs == self.scale(self.degree % F.p)
+        n, unit = self.n_vars, np.eye(self.n_vars, dtype=np.int64)
+        Es, cs = zip(*(self.partial_derivative(j).arrays() for j in range(n)))
+        E = np.concatenate([E + unit[j] for j, E in enumerate(Es)])
+        lhs = _merge(self.field, n, self.degree, E, np.concatenate(cs))
+        return lhs == self.scale(self.degree % self.field.p)
 
     # -- coordinate changes ----------------------------------------------
 
@@ -292,8 +292,6 @@ class HomogeneousPolynomial:
         field; an entry outside range(field.order) is rejected, not reduced.
         :func:`_expand` expands f(M z) level-wise over base-p digit rows.
         """
-        from .exactla import MatrixOverField, rank
-
         rows = [list(r) for r in matrix]
         n = self.n_vars
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -335,18 +333,15 @@ def _expand(f: HomogeneousPolynomial, rows: list[list[int]]) -> tuple[np.ndarray
     F, (E, c), e = f.field, f.arrays(), f.degree
     if not len(c) or e == 0:
         return E, c
-    n, m, p, place = len(rows), F.m, F.p, F.p ** np.arange(F.m, dtype=np.int64)
-    # times[i, j, r, s] = digit s of M[i][j] * t^r, built once per distinct entry
-    values, index = np.unique(np.array(rows, dtype=np.int64), return_inverse=True)
-    products = [[F.mul(a, b) for b in place.tolist()] for a in values.tolist()]
-    times = (np.array(products, dtype=np.int64)[..., None] // place % p)[index.reshape(n, n)]
+    n, m, p = len(rows), F.m, F.p
+    times = F.mul_matrices(np.array(rows, dtype=np.int64))  # [i, j, r, s]: digit s of M[i][j] * t^r
     # each term's variables, ascending; sorting them puts equal prefixes side by side
     seq = np.repeat(np.tile(np.arange(n), len(c)), E.ravel()).reshape(-1, e)
     order = np.lexsort(seq.T[::-1])
     seq, coeffs = seq[order], c[order]
     first = np.ones((len(seq), e + 1), dtype=bool)  # first[t, k]: term t starts its level-k node
     first[1:, 1:], first[1:, 0] = np.logical_or.accumulate(seq[1:] != seq[:-1], axis=1), False
-    W = (coeffs[:, None] // place % p)[:, :, None]
+    W = F.to_digits(coeffs)[:, :, None]
     for k in range(e, 0, -1):
         nodes = np.flatnonzero(first[:, k])
         last, cols = seq[nodes, k - 1], _times_z(n, e - k)
@@ -354,7 +349,7 @@ def _expand(f: HomogeneousPolynomial, rows: list[list[int]]) -> tuple[np.ndarray
         for j in np.flatnonzero(times[last].any(axis=(0, 2, 3))):
             out[:, :, cols[:, j]] += sum(times[last, j, r, :, None] * W[:, r, None, :] for r in range(m))
         W = np.add.reduceat(out, np.flatnonzero(first[nodes, k - 1]), axis=0) % p
-    coeffs = place @ W[0]
+    coeffs = F.place @ W[0]
     nz = np.flatnonzero(coeffs)
     return _monomial_array(n, e)[nz], coeffs[nz]
 
@@ -363,9 +358,9 @@ def _merge(F: Field, n_vars: int, degree: int, E: np.ndarray, c: np.ndarray) -> 
     """The sum of the terms c[i] * z^E[i], all of degree ``degree``: rows sorted descending, equal ones
     added digit by digit mod p (one digit over GF(p)), zero sums dropped."""
     order = np.lexsort(E.T[::-1])[::-1]
-    E, c, place = E[order], c[order], F.p ** np.arange(F.m, dtype=np.int64)
+    E, c = E[order], c[order]
     starts = np.flatnonzero(np.diff(E, axis=0, prepend=-1).any(axis=1))
-    sums = np.add.reduceat(c[:, None] // place % F.p, starts) % F.p @ place
+    sums = np.add.reduceat(F.to_digits(c), starts) % F.p @ F.place
     nz = np.flatnonzero(sums)
     return HomogeneousPolynomial._trusted(F, n_vars, degree, arrays=(E[starts[nz]], sums[nz]))
 

@@ -2,8 +2,9 @@
 
 Every decision reduces to membership in graded pieces I_d of an ideal.  A
 :class:`GradedIdeal` builds each degree-d Macaulay matrix (the products
-m * f^k of degree d) once and eliminates it once; every membership and
-annihilator question is then read from that echelon form.
+m * f^k of degree d) once and eliminates it once with the int64 kernel
+:func:`~strangeci.exactla.rref_array`, over every field; every membership
+and annihilator question is then one digit-wise product with that echelon form.
 
 Strangeness of a complete-intersection system S for a GF(p)-rational point
 v is decided algebraically: move v to (1:0:...:0) by a deterministic
@@ -24,8 +25,9 @@ from math import comb
 import numpy as np
 
 from .errors import FieldMismatchError, InvalidInputError, UnsupportedVertexError
-from .exactla import MatrixOverField, _rref_mod_p, in_span, rank_and_kernel, rref
+from .exactla import MatrixOverField, in_span, rank_and_kernel, rref_array
 from .geometry import LinearSubspace, PolynomialSystem, ProjectivePoint
+from .gf import make_field
 from .hompoly import (
     HomogeneousPolynomial,
     Monomial,
@@ -133,12 +135,7 @@ class GradedIdeal:
     def _piece(self, d: int) -> tuple[np.ndarray, list[int]]:
         """Nonzero rows of the reduced echelon form of I_d, and their pivots."""
         if d not in self._pieces:
-            A, F = self.macaulay_matrix(d), self.field
-            if F.m == 1:
-                R, pivots = _rref_mod_p(A, F.p)
-            else:
-                rows, pivots = rref(F, A.tolist(), A.shape[1])
-                R = np.array(rows, dtype=np.int64).reshape(A.shape)
+            R, pivots = rref_array(self.field, self.macaulay_matrix(d))
             self._pieces[d] = (R[: len(pivots)], pivots)
         return self._pieces[d]
 
@@ -146,27 +143,23 @@ class GradedIdeal:
         """Rows t of T (degree d) reduced modulo I_d, read at the free columns:
         entry j is phi_j(t) for row j of :meth:`annihilator`, all zero iff t is in I_d.
 
-        T - T[:, pivots] @ R; over GF(p^m) one pivot column at a time, which is the
-        same, as R is reduced: clearing a pivot column leaves the others unchanged."""
-        R, pivots = self._piece(d)
-        F = self.field
+        T - T[:, pivots] @ R on base-p digits, one product over the pivots i and digits j:
+        digit s of T[t, i] * R[i, c] is the sum over j of (digit s of T[t, i] x^j) (digit j of R[i, c])."""
+        (R, pivots), F = self._piece(d), self.field
         if not pivots:
             return T
-        if F.m == 1:
-            T = (T - T[:, pivots] @ R) % F.p
-        else:
-            minus_R = F.mul_array(R, F.p - 1)  # p-1 encodes -1
-            for row, col in zip(minus_R, pivots):
-                T = F.add_array(T, F.mul_array(T[:, col, None], row))
-        return np.delete(T, pivots, axis=1)
+        lhs = F.mul_matrices(T[:, pivots]).transpose(0, 3, 1, 2).reshape(len(T), F.m, -1)  # [t, s, (i, j)]
+        rhs = F.to_digits(R).transpose(0, 2, 1).reshape(-1, R.shape[1])  # [(i, j), c]
+        digits = (F.to_digits(T).transpose(0, 2, 1) - lhs @ rhs) % F.p  # [t, s, c]
+        return np.delete(F.place @ digits, pivots, axis=1)
 
     def contains(self, h: HomogeneousPolynomial) -> bool:
         """Whether h lies in the graded piece of its degree."""
         return h.is_zero() or not self.residues(self.vectors([h], h.degree), h.degree).any()
 
     def annihilator(self, d: int) -> np.ndarray:
-        """The functionals vanishing on I_d, one per row: the reduced-echelon
-        kernel :func:`rank_and_kernel` gives for the Macaulay matrix."""
+        """The functionals vanishing on I_d, one per row: the kernel basis of the Macaulay
+        matrix that :func:`rank_and_kernel` gives, the identity on the free columns."""
         return self.residues(np.eye(self._dim(d), dtype=np.int64), d).T
 
     def hilbert_function(self, d: int) -> int:
@@ -223,8 +216,6 @@ def _require_prime_rational(v: ProjectivePoint) -> ProjectivePoint:
         raise UnsupportedVertexError(
             "vertex must be rational over the prime field GF(p)"
         )
-    from .gf import make_field
-
     return ProjectivePoint(make_field(F.p), list(v.coords))
 
 

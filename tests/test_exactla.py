@@ -6,7 +6,6 @@ import pytest
 from strangeci.errors import InvalidInputError
 from strangeci.exactla import (
     MatrixOverField,
-    _rref_mod_p,
     in_span,
     invert,
     mat_mul,
@@ -14,6 +13,7 @@ from strangeci.exactla import (
     rank,
     rank_and_kernel,
     rref,
+    rref_array,
 )
 from strangeci.gf import make_field
 
@@ -96,39 +96,44 @@ class TestArrayKernel:
     # 1048573 is the largest prime below the field-order bound 2^20: it pins
     # the int64 headroom of the f * row products
     PRIMES = (2, 3, 5, 7, 1048573)
+    FIELDS = tuple(make_field(p) for p in PRIMES) + tuple(
+        make_field(p, m) for p, m in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 8))
+    )
 
     @staticmethod
-    def _check(p, rows, n):
-        R, pivots = _rref_mod_p(np.array(rows, dtype=np.int64).reshape(len(rows), n), p)
+    def _check(F, rows, n):
+        R, pivots = rref_array(F, np.array(rows, dtype=np.int64).reshape(len(rows), n))
         assert R.dtype == np.int64 and R.shape == (len(rows), n)
-        assert (R.tolist(), pivots) == rref(make_field(p), rows, n)
+        assert (R.tolist(), pivots) == rref(F, rows, n)
         return len(pivots)
 
     def test_matches_list_kernel_on_seeded_matrices(self):
         rng = random.Random(61)
         checked = deficient = 0
-        for p in self.PRIMES:
+        for F in self.FIELDS:
             for _ in range(24):
                 m, n = rng.randint(1, 14), rng.randint(1, 16)
                 # a product through an inner dimension r has rank at most r
                 r = rng.randint(0, min(m, n))
-                B = [[rng.randrange(p) for _ in range(r)] for _ in range(m)]
-                C = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
-                rows = [[sum(B[i][k] * C[k][j] for k in range(r)) % p for j in range(n)] for i in range(m)]
-                deficient += self._check(p, rows, n) < min(m, n)
+                B = [[rng.randrange(F.order) for _ in range(r)] for _ in range(m)]
+                C = [[rng.randrange(F.order) for _ in range(n)] for _ in range(r)]
+                rows = mat_mul(MatrixOverField(F, B, ncols=r), MatrixOverField(F, C, ncols=n)).rows
+                deficient += self._check(F, rows, n) < min(m, n)
                 checked += 1
         assert checked >= 100 and deficient >= 20
 
     def test_degenerate_shapes(self):
-        for p in self.PRIMES:
-            assert self._check(p, [[0] * 5 for _ in range(3)], 5) == 0
-            assert self._check(p, [], 4) == 0
-            assert self._check(p, [[] for _ in range(3)], 0) == 0
-            assert self._check(p, [[p - 1] * 6 for _ in range(4)], 6) == 1
+        for F in self.FIELDS:
+            assert self._check(F, [[0] * 5 for _ in range(3)], 5) == 0
+            assert self._check(F, [], 4) == 0
+            assert self._check(F, [[] for _ in range(3)], 0) == 0
+            assert self._check(F, [[F.order - 1] * 6 for _ in range(4)], 6) == 1
 
     def test_reduces_entries_outside_the_field(self):
-        R, pivots = _rref_mod_p(np.array([[7, 3], [2, 5]]), 5)
+        R, pivots = rref_array(make_field(5), np.array([[7, 3], [2, 5]]))
         assert (R.tolist(), pivots) == rref(make_field(5), [[2, 3], [2, 0]], 2)
+        R, pivots = rref_array(F4, np.array([[6, 3], [2, 9]]))
+        assert (R.tolist(), pivots) == rref(F4, [[2, 3], [2, 1]], 2)
 
 
 class TestInSpan:

@@ -296,6 +296,26 @@ class TestArrayArithmetic:
         values = (digits.astype(np.int64) * p ** np.arange(m)[:, None]).sum(axis=0)
         assert np.array_equal(values[:-1], exp2[: F.order - 1]) and values[-1] == 0
 
+    @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (2, 16), (3, 10), (7, 1)])
+    def test_digits_and_multiplication_matrices_match_scalar_mul(self, p, m):
+        """to_digits(b) @ mul_matrices(a) mod p is to_digits(a * b): on every pair
+        of elements of the small fields, on seeded samples of the large ones."""
+        F = make_field(p, m)
+        if F.order <= 9:
+            a, b = np.divmod(np.arange(F.order**2), F.order)
+        else:
+            a, b = np.random.default_rng(F.order).integers(0, F.order, (2, 2000))
+        digits = F.to_digits(b)
+        assert digits.tolist() == [list(F.coeffs(x)) for x in b.tolist()]
+        assert np.array_equal(digits @ F.place, b) and not F.place.flags.writeable
+        M = F.mul_matrices(a)
+        assert M.shape == (len(a), m, m)
+        for j in range(m):  # row j holds the digits of a * x^j
+            assert np.array_equal(M[:, j], F.to_digits([F.mul(x, p**j) for x in a.tolist()]))
+        products = [F.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert ((digits[:, None] @ M)[:, 0] % p).tolist() == F.to_digits(products).tolist()
+        assert np.shares_memory(digits, b) == (m == 1)  # over GF(p) a view
+
     def test_scalar_and_array_arithmetic_read_one_table(self):
         """Each exp/log table is held once, as a read-only int64 array that
         scalar mul reads and array_tables returns; no field keeps a list."""

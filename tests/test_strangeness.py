@@ -186,7 +186,7 @@ class TestGradedIdeal:
         assert GradedIdeal(gens).contains(h) == G.contains(expr(h))
 
     @settings(max_examples=100, deadline=None)
-    @given(membership_cases(fields=(make_field(2, 2), make_field(3, 2))))
+    @given(membership_cases(fields=(make_field(2, 2), make_field(3, 2), make_field(2, 3), make_field(5, 2))))
     def test_contains_agrees_with_span_products_over_extension_fields(self, case):
         gens, h = case
         assert GradedIdeal(gens).contains(h) == _span_verdict(gens, h)
