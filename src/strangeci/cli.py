@@ -63,6 +63,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"error: {self.prog}: {message}\n")
 
 
+def _count(text: str) -> int:
+    """A --samples value: an integer of at least 1, so that a run always checks something."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser, *, polys: bool = True, ext: bool = False) -> None:
     """Flags shared by the subcommands; --ext only for those that parse a point."""
     parser.add_argument("--char", type=int, required=True, metavar="P", help="field characteristic")
@@ -79,8 +86,11 @@ def _load_system(args) -> PolynomialSystem:
     field = make_field(args.char)
     texts = list(args.poly or [])
     if args.infile:
-        with open(args.infile, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        try:
+            with open(args.infile, encoding="utf-8") as fh:
+                lines = [ln.strip() for ln in fh if ln.strip()]
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{args.infile} is not UTF-8 text: {exc}") from None
         # header: p N e1 e2 ...
         try:
             p, n = map(int, lines[0].split()[:2])
@@ -111,13 +121,9 @@ def _point(args, text: str, flag: str) -> ProjectivePoint:
     return a
 
 
-def _vertex(args) -> ProjectivePoint:
-    return _point(args, args.vertex, "--vertex")
-
-
 def cmd_strange_check(args) -> int:
     S = _load_system(args)
-    report = is_strange_for(S, _vertex(args))
+    report = is_strange_for(S, _point(args, args.vertex, "--vertex"))
     _emit(report.to_dict(), args.pretty)
     return EXIT_OK
 
@@ -150,7 +156,7 @@ def cmd_normalize_system(args) -> int:
 
 def cmd_cone_check(args) -> int:
     S = _load_system(args)
-    verdict = is_cone_with_vertex(S, _vertex(args))
+    verdict = is_cone_with_vertex(S, _point(args, args.vertex, "--vertex"))
     _emit({"cone": verdict, "vertex": args.vertex}, args.pretty)
     return EXIT_OK
 
@@ -193,7 +199,7 @@ def cmd_family(args) -> int:
         S = strange_hypersurface_p_not_divides(args.n, args.e, args.char)
     elif args.id == "cone":
         base = _load_system(args)
-        S = cone_over(base, _vertex(args))
+        S = cone_over(base, _point(args, args.vertex, "--vertex"))
     else:
         raise InvalidInputError(f"unknown family {args.id!r}")
     _emit(
@@ -380,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("census", help="singularity census over the strange parameter space")
     _add_common(sp, polys=False)
     sp.add_argument("--degrees", required=True, help="comma-separated generator degrees")
-    sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--samples", type=_count, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--ext-bound", type=int, default=3)
     sp.add_argument("--exhaustive", action="store_true")
@@ -393,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["euler", "lemma-rank", "phi-surjectivity", "quadric-table", "cone-corollary"],
     )
-    sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--samples", type=_count, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--pretty", action="store_true")
     sp.set_defaults(func=cmd_verify)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FieldMismatchError, InvalidInputError
-from .gf import Field, FieldElement
+from .gf import Field
 
 
 class MatrixOverField:
@@ -23,10 +23,7 @@ class MatrixOverField:
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         self.field = field
-        clean = []
-        for row in rows:
-            r = [e.val if isinstance(e, FieldElement) else int(e) % field.order for e in row]
-            clean.append(r)
+        clean = [field.encode(row) for row in rows]
         if clean:
             ncols_found = len(clean[0])
             if any(len(r) != ncols_found for r in clean):

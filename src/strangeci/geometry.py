@@ -37,7 +37,7 @@ from .errors import (
     SingularPointError,
 )
 from .exactla import MatrixOverField, in_span, rank, rank_and_kernel, rref
-from .gf import Field, FieldElement, make_field
+from .gf import Field, make_field
 from .hompoly import HomogeneousPolynomial, format_poly, parse_poly
 
 DEFAULT_BUDGET = 100_000_000
@@ -64,7 +64,7 @@ class ProjectivePoint:
     __slots__ = ("field", "coords")
 
     def __init__(self, field: Field, coords):
-        vals = [c.val if isinstance(c, FieldElement) else int(c) % field.order for c in coords]
+        vals = field.encode(coords)
         pivot = next((i for i, v in enumerate(vals) if v), None)
         if pivot is None:
             raise InvalidInputError("projective point needs a nonzero coordinate")
@@ -122,7 +122,8 @@ class ProjectivePoint:
     __repr__ = __str__
 
 
-_FIELD_PREFIX = re.compile(r"@GF\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?\)(.*)")
+# p and m: at most nine ASCII digits each, as more exceed MAX_ORDER anyway
+_FIELD_PREFIX = re.compile(r"@GF\(\s*([0-9]{1,9})\s*(?:\^\s*([0-9]{1,9})\s*)?\)(.*)")
 
 
 def parse_point(text: str, default_field: Field) -> ProjectivePoint:
@@ -195,10 +196,7 @@ class LinearSubspace:
     __slots__ = ("field", "ambient_dim", "basis")
 
     def __init__(self, field: Field, ambient_dim: int, basis):
-        rows = [
-            [e.val if isinstance(e, FieldElement) else int(e) % field.order for e in row]
-            for row in basis
-        ]
+        rows = [field.encode(row) for row in basis]
         if any(len(r) != ambient_dim for r in rows):
             raise InvalidInputError("basis vector length mismatch")
         R, pivots = rref(field, rows, ambient_dim)
@@ -211,8 +209,7 @@ class LinearSubspace:
         return len(self.basis)
 
     def contains(self, vec) -> bool:
-        vals = [e.val if isinstance(e, FieldElement) else int(e) % self.field.order for e in vec]
-        ok, _ = in_span(self.field, vals, [list(b) for b in self.basis])
+        ok, _ = in_span(self.field, self.field.encode(vec), [list(b) for b in self.basis])
         return ok
 
     def contains_point(self, a: ProjectivePoint) -> bool:

@@ -8,7 +8,9 @@ coefficient fastest).  A :class:`Field` exposes arithmetic directly on the
 integer encodings, on Python ints and elementwise on int64 numpy arrays, and
 alone holds their digits for numpy code: ``place``, the encodings of x^j,
 :meth:`Field.to_digits` and :meth:`Field.mul_matrices`.
-:class:`FieldElement` is a thin operator-overloading wrapper on top of that.
+:class:`FieldElement` is a thin operator-overloading wrapper on top of that,
+and :meth:`Field.encode` reads a mix of elements and integers as encodings.
+Element and polynomial text share one grammar, read by :func:`text_terms`.
 
 The reduction modulus of GF(p^m) is the lexicographically least monic
 irreducible polynomial of degree m over GF(p), coefficients compared low
@@ -28,6 +30,7 @@ of (p, m).
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,48 @@ import numpy as np
 from .errors import FieldMismatchError, InvalidInputError, ParseError
 
 MAX_ORDER = 1 << 20
+
+# a separator, then one factor: an integer, a parenthesized element, or a letter with an
+# optional index and exponent; an exponent of ten digits fails the lookahead, and the text with it
+_FACTOR = re.compile(r"([+-]*|\*)(?:([0-9]+)|\(([^()]*)\)|([a-z])([0-9]*)(?:\^([0-9]{1,9})(?![0-9]))?)")
+
+
+def text_terms(text: str, symbol: str) -> list[tuple[int, list]]:
+    """The terms of element or polynomial text, each as (sign, factors), in the one grammar
+
+        text   := sign* term (sign+ term)*        sign := '+' | '-'
+        term   := factor ('*' factor)*
+        factor := integer | '(' element ')' | symbol [index] ['^' exponent]
+
+    where integer, index and exponent are ASCII digits, an exponent at most nine of them
+    (exponent rows are int64), and whitespace is ignored.  A sign run is -1 when it holds an
+    odd number of '-'.  A factor comes back as an int (an integer), a str (the text inside
+    the parentheses) or a pair (index or None, exponent), the exponent 1 when not written.
+    Any other text raises :class:`ParseError`.
+    """
+    s = "".join(text.split())
+    terms: list[tuple[int, list]] = []
+    pos = 0
+    while pos < len(s) or not terms:
+        m = _FACTOR.match(s, pos)
+        # the first factor takes no '*', and every later one a '*' or a sign run
+        if m is None or m[1] == ("" if terms else "*") or m[4] not in (None, symbol):
+            raise ParseError(f"cannot parse {text!r} at {s[pos:]!r}" if s else "empty text")
+        sep, integer, element, _, index, exponent = m.groups()
+        if sep != "*":
+            terms.append((-1 if sep.count("-") % 2 else 1, []))
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            if integer:
+                factor = int(integer)
+            elif element is not None:
+                factor = element
+            else:
+                factor = (int(index) if index else None, int(exponent or 1))
+        except ValueError:
+            raise ParseError(f"number too long in {text!r}") from None
+        terms[-1][1].append(factor)
+        pos = m.end()
+    return terms
 
 
 def is_prime(n: int) -> bool:
@@ -312,12 +357,6 @@ class Field:
     def coeffs(self, a: int) -> tuple[int, ...]:
         return tuple(_digits(a, self.p, self.m))
 
-    def from_coeffs(self, coeffs) -> int:
-        val = 0
-        for c in reversed(list(coeffs)):
-            val = val * self.p + c % self.p
-        return val
-
     def element(self, val: int) -> "FieldElement":
         if not 0 <= val < self.order:
             raise InvalidInputError(f"encoded value {val} out of range for GF({self.p}^{self.m})")
@@ -348,44 +387,28 @@ class Field:
         return " + ".join(parts) if parts else "0"
 
     def parse(self, text: str) -> int:
-        """Parse the element text form: integers for prime fields,
-        reduced polynomial expressions in ``t`` for extensions."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ParseError("empty field element")
+        """Parse the element text form, the grammar of :func:`text_terms` with symbol ``t``:
+        integers for prime fields, reduced polynomial expressions in ``t`` for extensions."""
         val = 0
-        for term in s.replace("-", "+-").split("+"):
-            if not term:
-                continue
-            sign = 1
-            if term.startswith("-"):
-                sign = -1
-                term = term[1:]
-            coeff = 1
-            power = 0
-            if "t" in term:
-                if self.m == 1:
-                    raise ParseError(f"generator symbol in prime-field element: {text!r}")
-                head, _, tail = term.partition("t")
-                if head:
-                    if not head.endswith("*"):
-                        raise ParseError(f"bad element term: {term!r}")
-                    coeff = int(head[:-1])
-                if tail:
-                    if not tail.startswith("^"):
-                        raise ParseError(f"bad element term: {term!r}")
-                    power = int(tail[1:])
+        for sign, factors in text_terms(text, "t"):
+            coeff, power = sign, 0
+            for f in factors:
+                if isinstance(f, int):
+                    coeff = coeff * f % self.p
+                elif isinstance(f, str) or f[0] is not None or self.m == 1:
+                    kinds = "integers" if self.m == 1 else "integers and powers of t"
+                    raise ParseError(f"element text {text!r} over {self} may hold only {kinds}")
                 else:
-                    power = 1
-                if power >= self.m:
-                    raise ParseError(f"unreduced element text: {text!r}")
-            else:
-                try:
-                    coeff = int(term)
-                except ValueError as exc:
-                    raise ParseError(f"bad element term: {term!r}") from exc
-            val = self.add(val, self.from_coeffs([0] * power + [sign * coeff % self.p]))
+                    power += f[1]
+            if power >= self.m:
+                raise ParseError(f"unreduced element text: {text!r}")
+            val = self.add(val, coeff % self.p * self.p**power)
         return val
+
+    def encode(self, values) -> list[int]:
+        """The encodings of ``values``: a :class:`FieldElement` gives its own, anything else is read
+        as an integer and reduced mod the field order."""
+        return [v.val if isinstance(v, FieldElement) else int(v) % self.order for v in values]
 
     def __repr__(self) -> str:
         if self.m == 1:

@@ -17,12 +17,12 @@ base-p digits: one path for every GF(p^m), GF(p) being m = 1.
 read-only int64 view (E, c) of it, built on first use or kept from the arrays
 that made the polynomial.  Only the public constructor validates terms; the
 library builds through ``_trusted``, and +, * and parsing share :func:`_merge`.
+Text is read in the grammar of :func:`strangeci.gf.text_terms`.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 from itertools import chain, combinations_with_replacement
 from math import comb
 
@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
 )
 from .exactla import MatrixOverField, rank
-from .gf import Field
+from .gf import Field, text_terms
 
 Monomial = tuple[int, ...]
 
@@ -381,101 +381,34 @@ def normalize_z0(g: HomogeneousPolynomial) -> HomogeneousPolynomial:
     )
 
 
-_TOKEN_RE = re.compile(r"z(\d+)(?:\^(\d{1,9}))?$")  # exponents stay far below int64
-
-
 def parse_poly(text: str, field: Field, n_vars: int) -> HomogeneousPolynomial:
-    """Parse the ASCII polynomial grammar.
+    """Parse a polynomial in z0, ..., z(n_vars - 1) written in the grammar of
+    :func:`strangeci.gf.text_terms` with symbol ``z``, which takes an index here.
 
-    poly := term ('+' term)*; term := [coeff '*']? factor ('*' factor)*;
-    factor := 'z' index ['^' exponent]; coeff := integer or parenthesized
-    extension element.  '-' is interpreted as +(p-1)*.
+    Every term has one degree.  Integer factors are reduced mod p, a parenthesized factor
+    is a coefficient in the element text form of ``field``, and '-' multiplies by p - 1.
     """
-    s = text.replace(" ", "").replace("\t", "")
-    if not s:
-        raise ParseError("empty polynomial")
-    if s == "0":
-        return HomogeneousPolynomial.zero(field, n_vars, 0)
-    # split into signed terms at top level (outside parentheses)
-    raw_terms: list[tuple[int, str]] = []
-    depth = 0
-    cur = ""
-    sign = 1
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses")
-        if ch in "+-" and depth == 0:
-            if cur:
-                raw_terms.append((sign, cur))
-                cur = ""
-                sign = 1
-            if ch == "-":
-                sign = -sign
-            continue
-        cur += ch
-    if depth != 0:
-        raise ParseError("unbalanced parentheses")
-    if cur:
-        raw_terms.append((sign, cur))
-    if not raw_terms:
-        raise ParseError(f"cannot parse polynomial {text!r}")
-
-    F = field
-    degree: int | None = None
-    monos, coeffs = [], []
-    for sgn, term in raw_terms:
-        # split factors at top-level '*'
-        factors = []
-        depth = 0
-        cur = ""
-        for ch in term:
-            if ch == "(":
-                depth += 1
-            if ch == ")":
-                depth -= 1
-            if ch == "*" and depth == 0:
-                factors.append(cur)
-                cur = ""
-                continue
-            cur += ch
-        if cur:
-            factors.append(cur)
-        coeff = 1
-        exps = [0] * n_vars
-        for fac in factors:
-            if not fac:
-                raise ParseError(f"empty factor in term {term!r}")
-            if fac[0] == "z":
-                mt = _TOKEN_RE.match(fac)
-                if not mt:
-                    raise ParseError(f"bad factor {fac!r}")
-                idx = int(mt.group(1))
-                if idx >= n_vars:
-                    raise InvalidInputError(
-                        f"variable z{idx} out of range for {n_vars} variables"
-                    )
-                exps[idx] += int(mt.group(2)) if mt.group(2) else 1
-            elif fac[0] == "(" and fac[-1] == ")":
-                coeff = F.mul(coeff, F.parse(fac[1:-1]))
+    if n_vars < 1:
+        raise InvalidInputError("need at least one variable")
+    F, monos, coeffs = field, [], []
+    for sign, factors in text_terms(text, "z"):
+        coeff, exps = sign % F.p, [0] * n_vars
+        for f in factors:
+            if isinstance(f, int):
+                coeff = F.mul(coeff, f % F.p)
+            elif isinstance(f, str):
+                coeff = F.mul(coeff, F.parse(f))
+            elif f[0] is None:
+                raise ParseError(f"variable without an index in {text!r}")
+            elif f[0] >= n_vars:
+                raise InvalidInputError(f"variable z{f[0]} out of range for {n_vars} variables")
             else:
-                try:
-                    coeff = F.mul(coeff, int(fac) % F.p)
-                except ValueError as exc:
-                    raise ParseError(f"bad factor {fac!r}") from exc
-        if sgn < 0:
-            coeff = F.neg(coeff)
-        d = sum(exps)
-        if degree is None:
-            degree = d
-        elif d != degree:
-            raise HomogeneityError(f"term {term!r} has degree {d}, expected {degree}")
+                exps[f[0]] += f[1]
+        if monos and sum(exps) != sum(monos[0]):
+            raise HomogeneityError(f"term {len(monos) + 1} of {text!r} is not of degree {sum(monos[0])}")
         monos.append(exps)
         coeffs.append(coeff)
-    return _merge(F, n_vars, degree, np.array(monos, dtype=np.int64), np.array(coeffs, dtype=np.int64))
+    return _merge(F, n_vars, sum(monos[0]), np.array(monos, dtype=np.int64), np.array(coeffs, dtype=np.int64))
 
 
 def format_poly(f: HomogeneousPolynomial) -> str:

@@ -1,11 +1,16 @@
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strangeci.cli import (
     EXIT_BUDGET,
@@ -256,6 +261,40 @@ class TestInputHandling:
         self.assert_one_error_line(code, out, err)
         assert "header must start with the integers p N" in err
 
+    def test_non_utf8_file_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "system.txt"
+        path.write_bytes(b"2 2\n\xff\xfe z0\n")
+        code, out, err = run(
+            capsys,
+            "strange-locus", "--char", "2", "--n", "2", "--in", str(path),
+        )
+        self.assert_one_error_line(code, out, err)
+        assert "is not UTF-8 text" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["census", "--char", "2", "--n", "3", "--degrees", "2"], ["verify", "--suite", "euler"]],
+        ids=["census", "verify"],
+    )
+    def test_samples_below_one_is_a_usage_error(self, capsys, argv, samples):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--samples", samples])
+        out = capsys.readouterr()
+        self.assert_one_error_line(exc.value.code, out.out, out.err)
+        assert "argument --samples: must be an integer of at least 1" in out.err
+
+    @pytest.mark.parametrize("coord", ["t^", "t^x", "t^-1", "*t"])
+    @pytest.mark.parametrize("cmd, flag", [("tangent", "--point"), ("strange-check", "--vertex")])
+    def test_malformed_coordinate_one_error_line(self, capsys, cmd, flag, coord):
+        code, out, err = run(
+            capsys,
+            cmd, "--char", "2", "--ext", "2", "--n", "2",
+            "--poly", "z0^2+z1*z2", f"{flag}=(1:{coord}:1)",
+        )
+        self.assert_one_error_line(code, out, err)
+        assert "cannot parse" in err
+
     def test_ext_only_where_a_point_is_read(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["strange-locus", "--char", "2", "--n", "2", "--poly", "z0", "--ext", "2"])
@@ -388,3 +427,102 @@ class TestInputHandling:
             capture_output=True, text=True, timeout=300,
         )
         assert_verify_ok(proc)
+
+
+# -- the CLI contract over near-valid argument lists ---------------------------
+
+POLYS = {"2": ["z0^2 + z1*z2", "z0*z1 - (2)*z2^2", "z1^3 + z0*z2^2"],
+         "3": ["z0^2 + z1*z2", "z0*z1 + z2*z3", "z1^3 + z2^3 + z3^3", "z0^2*z1 + z2^3"]}
+POINTS = {"2": ["(1:0:0)", "(0:1:1)", "(1:1:0)"], "3": ["(1:0:0:0)", "(0:1:1:0)", "(1:0:1:1)"]}
+T_POINTS = {"2": ["(1:t:0)", "(t:1:t+1)"], "3": ["(1:t+1:0:0)", "(0:1:t:1)"]}
+SUITES = ["euler", "lemma-rank", "phi-surjectivity", "quadric-table", "cone-corollary"]
+
+
+def mutations(s: str):
+    """s with one character inserted, deleted or replaced."""
+    i = st.integers(0, len(s))
+    ch = st.sampled_from("zt0129^*+-():@,x \u0663")
+    return st.one_of(
+        st.tuples(i, ch).map(lambda a: s[: a[0]] + a[1] + s[a[0]:]),
+        st.tuples(i, st.just("")).map(lambda a: s[: a[0]] + s[a[0] + 1:]),
+        st.tuples(i, ch).map(lambda a: s[: a[0]] + a[1] + s[a[0] + 1:]),
+    )
+
+
+@st.composite
+def argument_lists(draw):
+    """(argv, --in file bytes or None) with at most one value malformed: replaced by a bad one, or,
+    for text, edited by one character.  Runs stay small: N <= 3, --ext-bound <= 2 and
+    --samples <= 2, so numbers are never edited."""
+    broken, count = draw(st.integers(0, 8)), iter(range(9))
+
+    def value(valid, bad=(), text=False):
+        s = draw(st.sampled_from(valid))
+        if next(count, None) != broken:
+            return s
+        return draw(st.one_of(*([mutations(s)] if text else []), *([st.sampled_from(bad)] if bad else [])))
+
+    numbers = ["0", "-1", "x", "", "2.5"]
+    cmd = draw(st.sampled_from([
+        "strange-check", "strange-locus", "normalize", "normalize-system", "cone-check",
+        "singular-search", "tangent", "gauss", "family", "census", "verify",
+    ]))
+    if cmd == "verify":
+        return ["verify", "--suite", draw(st.sampled_from(SUITES)), "--samples", value(["1", "2"], numbers),
+                "--seed", value(["0", "7"], numbers)], None
+    p, n = value(["2", "3", "5"], ["4", "1", *numbers]), value(["2", "3"], ["1", *numbers])
+    argv, infile, polys = [cmd, "--char", p, "--n", n], None, POLYS.get(n, POLYS["3"])
+    if cmd == "census":
+        return argv + ["--degrees", value(["2", "3", "2,2"], ["a", "1", ",", "2,", "", "2,2,2,2"]),
+                       "--samples", value(["1", "2"], numbers), "--ext-bound", value(["1", "2"], numbers)], None
+    if cmd == "family":
+        argv += ["--id", draw(st.sampled_from(["quadric", "p-divides", "p-not-divides", "cone", "nope"]))]
+        argv += ["--e", value(["2", "3", "4", "6"], numbers)] if draw(st.booleans()) else []
+    flag = {"tangent": "--point", "gauss": "--point", "family": "--vertex",
+            "strange-check": "--vertex", "cone-check": "--vertex"}.get(cmd)
+    if flag:
+        ext = value(["1", "2"], numbers)
+        points = POINTS.get(n, POINTS["3"]) + (T_POINTS.get(n, T_POINTS["3"]) if ext == "2" else [])
+        argv += ["--ext", ext, f"{flag}={value(points, ['(t^:1:0)'], text=True)}"]
+    if cmd == "singular-search":
+        argv += ["--ext-bound", value(["1", "2"], numbers)]
+    if draw(st.booleans()):
+        argv += [f"--poly={value(polys, text=True)}" for _ in range(draw(st.integers(1, 2)))]
+    else:
+        header = value([f"{p} {n}", f"{p} {n} 2"], ["x 3", "2", "3 3"], text=True)
+        body = "\n".join(value(polys, text=True) for _ in range(draw(st.integers(1, 2))))
+        infile = (header + "\n" + body + "\n").encode() + draw(st.sampled_from([b"", b"", b"\xff\xfe z0\n"]))
+    return argv, infile
+
+
+def run_in_process(argv):
+    """main(argv) with its output captured; argparse's SystemExit counts as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestContract:
+    @settings(max_examples=300, deadline=None)
+    @given(argument_lists())
+    @example((["strange-check", "--char", "2", "--ext", "2", "--n", "2",
+               "--poly", "z0^2 + z1*z2", "--vertex=(t^:1:0)"], None))
+    def test_every_argument_list_keeps_the_contract(self, case):
+        """Exit 0-3; JSON alone on stdout for 0 and 1, else nothing there and one error: line."""
+        argv, infile = case
+        with tempfile.TemporaryDirectory() as tmp:
+            if infile is not None:
+                path = Path(tmp) / "system.txt"
+                path.write_bytes(infile)
+                argv = argv + ["--in", str(path)]
+            code, out, err = run_in_process(argv)
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_BUDGET), (argv, err)
+        if code in (EXIT_OK, EXIT_CHECK_FAILED):
+            _, end = json.JSONDecoder().raw_decode(out)
+            assert out[end:].strip() == "", out
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
