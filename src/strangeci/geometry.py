@@ -7,18 +7,19 @@ bounded field extensions.
 The search enumerates normalized projective representatives (first nonzero
 coordinate 1) over GF(p^m) for m = 1..m_max, in blocks of 2^16 points.  A
 block evaluator computes polynomials at once from exponent and coefficient
-matrices through the field's discrete-log tables, one path for every field.
-On a grid of at least 2^10 points and 16 times the tail grid, the first
-generator f splits at a tail t, the last w = 2 coordinates (w = 1 when
-q^2 > 2^14), and a head h in P^(N-w): f(h, t) is the sum over tail exponents
-tau of t^tau g_tau(h), and multiplying by g_tau(h) is the m x m matrix over
-GF(p) whose column j holds the digits of g_tau(h) x^j.  So f's digits on a
-chunk of heads times all tails are one float64 product P = (heads*m x tau*m)
-@ (tau*m x tails), exact while f's term count times m(p-1)^2 is below 2^51,
-and zero mod p where P == p rint(P/p).  Other grids, zero heads, later
-generators and the r(N+1) partials at the survivors take the block
-evaluator, and a batched Gaussian elimination tests the Jacobian ranks.
-Points come at their minimal field, one per Galois orbit.
+matrices through the field's discrete-log tables, one float64 path for every
+field, its log and digit products in BLAS and exact below 2^53.  On a grid of
+at least 2^10 points and 16 times the tail grid, the first generator f splits
+at a tail t, the last w = 2 coordinates (w = 1 when q^2 > 2^14), and a head h
+in P^(N-w): f(h, t) is the sum over tail exponents tau of t^tau g_tau(h), and
+multiplying by g_tau(h) is the m x m matrix over GF(p) whose column j holds
+the digits of g_tau(h) x^j.  So f's digits on a chunk of heads times all tails
+are one product P = (heads*m x tau*m) @ (tau*m x tails), zero mod p where
+P == p rint(P/p).  With b = f's term count times m(p-1)^2, it runs in float32,
+exact for b < 2^22, and else in float64, exact for b < 2^51.  Other grids,
+zero heads, later generators and the r(N+1) partials at the survivors take
+the block evaluator, and a batched Gaussian elimination tests the Jacobian
+ranks.  Points come at their minimal field, one per Galois orbit.
 """
 
 from __future__ import annotations
@@ -284,6 +285,12 @@ def _float_log(F: Field, zero_log: int) -> np.ndarray:
     return log
 
 
+def _mod(x: np.ndarray, n: int) -> np.ndarray:
+    """x mod n, exact for float64 integers 0 <= x < 2^53, whose x / n never rounds
+    up to the next integer; numpy's float remainder is many times slower."""
+    return x - n * np.floor(x / n)
+
+
 def _stack(polys: list[HomogeneousPolynomial]) -> tuple[np.ndarray, np.ndarray]:
     """(E, C): E (T x n_vars) stacks the exponent rows of every polynomial's view, and
     column k of C (T x len(polys)) holds polynomial k's coefficients in its own rows."""
@@ -296,35 +303,47 @@ class _BlockEvaluator:
     """Evaluates polynomials with prime-field coefficients at blocks of points.
 
     The polynomials are given as the pair (E, C) of :func:`_stack`, or as any
-    such pair.  Every field takes one path, through its discrete-log tables: the
-    monomial with logs L = log[coords] @ E.T has digit d equal to
-    digits[d][L mod (q-1)], and log[0] is set above any sum of logs of
+    such pair.  Every field takes one float64 path, through its discrete-log
+    tables: the monomial with logs L = log[coords] @ E.T has digit d equal
+    to digits[d][L mod (q-1)], and log[0] is set above any sum of logs of
     nonzero values, so a larger L marks a vanishing monomial.  Coefficients
     in GF(p) act on each base-p digit separately, so digit d of the values
-    is (digit_d(monomials) @ C) mod p.  Points are taken in row chunks of at
-    most _BLOCK monomials.
+    is (digit_d(monomials) @ C) mod p: gathered from the uint8 (or wider)
+    digit table, multiplied by a float64 C in BLAS, exact while T (p-1)^2 <
+    2^53 for T terms.  Points are taken in row chunks of at most _BLOCK
+    monomials.
     """
 
     def __init__(self, polys: list[HomogeneousPolynomial] | tuple[np.ndarray, np.ndarray], F: Field):
-        (E, self.C), self.F = polys if isinstance(polys, tuple) else _stack(polys), F
-        # entries of a digit plane @ C stay below T * (p-1)^2 < 2^63 for T < 2^23
+        (E, C), self.F = polys if isinstance(polys, tuple) else _stack(polys), F
         self.rows = max(1, _BLOCK // max(len(E), 1))
         self.digits = F.array_tables()[2]
         self.zero_log = int(E.sum(axis=1).max(initial=0)) * (F.order - 2) + 1
-        # float64 so that the product runs in BLAS; every sum is below 2^53
+        # float64 so that both products run in BLAS; every sum of logs is below 2^53
         self.log = _float_log(F, self.zero_log)
         self.ET = E.T.astype(np.float64)
+        self.C = C.astype(np.float64)
+        # Once T (p-1)^2 reaches 2^53 (T >= 8 192 near p = 2^20), the terms go in
+        # groups of G, each added to the residue mod p of the groups before it, so
+        # every sum stays under 2^53: one float kernel for every T, where keeping
+        # the int64 product would be a second kernel with a 2^63 bound of its own.
+        self.group = ((1 << 53) - F.p) // (F.p - 1) ** 2
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Values at the points X (k x n_vars), shape (k, len(polys))."""
-        p, q1 = self.F.p, self.F.order - 1
-        out = np.zeros((X.shape[0], self.C.shape[1]), dtype=np.int64)
+        p, q1, G = self.F.p, self.F.order - 1, self.group
+        out = np.zeros((X.shape[0], self.C.shape[1]))
         for s in range(0, X.shape[0], self.rows):
-            L = (self.log[X[s : s + self.rows]] @ self.ET).astype(np.int64)
-            idx = np.where(L < self.zero_log, L % q1, q1)
+            L = self.log[X[s : s + self.rows]] @ self.ET
+            idx = _mod(L, q1)
+            idx[L >= self.zero_log] = q1
+            idx = idx.astype(np.intp)
             for d, table in enumerate(self.digits):
-                out[s : s + self.rows] += (table[idx] @ self.C % p) * p**d
-        return out
+                V = table[idx[:, :G]] @ self.C[:G]
+                for g in range(G, len(self.C), G):
+                    V = _mod(V, p) + table[idx[:, g : g + G]] @ self.C[g : g + G]
+                out[s : s + self.rows] += _mod(V, p) * p**d
+        return out.astype(np.int64)
 
 
 def _rank_below(J: np.ndarray, r: int, F: Field) -> np.ndarray:
@@ -390,20 +409,21 @@ def _first_zeros(f: HomogeneousPolynomial, F: Field, n_plus_1: int):
     q, p, m = F.order, F.p, F.m
     w = 2 if 4 * q * q <= _BLOCK else 1  # a wider tail grid costs more to set up than it saves
     E, c = f.arrays()
-    rest, exact = _point_blocks(q, n_plus_1), len(c) * m * (p - 1) ** 2 < 1 << 51
-    if exact and q**w <= _BLOCK and max(1 << 10, 16 * q**w) <= (q**n_plus_1 - 1) // (q - 1):
+    rest, bound = _point_blocks(q, n_plus_1), len(c) * m * (p - 1) ** 2
+    real = np.float32 if bound < 1 << 22 else np.float64  # exact below 2^22 and 2^51
+    if bound < 1 << 51 and q**w <= _BLOCK and max(1 << 10, 16 * q**w) <= (q**n_plus_1 - 1) // (q - 1):
         taus, tau_of = np.unique(E[:, n_plus_1 - w :], axis=0, return_inverse=True)
         heads = _BlockEvaluator((E[:, : n_plus_1 - w], np.eye(len(taus), dtype=np.int64)[tau_of] * c[:, None]), F)
         tails = np.indices((q,) * w).reshape(w, -1).T  # odometer, last coordinate fastest
         T = _BlockEvaluator((taus, np.eye(len(taus), dtype=np.int64)), F)(tails)
-        B = (T.T[:, None] // F.place[:, None] % p).reshape(-1, len(tails)).astype(np.float64)
-        buffers = np.empty((2, _BLOCK // len(tails) * m, len(tails)))  # fresh ones cost page faults
+        B = (T.T[:, None] // F.place[:, None] % p).reshape(-1, len(tails)).astype(real)
+        buffers = np.empty((2, _BLOCK // len(tails) * m, len(tails)), real)  # fresh ones cost page faults
         for H in _point_blocks(q, n_plus_1 - w, _BLOCK // len(tails)):
             G = F.mul_array(heads(H)[:, :, None], F.place)  # g_tau(h) x^j, axes (head, tau, j)
             A = (G[:, None] // F.place[:, None, None] % p).reshape(len(H) * m, -1)  # rows (head, digit)
             P, R = buffers[:, : len(A)]
-            np.matmul(A.astype(np.float64), B, out=P)
-            np.multiply(np.rint(np.multiply(P, 1 / p, out=R), out=R), p, out=R)
+            np.matmul(A.astype(real), B, out=P)
+            np.multiply(np.rint(np.multiply(P, real(1 / p), out=R), out=R), p, out=R)
             zero = (R == P).reshape(len(H), m, -1).all(axis=1)
             h, t = np.divmod(np.flatnonzero(zero), len(tails))  # head-major, tail fastest
             yield len(H) * len(tails), np.concatenate([H[h], tails[t]], axis=1)

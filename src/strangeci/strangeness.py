@@ -221,6 +221,8 @@ def _require_prime_rational(v: ProjectivePoint) -> ProjectivePoint:
 
 def _moved(S: PolynomialSystem, v: ProjectivePoint) -> tuple[ProjectivePoint, PolynomialSystem, GradedIdeal]:
     """v as a GF(p)-point, S with v moved to (1:0:...:0), and the ideal of the moved system."""
+    if v.field.p != S.field.p:
+        raise FieldMismatchError(f"vertex over {v.field} but system over {S.field}: characteristics differ")
     v = _require_prime_rational(v)
     SM = S.linear_change(move_point_to_origin_chart(v).rows)
     return v, SM, GradedIdeal(SM.gens)

@@ -362,6 +362,19 @@ class TestInputHandling:
         self.assert_one_error_line(code, out, err)
         assert "2 coordinates, expected N+1 = 3" in err
 
+    @pytest.mark.parametrize("cmd", ["strange-check", "cone-check"])
+    def test_vertex_of_other_characteristic(self, capsys, cmd):
+        # (1:1:0) holds valid encodings of GF(2) too: only the characteristic tells them apart
+        code, out, err = run(
+            capsys,
+            cmd,
+            "--char", "2", "--n", "2",
+            "--poly", "z0^2+z1*z2",
+            "--vertex", "@GF(3)(1:1:0)",
+        )
+        self.assert_one_error_line(code, out, err)
+        assert "GF(3)" in err and "GF(2)" in err
+
     def test_huge_characteristic_rejected_quickly(self):
         # the order bound is checked before trial division, which would take hours here
         proc = subprocess.run(

@@ -190,35 +190,49 @@ class TestBlockEvaluator:
 
     @staticmethod
     def polys(F, n_vars, rng):
-        """Dense forms of degrees 0..4, whose monomials give a zero coordinate
-        exponent 0 or a positive one; a form whose every monomial involves z0;
-        and one of degree q + 1, whose exponents pass q - 1."""
-        pad = (0,) * (n_vars - 2)
+        """Forms over F's prime field: dense ones of degrees 0..4, whose monomials
+        give a zero coordinate exponent 0 or a positive one; a form whose every
+        monomial involves z0; and one of degree q + 1, whose exponents pass q - 1."""
+        P, pad = make_field(F.p), (0,) * (n_vars - 2)
         out = []
         for e in range(5):
             basis = monomials_of_degree(n_vars, e)
-            out.append(HomogeneousPolynomial(F, n_vars, e, {mo: rng.randrange(1, F.p) for mo in basis}))
-        out.append(HomogeneousPolynomial(F, n_vars, 3, {(3, 0) + pad: 1, (1, 2) + pad: F.p - 1}))
+            out.append(HomogeneousPolynomial(P, n_vars, e, {mo: rng.randrange(1, F.p) for mo in basis}))
+        out.append(HomogeneousPolynomial(P, n_vars, 3, {(3, 0) + pad: 1, (1, 2) + pad: F.p - 1}))
         q = F.order
-        out.append(HomogeneousPolynomial(F, n_vars, q + 1, {(q + 1, 0) + pad: 1, (1, q) + pad: 1, pad + (0, q + 1): 1}))
+        out.append(HomogeneousPolynomial(P, n_vars, q + 1, {(q + 1, 0) + pad: 1, (1, q) + pad: 1, pad + (0, q + 1): 1}))
         return out
 
     # over GF(2), q - 1 = 1: every nonzero log is 0 and the zero sentinel is 1
-    @pytest.mark.parametrize("p,n_vars", [(2, 4), (3, 3), (65521, 3)])
-    def test_matches_scalar_evaluate(self, p, n_vars):
-        F = make_field(p)
-        rng = random.Random(f"block-{p}")
+    FIELDS = [(2, 1, 4), (3, 1, 3), (65521, 1, 3), (2, 2, 4), (2, 3, 4), (3, 2, 3), (5, 2, 3), (2, 8, 3)]
+
+    @pytest.mark.parametrize("p,m,n_vars", FIELDS, ids=[f"{p}-{n}" if m == 1 else f"{p}^{m}-{n}" for p, m, n in FIELDS])
+    def test_matches_scalar_evaluate(self, p, m, n_vars):
+        F = make_field(p, m)
+        rng = random.Random(f"block-{F.order}")
         polys = self.polys(F, n_vars, rng)
         # random points, a third of the coordinates zero
-        rows = [[0 if rng.random() < 0.3 else rng.randrange(p) for _ in range(n_vars)] for _ in range(300)]
+        rows = [[0 if rng.random() < 0.3 else rng.randrange(F.order) for _ in range(n_vars)] for _ in range(300)]
         points = [np.array(rows, dtype=np.int64)]
-        if p < 5:  # every point of P^(n_vars - 1)
-            points.extend(_point_blocks(p, n_vars))
+        if F.order < 10:  # every point of P^(n_vars - 1)
+            points.extend(_point_blocks(F.order, n_vars))
         X = np.concatenate(points)
         got = _BlockEvaluator(polys, F)(X)
-        assert got.shape == (len(X), len(polys))
+        assert got.shape == (len(X), len(polys)) and got.dtype == np.int64
         assert got.tolist() == [[f.evaluate(row.tolist(), F) for f in polys] for row in X]
         assert (got[X.any(axis=1)] != 0).any() and (got[:, 1:] == 0).any()
+
+    def test_exact_past_float64_bound(self):
+        """8 256 terms over GF(1048571): T (p-1)^2 passes 2^53, and at (-1, -1, -1),
+        where every monomial of odd degree is -1, so does the sum of the products."""
+        p, e = 1048571, 127  # not 1048573, whose lazily built tables test_gf inspects
+        F, rng = make_field(p), random.Random("block-2^53")
+        f = HomogeneousPolynomial(F, 3, e, {mo: rng.randrange(p - 8, p) for mo in monomials_of_degree(3, e)})
+        E, C = f.arrays()
+        assert len(C) * (p - 1) ** 2 >= 1 << 53
+        rows = [[p - 1] * 3, [1, 0, 0], [0, 2, p - 2]] + [[rng.randrange(p) for _ in range(3)] for _ in range(5)]
+        got = _BlockEvaluator((E, C[:, None]), F)(np.array(rows, dtype=np.int64))
+        assert got[:, 0].tolist() == [f.evaluate(row, F) for row in rows]
 
     def test_float_log_table_shared_and_read_only(self):
         """Evaluators over one field and zero sentinel read one float64 log table."""
@@ -253,10 +267,12 @@ class TestSplitFilter:
         monkeypatch.setattr(geometry, "_point_blocks", spy)
         return grids
 
-    # e = 0 stands for the smooth quadric quadric_normal_form(n_vars - 1, p)
+    # e = 0 stands for the smooth quadric quadric_normal_form(n_vars - 1, p).  Over
+    # GF(257) in P^2, degree 9 (at most 55 terms, 55 * 256^2 < 2^22) takes the float32
+    # product and degree 10 (65 nonzero terms here) the float64 one.
     @pytest.mark.parametrize(
         "p,m,n_vars,e",
-        [(5, 2, 5, 0), (5, 2, 5, 3), (2, 6, 4, 3), (3, 3, 5, 2), (257, 1, 3, 2), (2, 4, 4, 4)],
+        [(5, 2, 5, 0), (5, 2, 5, 3), (2, 6, 4, 3), (3, 3, 5, 2), (257, 1, 3, 2), (2, 4, 4, 4), (257, 1, 3, 9), (257, 1, 3, 10)],
     )
     def test_survivors_match_block_path_in_order(self, p, m, n_vars, e, monkeypatch):
         rng = random.Random(f"split-{p}-{m}-{e}")

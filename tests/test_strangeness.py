@@ -311,6 +311,14 @@ class TestIsStrangeFor:
         with pytest.raises(UnsupportedVertexError):
             is_strange_for(S, parse_point("@GF(2^2)(1:t:0)", F2))
 
+    def test_vertex_of_other_characteristic_rejected(self):
+        S = quadric_normal_form(2, 2)
+        for text in ("@GF(3)(1:1:0)", "@GF(3^2)(1:0:0)"):
+            with pytest.raises(FieldMismatchError):
+                is_strange_for(S, parse_point(text, F2))
+            with pytest.raises(FieldMismatchError):
+                is_cone_with_vertex(S, parse_point(text, F2))
+
     def test_prime_rational_extension_vertex_accepted(self):
         S = quadric_normal_form(2, 2)
         assert is_strange_for(S, parse_point("@GF(2^2)(1:0:0)", F2)).verdict
