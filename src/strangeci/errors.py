@@ -32,11 +32,13 @@ class UnsupportedVertexError(InvalidInputError):
 class BudgetExceededError(StrangeCIError):
     """A search exhausted its point-evaluation budget.
 
-    ``partial`` holds the results collected before the budget ran out and
-    ``completed_m`` the largest extension degree that was fully scanned.
+    ``partial`` holds the results collected before the budget ran out,
+    ``completed_m`` the largest extension degree that was fully scanned and
+    ``used`` the points charged to the budget, those of the scanned degrees.
     """
 
-    def __init__(self, message, partial=None, completed_m=0):
+    def __init__(self, message, partial=None, completed_m=0, used=0):
         super().__init__(message)
         self.partial = partial if partial is not None else []
         self.completed_m = completed_m
+        self.used = used

@@ -5,8 +5,13 @@ Jacobian singularity criterion, and exhaustive singular-point search over
 bounded field extensions.
 
 The search enumerates normalized projective representatives (first nonzero
-coordinate 1) over GF(p^m) for m = 1..m_max, in blocks of 2^16 points.  A
-block evaluator computes polynomials at once from exponent and coefficient
+coordinate 1) over GF(p^m) for m = 1..m_max, in blocks of 2^16 points.  The
+generators have GF(p) coefficients, so Frobenius maps the singular locus to
+itself.  Over GF(p^m), m > 1, the coordinate after the pivot therefore runs
+only over the least element of each orbit of x -> x^p: that keeps the least
+conjugate of every point, and first among its conjugates.  The budget is
+charged each level's whole grid before the level is enumerated.  A block
+evaluator computes polynomials at once from exponent and coefficient
 matrices through the field's discrete-log tables, one float64 path for every
 field, its log and digit products in BLAS and exact below 2^53.  On a grid of
 at least 2^10 points and 16 times the tail grid, the first generator f splits
@@ -15,11 +20,12 @@ in P^(N-w): f(h, t) is the sum over tail exponents tau of t^tau g_tau(h), and
 multiplying by g_tau(h) is the m x m matrix over GF(p) whose column j holds
 the digits of g_tau(h) x^j.  So f's digits on a chunk of heads times all tails
 are one product P = (heads*m x tau*m) @ (tau*m x tails), zero mod p where
-P == p rint(P/p).  With b = f's term count times m(p-1)^2, it runs in float32,
-exact for b < 2^22, and else in float64, exact for b < 2^51.  Other grids,
-zero heads, later generators and the r(N+1) partials at the survivors take
-the block evaluator, and a batched Gaussian elimination tests the Jacobian
-ranks.  Points come at their minimal field, one per Galois orbit.
+P == p rint(P/p).  Each entry of P is at most b = the number of tail exponents
+times m(p-1)^2; the product runs in float32, exact for b < 2^22, and else in
+float64, exact for b < 2^51.  Other grids, zero heads, later generators and
+the r(N+1) partials at the survivors take the block evaluator, and a batched
+Gaussian elimination tests the Jacobian ranks.  Points come at their minimal
+field, one per Galois orbit.
 """
 
 from __future__ import annotations
@@ -371,18 +377,20 @@ def _rank_below(J: np.ndarray, r: int, F: Field) -> np.ndarray:
     return rank < r
 
 
-def _point_blocks(q: int, n_plus_1: int, block: int = _BLOCK):
+def _point_blocks(q: int, n_plus_1: int, block: int = _BLOCK, reps: np.ndarray | None = None):
     """Yield blocks of normalized projective representatives over GF(q).
 
     For pivot position i the coordinates are (0,...,0,1,*,...,*) with the
-    free tail enumerated in odometer order, last coordinate fastest.
-    Consecutive pivots share a block, so every block but the last holds
-    ``block`` points.
+    free tail enumerated in odometer order, last coordinate fastest.  With
+    ``reps``, an increasing array of encodings, the coordinate after the
+    pivot runs over reps alone.  Consecutive pivots share a block, so every
+    block but the last holds ``block`` points.
     """
     parts: list[np.ndarray] = []
     filled = 0
     for pivot in range(n_plus_1):
-        total = q ** (n_plus_1 - 1 - pivot)
+        free = n_plus_1 - 1 - pivot
+        total = q**free if reps is None or not free else len(reps) * q ** (free - 1)
         start = 0
         while start < total:
             count = min(block - filled, total - start)
@@ -390,9 +398,11 @@ def _point_blocks(q: int, n_plus_1: int, block: int = _BLOCK):
             coords = np.zeros((count, n_plus_1), dtype=np.int64)
             coords[:, pivot] = 1
             rem = idx
-            for j in range(n_plus_1 - 1, pivot, -1):
+            for j in range(n_plus_1 - 1, pivot + 1, -1):
                 coords[:, j] = rem % q
                 rem = rem // q
+            if free:
+                coords[:, pivot + 1] = rem if reps is None else reps[rem]
             parts.append(coords)
             filled += count
             start += count
@@ -403,34 +413,39 @@ def _point_blocks(q: int, n_plus_1: int, block: int = _BLOCK):
         yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _first_zeros(f: HomogeneousPolynomial, F: Field, n_plus_1: int):
-    """Yield (points enumerated, the zeros of f among them) in enumeration order,
-    by the head x tail product of the module docstring where it applies."""
+def _first_zeros(f: HomogeneousPolynomial, F: Field, n_plus_1: int, reps: np.ndarray | None = None):
+    """Yield the zeros of f among the points of ``_point_blocks(q, n_plus_1, reps=reps)``,
+    in enumeration order, by the head x tail product of the module docstring where it applies."""
     q, p, m = F.order, F.p, F.m
     w = 2 if 4 * q * q <= _BLOCK else 1  # a wider tail grid costs more to set up than it saves
     E, c = f.arrays()
-    rest, bound = _point_blocks(q, n_plus_1), len(c) * m * (p - 1) ** 2
-    real = np.float32 if bound < 1 << 22 else np.float64  # exact below 2^22 and 2^51
-    if bound < 1 << 51 and q**w <= _BLOCK and max(1 << 10, 16 * q**w) <= (q**n_plus_1 - 1) // (q - 1):
+    rest, bound = _point_blocks(q, n_plus_1, reps=reps), 1 << 51  # the block path unless split
+    if q**w <= _BLOCK and max(1 << 10, 16 * q**w) <= (q**n_plus_1 - 1) // (q - 1):
         taus, tau_of = np.unique(E[:, n_plus_1 - w :], axis=0, return_inverse=True)
+        bound = len(taus) * m * (p - 1) ** 2  # an entry of P sums len(taus) m products of two digits
+    if bound < 1 << 51:
+        real = np.float32 if bound < 1 << 22 else np.float64  # exact below 2^22 and 2^51
         heads = _BlockEvaluator((E[:, : n_plus_1 - w], np.eye(len(taus), dtype=np.int64)[tau_of] * c[:, None]), F)
         tails = np.indices((q,) * w).reshape(w, -1).T  # odometer, last coordinate fastest
+        # after the head (0,...,0,1) comes the tail's first coordinate, restricted to reps
+        after_last = np.isin(tails[:, 0], np.arange(q) if reps is None else reps)
         T = _BlockEvaluator((taus, np.eye(len(taus), dtype=np.int64)), F)(tails)
         B = (T.T[:, None] // F.place[:, None] % p).reshape(-1, len(tails)).astype(real)
         buffers = np.empty((2, _BLOCK // len(tails) * m, len(tails)), real)  # fresh ones cost page faults
-        for H in _point_blocks(q, n_plus_1 - w, _BLOCK // len(tails)):
+        for H in _point_blocks(q, n_plus_1 - w, _BLOCK // len(tails), reps):
             G = F.mul_array(heads(H)[:, :, None], F.place)  # g_tau(h) x^j, axes (head, tau, j)
             A = (G[:, None] // F.place[:, None, None] % p).reshape(len(H) * m, -1)  # rows (head, digit)
             P, R = buffers[:, : len(A)]
             np.matmul(A.astype(real), B, out=P)
             np.multiply(np.rint(np.multiply(P, real(1 / p), out=R), out=R), p, out=R)
             zero = (R == P).reshape(len(H), m, -1).all(axis=1)
+            zero[~H[:, :-1].any(axis=1)] &= after_last
             h, t = np.divmod(np.flatnonzero(zero), len(tails))  # head-major, tail fastest
-            yield len(H) * len(tails), np.concatenate([H[h], tails[t]], axis=1)
-        rest = (np.pad(X, ((0, 0), (n_plus_1 - w, 0))) for X in _point_blocks(q, w))  # zero heads
+            yield np.concatenate([H[h], tails[t]], axis=1)
+        rest = (np.pad(X, ((0, 0), (n_plus_1 - w, 0))) for X in _point_blocks(q, w, reps=reps))  # zero heads
     ev = _BlockEvaluator((E, c[:, None]), F)
     for coords in rest:
-        yield len(coords), coords[ev(coords)[:, 0] == 0]
+        yield coords[ev(coords)[:, 0] == 0]
 
 
 def singular_search(
@@ -443,9 +458,13 @@ def singular_search(
 
     Each point is reported once, at its minimal field of definition, with
     Galois-conjugate orbits collapsed to the representative least in
-    enumeration order.  Raises BudgetExceededError (with partial results)
-    when the point-evaluation budget runs out.  With ``stop_early`` the
-    scan stops after the first extension degree that yields any point.
+    enumeration order; over GF(p^m), m > 1, only the points whose coordinate
+    after the pivot is a Frobenius-orbit representative are enumerated.  The
+    budget counts whole grids, (q^(N+1) - 1)/(q - 1) points at q = p^m, each
+    charged before its level is enumerated; a level that does not fit raises
+    BudgetExceededError with the results of the levels before it.  With
+    ``stop_early`` the scan stops after the first extension degree that
+    yields any point.
     """
     if m_max < 1:
         raise InvalidInputError("m_max must be >= 1")
@@ -461,14 +480,15 @@ def singular_search(
     used = 0
     for m in range(1, m_max + 1):
         F = make_field(p, m)
+        grid = (F.order**n1 - 1) // (F.order - 1)
+        if used + grid > budget:
+            msg = f"point budget {budget} exhausted at extension degree {m}"
+            raise BudgetExceededError(msg, partial=found, completed_m=m - 1, used=used)
+        used += grid
         later_gens = [_BlockEvaluator(EC, F) for EC in later]
         jacobian = _BlockEvaluator(partials, F)
         level_hits: list[ProjectivePoint] = []
-        for count, pts in _first_zeros(gens[0], F, n1):
-            used += count
-            if used > budget:
-                msg = f"point budget {budget} exhausted at extension degree {m}"
-                raise BudgetExceededError(msg, partial=found, completed_m=m - 1)
+        for pts in _first_zeros(gens[0], F, n1, F.frobenius_representatives() if m > 1 else None):
             for ev in later_gens:
                 pts = pts[ev(pts)[:, 0] == 0]
             J = jacobian(pts).reshape(pts.shape[0], S.r, n1)

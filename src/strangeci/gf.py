@@ -7,7 +7,8 @@ doubles as the deterministic enumeration order (odometer, low-degree
 coefficient fastest).  A :class:`Field` exposes arithmetic directly on the
 integer encodings, on Python ints and elementwise on int64 numpy arrays, and
 alone holds their digits for numpy code: ``place``, the encodings of x^j,
-:meth:`Field.to_digits` and :meth:`Field.mul_matrices`.
+:meth:`Field.to_digits` and :meth:`Field.mul_matrices`; and the least element of
+each Frobenius orbit, :meth:`Field.frobenius_representatives`.
 :class:`FieldElement` is a thin operator-overloading wrapper on top of that,
 and :meth:`Field.encode` reads a mix of elements and integers as encodings.
 Element and polynomial text share one grammar, read by :func:`text_terms`.
@@ -156,7 +157,7 @@ class Field:
     guarantees one object per (p, m).
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "place", "_exp", "_log", "_arrays")
+    __slots__ = ("p", "m", "order", "modulus", "place", "_exp", "_log", "_arrays", "_reps")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -168,6 +169,7 @@ class Field:
         self._exp: memoryview | None = None  # read-only views of the int64 tables
         self._log: memoryview | None = None
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._reps: np.ndarray | None = None
         if m > 1:
             self._build_tables()
 
@@ -320,6 +322,24 @@ class Field:
             digits.flags.writeable = False
             self._arrays = (exp2, log, digits)
         return self._arrays
+
+    def frobenius_representatives(self) -> np.ndarray:
+        """The least encoding in each orbit of a -> a^p, in increasing order, as a
+        read-only int64 array built on first use: 0, and every a > 0 that is at
+        most each exp[p^k log a mod (q-1)], k < m.  Over GF(p) every element."""
+        if self._reps is None:
+            exp2, log, _ = self.array_tables()
+            q1 = self.order - 1
+            powers = log[1:].copy()  # log a^(p^k) for a = 1..q-1
+            least = np.arange(1, self.order)
+            for _ in range(self.m - 1):
+                powers *= self.p
+                powers %= q1
+                np.minimum(least, exp2[powers], out=least)
+            reps = np.flatnonzero(least == np.arange(1, self.order)) + 1
+            self._reps = np.concatenate([[0], reps])
+            self._reps.flags.writeable = False
+        return self._reps
 
     def add_array(self, a, b) -> np.ndarray:
         p = self.p

@@ -10,7 +10,7 @@ from strangeci.errors import (
     InvalidInputError,
     SingularPointError,
 )
-from strangeci.exactla import MatrixOverField, mat_mul, rank
+from strangeci.exactla import MatrixOverField, mat_mul, rank, rank_and_kernel
 from strangeci.families import (
     quadric_normal_form,
     strange_hypersurface_p_divides,
@@ -225,7 +225,7 @@ class TestBlockEvaluator:
     def test_exact_past_float64_bound(self):
         """8 256 terms over GF(1048571): T (p-1)^2 passes 2^53, and at (-1, -1, -1),
         where every monomial of odd degree is -1, so does the sum of the products."""
-        p, e = 1048571, 127  # not 1048573, whose lazily built tables test_gf inspects
+        p, e = 1048571, 127
         F, rng = make_field(p), random.Random("block-2^53")
         f = HomogeneousPolynomial(F, 3, e, {mo: rng.randrange(p - 8, p) for mo in monomials_of_degree(3, e)})
         E, C = f.arrays()
@@ -260,33 +260,78 @@ class TestSplitFilter:
         enumerate: the whole grid on the block path, heads and tails when split."""
         grids = []
 
-        def spy(q, n, *args):
+        def spy(q, n, *args, **kwargs):
             grids.append(n)
-            yield from _point_blocks(q, n, *args)
+            yield from _point_blocks(q, n, *args, **kwargs)
 
         monkeypatch.setattr(geometry, "_point_blocks", spy)
         return grids
 
     # e = 0 stands for the smooth quadric quadric_normal_form(n_vars - 1, p).  Over
-    # GF(257) in P^2, degree 9 (at most 55 terms, 55 * 256^2 < 2^22) takes the float32
-    # product and degree 10 (65 nonzero terms here) the float64 one.
+    # GF(257) in P^2 the tail is z2 alone, so an entry of P sums at most e + 1
+    # products of digits: below 11 * 256^2 < 2^22, the float32 product.
     @pytest.mark.parametrize(
         "p,m,n_vars,e",
         [(5, 2, 5, 0), (5, 2, 5, 3), (2, 6, 4, 3), (3, 3, 5, 2), (257, 1, 3, 2), (2, 4, 4, 4), (257, 1, 3, 9), (257, 1, 3, 10)],
     )
     def test_survivors_match_block_path_in_order(self, p, m, n_vars, e, monkeypatch):
+        """On the whole grid and on the grid restricted to Frobenius-orbit representatives."""
         rng = random.Random(f"split-{p}-{m}-{e}")
         f = self.random_form(p, n_vars, e, rng) if e else quadric_normal_form(n_vars - 1, p).gens[0]
         F = make_field(p, m)
-        grids = self.enumerated_grids(monkeypatch)
-        got = list(_first_zeros(f, F, n_vars))
-        assert grids and n_vars not in grids, "the grid should take the head x tail product"
         ev = _BlockEvaluator([f], F)
-        blocks = list(_point_blocks(F.order, n_vars))
-        expect = np.concatenate([X[ev(X)[:, 0] == 0] for X in blocks])
-        assert sum(count for count, _ in got) == sum(len(X) for X in blocks)
-        assert np.array_equal(np.concatenate([pts for _, pts in got]), expect)
-        assert 0 < len(expect) < sum(len(X) for X in blocks)
+        for reps in [None, F.frobenius_representatives()]:
+            grids = self.enumerated_grids(monkeypatch)
+            got = list(_first_zeros(f, F, n_vars, reps))
+            assert grids and n_vars not in grids, "the grid should take the head x tail product"
+            monkeypatch.undo()
+            blocks = list(_point_blocks(F.order, n_vars, reps=reps))
+            expect = np.concatenate([X[ev(X)[:, 0] == 0] for X in blocks])
+            assert np.array_equal(np.concatenate(got), expect)
+            assert 0 < len(expect) < sum(len(X) for X in blocks)
+
+    def test_float64_product_past_float32_range(self, monkeypatch):
+        """f = z1^40 - (z0^40 + z0^39 z2 + ... + z2^40) over GF(1021): at a head (1, x),
+        P = (x^40 - 1) + 1020 (t + t^2 + ... + t^40 mod p), which passes 2^24 at
+        nearly every tail t, where float32 no longer holds every integer."""
+        p, d = 1021, 40
+        F = make_field(p)
+        terms = {(d - k, 0, k): p - 1 for k in range(d + 1)}
+        terms[(0, d, 0)] = 1
+        f = HomogeneousPolynomial(F, 3, d, terms)
+        t = np.arange(p)
+        powers = sum((p - 1) * np.array([pow(int(x), k, p) for x in t]) for k in range(1, d + 1))
+        assert (powers >= 1 << 24).mean() > 0.9
+        grids = self.enumerated_grids(monkeypatch)
+        got = np.concatenate(list(_first_zeros(f, F, 3)))
+        assert grids and 3 not in grids, "the grid should take the head x tail product"
+        monkeypatch.undo()
+        ev = _BlockEvaluator([f], F)
+        expect = np.concatenate([X[ev(X)[:, 0] == 0] for X in _point_blocks(p, 3)])
+        assert np.array_equal(got, expect) and len(expect) > 1000
+
+    @pytest.mark.parametrize("p,m,n_vars", [(2, 2, 4), (2, 3, 3), (2, 4, 3), (3, 2, 3), (3, 3, 3), (5, 2, 3), (2, 3, 4), (2, 6, 2)])
+    def test_restricted_grid_keeps_every_galois_orbit_in_order(self, p, m, n_vars):
+        """The points whose coordinate after the pivot is a Frobenius-orbit
+        representative meet every orbit, and their Galois-canonical points come
+        in the order of the whole grid's: each orbit's canonical point comes first."""
+        F = make_field(p, m)
+        reps = F.frobenius_representatives()
+
+        def first_of_each_orbit(reps):
+            """{canonical point: the first point of its orbit}, in enumeration order, and the point count."""
+            rows = np.concatenate(list(_point_blocks(F.order, n_vars, reps=reps))).tolist()
+            first = {}
+            for row in rows:
+                a = ProjectivePoint(F, row)
+                first.setdefault(a.galois_canonical(), a)
+            return first, len(rows)
+
+        full, full_count = first_of_each_orbit(None)
+        restricted, count = first_of_each_orbit(reps)
+        assert list(restricted) == list(full)
+        assert all(canon == a for canon, a in restricted.items())
+        assert count == 1 + sum(len(reps) * F.order**k for k in range(n_vars - 1)) < full_count
 
     @pytest.mark.parametrize("p,m,n_vars", [(2, 3, 4), (3, 2, 4), (5, 2, 3), (2, 6, 3)])
     def test_small_grids_keep_block_path(self, p, m, n_vars, monkeypatch):
@@ -296,14 +341,15 @@ class TestSplitFilter:
         assert grids == [n_vars]
 
     def test_exact_budget_at_level_boundaries(self):
-        """781 points at m = 1 and 407 682 at m <= 2: the budget is charged
-        point for point on both the split and the block path."""
+        """781 points at m = 1 and 407 682 at m <= 2: each level is charged its
+        whole grid, though GF(25) enumerates only its Frobenius-orbit representatives."""
         S = quadric_normal_form(4, 5)
         assert singular_search(S, m_max=2, budget=407_682) == []
-        for budget, completed in [(407_681, 1), (780, 0)]:
+        for budget, completed, used in [(407_681, 1, 781), (780, 0, 0)]:
             with pytest.raises(BudgetExceededError) as exc:
                 singular_search(S, m_max=2, budget=budget)
             assert exc.value.completed_m == completed and exc.value.partial == []
+            assert exc.value.used == used
 
 
 class TestSingularSearch:
@@ -345,6 +391,26 @@ class TestSingularSearch:
                         expect.append(hit)
         return expect
 
+    @staticmethod
+    def singular_at(a, e, rng):
+        """A random form of degree e over GF(p) singular at a, and so at a's conjugates: its
+        coefficients are a random nonzero vector of the kernel of the GF(p)-linear
+        conditions f(a) = 0 and df/dz_j(a) = 0, each read digit by digit."""
+        F, n_vars = a.field, a.n + 1
+        P = make_field(F.p)
+        basis = monomials_of_degree(n_vars, e)
+        monos = [HomogeneousPolynomial(P, n_vars, e, {mo: 1}) for mo in basis]
+        rows = []
+        for h in [monos] + [[mo.partial_derivative(j) for mo in monos] for j in range(n_vars)]:
+            digits = [F.coeffs(g.evaluate(a.coords, F)) for g in h]
+            rows += [[d[k] for d in digits] for k in range(F.m)]
+        _, kernel = rank_and_kernel(MatrixOverField(P, rows, ncols=len(basis)))
+        while True:
+            mult = [rng.randrange(P.p) for _ in kernel]
+            coeffs = [sum(c * v[i] for c, v in zip(mult, kernel)) % P.p for i in range(len(basis))]
+            if any(coeffs):
+                return HomogeneousPolynomial(P, n_vars, e, dict(zip(basis, coeffs)))
+
     def test_matches_bruteforce_oracle(self):
         rng = random.Random(14)
         from strangeci.census import CensusSpec, sample_hv
@@ -371,12 +437,37 @@ class TestSingularSearch:
                 systems.append((PolynomialSystem(gens), 2))
             spec = CensusSpec(p=p, N=N, degrees=degrees, count=3, seed=rng.randrange(1 << 30))
             systems.extend((S, 2) for S in sample_hv(spec))
+        # Up to m_max = 3 or 4, whose last level takes the head x tail product over
+        # GF(8) in P^4 and GF(16) and GF(27) in P^3: hypersurfaces singular at a planted
+        # point.  Planted at a pair over GF(4) or GF(9), the singular locus holds pairs
+        # only at this seed.  Over GF(16) the coordinate after the pivot lies in a proper
+        # subfield: x4 in GF(4) for (1:x4:g:1) and (0:1:x4:g), 1 in GF(2) for (0:1:1:g);
+        # in the last two it is the tail's first coordinate, behind the head (0:1).
+        F4, F8, F9, F16, F27 = (make_field(p, m) for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+        x4, g = F16.array_tables()[0][[5, 1]].tolist()  # g^5 has order 3: it lies in GF(4)
+        planted = [
+            (ProjectivePoint(F4, [1, 2, 3, 0]), 4, 4, True),
+            (ProjectivePoint(F4, [1, 2, 0, 1, 3]), 3, 3, True),
+            (ProjectivePoint(F9, [0, 1, 4, 0]), 3, 3, True),
+            (ProjectivePoint(F16, [1, x4, g, 1]), 4, 4, False),
+            (ProjectivePoint(F16, [0, 1, x4, g]), 4, 4, False),
+            (ProjectivePoint(F16, [0, 1, 1, g]), 4, 4, False),
+            (ProjectivePoint(F8, [1, 1, 2, 0, 1]), 3, 3, False),
+            (ProjectivePoint(F27, [1, 2, 3, 1]), 3, 3, False),
+        ]
         nonempty = 0
         for S, m_max in systems:
             expect = self.bruteforce_singular_points(S, m_max)
             assert singular_search(S, m_max=m_max) == expect, str(S)
             nonempty += bool(expect)
         assert nonempty >= 6
+        prng = random.Random(0)
+        for a, e, m_max, pairs_only in planted:
+            S = PolynomialSystem([self.singular_at(a, e, prng)])
+            expect = self.bruteforce_singular_points(S, m_max)
+            assert singular_search(S, m_max=m_max) == expect, str(S)
+            assert (a.field.m, a.galois_canonical()) in expect
+            assert not pairs_only or all(m == 2 for m, _ in expect)
 
     def test_stop_early(self):
         hits = singular_search(
@@ -385,11 +476,16 @@ class TestSingularSearch:
         assert hits and all(m == 1 for m, _ in hits)
 
     def test_budget_exceeded_carries_partial(self):
+        """15 + 85 points fill a budget of 100 at m = 2; GF(8)'s 585 do not fit."""
         S = quadric_normal_form(3, 2)
         with pytest.raises(BudgetExceededError) as exc:
             singular_search(S, m_max=5, budget=100)
         assert exc.value.partial == []
-        assert exc.value.completed_m >= 1
+        assert exc.value.completed_m == 2 and exc.value.used == 100
+
+    def test_budget_exceeded_error_defaults(self):
+        exc = BudgetExceededError("out of points")
+        assert (str(exc), exc.partial, exc.completed_m, exc.used) == ("out of points", [], 0, 0)
 
     def test_budget_env_override(self, monkeypatch):
         from strangeci.geometry import point_budget

@@ -1,13 +1,19 @@
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strangeci
 from strangeci.errors import FieldMismatchError, InvalidInputError
 from strangeci.gf import Field, FieldElement, embed, make_field
 
@@ -169,23 +175,34 @@ class TestConstruction:
 
     def test_prime_field_tables_wait_for_array_tables(self):
         """GF(p) scalar arithmetic, elimination, linear changes and graded
-        ideals build no exp/log tables; array_tables builds them once."""
-        from strangeci.exactla import MatrixOverField, rank
-        from strangeci.hompoly import HomogeneousPolynomial
-        from strangeci.strangeness import GradedIdeal
+        ideals build no exp/log tables; array_tables builds them once.  The
+        checks run in a fresh interpreter, as make_field holds one GF(1048573)
+        per process, whose tables any test before this one may have built."""
+        code = textwrap.dedent(
+            """
+            from strangeci.exactla import MatrixOverField, rank
+            from strangeci.gf import Field, make_field
+            from strangeci.hompoly import HomogeneousPolynomial
+            from strangeci.strangeness import GradedIdeal
 
-        F = make_field(1048573)
-        a, b = F.p - 2, 12345
-        assert F.mul(F.div(a, b), b) == a and F.pow(F.inv(a), -1) == a
-        assert rank(MatrixOverField(F, [[a, b], [b, a]])) == 2
-        f = HomogeneousPolynomial(F, 2, 2, {(2, 0): a, (1, 1): b})
-        g = f.linear_change([[1, 1], [0, 1]])
-        assert GradedIdeal([f]).contains(f * g.partial_derivative(0))
-        assert F._exp is None and F._log is None and F._arrays is None
-        fresh = Field(1021, 1, (0, 1))
-        assert fresh._exp is None
-        tables = fresh.array_tables()
-        assert fresh._exp is not None and fresh.array_tables() is tables
+            F = make_field(1048573)
+            a, b = F.p - 2, 12345
+            assert F.mul(F.div(a, b), b) == a and F.pow(F.inv(a), -1) == a
+            assert rank(MatrixOverField(F, [[a, b], [b, a]])) == 2
+            f = HomogeneousPolynomial(F, 2, 2, {(2, 0): a, (1, 1): b})
+            g = f.linear_change([[1, 1], [0, 1]])
+            assert GradedIdeal([f]).contains(f * g.partial_derivative(0))
+            assert F._exp is None and F._log is None and F._arrays is None
+            fresh = Field(1021, 1, (0, 1))
+            assert fresh._exp is None
+            tables = fresh.array_tables()
+            assert fresh._exp is not None and fresh.array_tables() is tables
+            """
+        )
+        src = str(Path(strangeci.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize(
         "p,m,modulus",
@@ -237,6 +254,19 @@ class TestArithmetic:
         F = make_field(5, 2)
         for a in range(5):
             assert F.frobenius(a) == a
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (7, 1)] + SMALL_EXTENSIONS)
+    def test_frobenius_representatives_are_orbit_minima(self, p, m):
+        """One element per orbit of a -> a^p, the least, in increasing order: as
+        many as there are necklaces of length m over p colours."""
+        F = make_field(p, m)
+        reps = F.frobenius_representatives()
+        orbit_min = {min(F.pow(a, p**k) for k in range(m)) for a in range(F.order)}
+        assert reps.tolist() == sorted(orbit_min)
+        phi = lambda n: sum(1 for k in range(1, n + 1) if np.gcd(k, n) == 1)
+        assert len(reps) * m == sum(phi(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
+        assert reps.dtype == np.int64 and not reps.flags.writeable
+        assert F.frobenius_representatives() is reps
 
     def test_division_by_zero(self):
         F = make_field(3)
