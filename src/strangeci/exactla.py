@@ -3,17 +3,21 @@
 Matrices carry integer-encoded entries (see :mod:`strangeci.gf`) and a
 field reference.  Elimination uses deterministic pivoting: the first
 nonzero entry scanning left-to-right, top-to-bottom.  Kernel bases and
-span-membership witnesses are therefore reproducible across runs.  Small
-matrices are eliminated on lists by :func:`rref`; large ones, such as
-Macaulay matrices, on int64 arrays by :func:`rref_array`, with the same result.
+span-membership witnesses are therefore reproducible across runs.  Every
+elimination goes through :func:`rref`, which runs a loop over Python rows
+below ``LOOP_CELLS`` entries and int64 updates on base-p digits from there on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import FieldMismatchError, InvalidInputError
+from .errors import InvalidInputError
 from .gf import Field
+
+# rows x columns from which rref takes the digit update: its fixed cost per pivot is tens of
+# microseconds, and the row loop is faster below 150-600 entries over GF(p), by the shape
+LOOP_CELLS = 300
 
 
 class MatrixOverField:
@@ -41,12 +45,27 @@ class MatrixOverField:
         return f"<{self.nrows}x{self.ncols} matrix over {self.field}>"
 
 
-def rref(field: Field, rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+def rref(field: Field, rows, ncols: int) -> tuple[list[list[int]] | np.ndarray, list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot columns).
 
+    ``rows`` is a list of rows or a 2-D integer array; its entries are first reduced mod the
+    field order, as :meth:`Field.encode` reduces integers.  The reduced rows come back in the
+    same container: lists of ints, or an int64 array.  Both strategies take the same pivots.
+    """
+    as_array, order = isinstance(rows, np.ndarray), field.order
+    if len(rows) * ncols < LOOP_CELLS:
+        lists = rows.tolist() if as_array else rows
+        R, pivots = _rref_rows(field, [[x % order for x in r] for r in lists], ncols)
+        return (np.array(R, dtype=np.int64).reshape(len(R), ncols) if as_array else R), pivots
+    R, pivots = _rref_digits(field, np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % order)
+    return (R if as_array else R.tolist()), pivots
+
+
+def _rref_rows(field: Field, R: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan on the list rows R in place.
+
     Over a prime field the row operations run on plain integers mod p;
-    over GF(p^m), m > 1, through the field's table arithmetic.  Both take
-    the same pivots, so they return the same rows.
+    over GF(p^m), m > 1, through the field's table arithmetic.
     """
     if field.m == 1:
         p = field.p
@@ -69,7 +88,6 @@ def rref(field: Field, rows: list[list[int]], ncols: int) -> tuple[list[list[int
             return [sub(x, mul(f, y)) for x, y in zip(row, piv)]
 
         inverse = field.inv
-    R = [list(r) for r in rows]
     m = len(R)
     pivots: list[int] = []
     pr = 0
@@ -96,15 +114,15 @@ def rref(field: Field, rows: list[list[int]], ncols: int) -> tuple[list[list[int
     return R, pivots
 
 
-def rref_array(F: Field, A) -> tuple[np.ndarray, list[int]]:
-    """:func:`rref` on an int64 array, over any field: the same pivots and rows.
+def _rref_digits(F: Field, R: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan on the int64 array R in place, entries in range(F.order).
 
-    Entries are first reduced mod the field order.  A pivot row is scaled with ``mul_array``;
-    its column is cleared from the other rows, in the trailing block only (the pivot row is
-    zero left of its pivot), by one update on base-p digits: digit s of f * y is
-    (to_digits(y) @ mul_matrices(f))[s] mod p, and with p <= 2^20 the m products summed fit in int64.
+    A pivot row is scaled with ``mul_array``; its column is cleared from the other rows, in the
+    trailing block only (the pivot row is zero left of its pivot), by one update on base-p digits:
+    digit s of f * y is (to_digits(y) @ mul_matrices(f))[s] mod p, and with p <= 2^20 the m
+    products summed fit in int64.
     """
-    R, p = np.array(A, dtype=np.int64) % F.order, F.p
+    p = F.p
     pivots: list[int] = []
     for col in range(R.shape[1]):
         pr = len(pivots)
@@ -130,25 +148,26 @@ def rank(M: MatrixOverField) -> int:
     return len(pivots)
 
 
-def rank_and_kernel(M: MatrixOverField) -> tuple[int, list[list[int]]]:
-    """Rank and a basis of the right kernel that is the identity on the free columns.
-
-    Kernel vectors are returned as lists of integer-encoded entries; each
-    basis vector has a 1 in its free column and zeros in the free columns
-    of the other basis vectors.
-    """
-    F = M.field
-    R, pivots = rref(F, M.rows, M.ncols)
+def kernel_basis(field: Field, R, pivots: list[int], ncols: int) -> list[list[int]]:
+    """Basis of the right kernel of a matrix, read from its reduced rows R and pivots: each
+    vector has a 1 in its free column and zeros in the other vectors' free columns."""
     pivot_set = set(pivots)
-    free = [j for j in range(M.ncols) if j not in pivot_set]
+    free = [j for j in range(ncols) if j not in pivot_set]
     basis = []
     for j in free:
-        vec = [0] * M.ncols
+        vec = [0] * ncols
         vec[j] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = F.neg(R[r][j])
+            vec[pc] = field.neg(int(R[r][j]))
         basis.append(vec)
-    return len(pivots), basis
+    return basis
+
+
+def rank_and_kernel(M: MatrixOverField) -> tuple[int, list[list[int]]]:
+    """Rank and a basis of the right kernel that is the identity on the free columns
+    (see :func:`kernel_basis`); kernel vectors are lists of integer-encoded entries."""
+    R, pivots = rref(M.field, M.rows, M.ncols)
+    return len(pivots), kernel_basis(M.field, R, pivots, M.ncols)
 
 
 def invert(M: MatrixOverField) -> MatrixOverField:
@@ -163,43 +182,16 @@ def invert(M: MatrixOverField) -> MatrixOverField:
     return MatrixOverField(M.field, [r[n:] for r in R], ncols=n)
 
 
-def mat_vec(M: MatrixOverField, vec: list[int]) -> list[int]:
-    F = M.field
-    out = []
-    for row in M.rows:
-        acc = 0
-        for a, b in zip(row, vec):
-            acc = F.add(acc, F.mul(a, b))
-        out.append(acc)
-    return out
-
-
-def mat_mul(A: MatrixOverField, B: MatrixOverField) -> MatrixOverField:
-    if A.field != B.field:
-        raise FieldMismatchError("matrix product over mixed fields")
-    if A.ncols != B.nrows:
-        raise InvalidInputError("inner dimensions disagree")
-    F = A.field
-    rows = []
-    for i in range(A.nrows):
-        row = []
-        for j in range(B.ncols):
-            acc = 0
-            for k in range(A.ncols):
-                acc = F.add(acc, F.mul(A.rows[i][k], B.rows[k][j]))
-            row.append(acc)
-        rows.append(row)
-    return MatrixOverField(F, rows, ncols=B.ncols)
-
-
 def in_span(
     field: Field, target: list[int], generators: list[list[int]]
 ) -> tuple[bool, list[int] | None]:
     """Decide membership of a vector in the span of generator vectors.
 
-    Returns (verdict, witness); on success the witness c satisfies
+    The target is encoded by :meth:`Field.encode`, and rref reduces the generators' entries by
+    the same rule.  Returns (verdict, witness); on success the witness c satisfies
     target = sum_i c_i * generators[i] (free coefficients set to zero).
     """
+    target = field.encode(target)
     n = len(target)
     if any(len(g) != n for g in generators):
         raise InvalidInputError("generator length mismatch")

@@ -198,12 +198,13 @@ class PolynomialSystem:
 
 
 class LinearSubspace:
-    """A vector subspace of K^(N+1), basis rows in reduced echelon form."""
+    """A vector subspace of K^(N+1), spanned by integer rows (read mod the field order)
+    and kept as basis rows in reduced echelon form."""
 
     __slots__ = ("field", "ambient_dim", "basis")
 
     def __init__(self, field: Field, ambient_dim: int, basis):
-        rows = [field.encode(row) for row in basis]
+        rows = list(basis)
         if any(len(r) != ambient_dim for r in rows):
             raise InvalidInputError("basis vector length mismatch")
         R, pivots = rref(field, rows, ambient_dim)
@@ -216,7 +217,9 @@ class LinearSubspace:
         return len(self.basis)
 
     def contains(self, vec) -> bool:
-        ok, _ = in_span(self.field, self.field.encode(vec), [list(b) for b in self.basis])
+        if len(vec) != self.ambient_dim:
+            raise InvalidInputError("vector length mismatch")
+        ok, _ = in_span(self.field, vec, self.basis)
         return ok
 
     def contains_point(self, a: ProjectivePoint) -> bool:

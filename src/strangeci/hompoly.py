@@ -34,7 +34,7 @@ from .errors import (
     InvalidInputError,
     ParseError,
 )
-from .exactla import MatrixOverField, rank
+from .exactla import rref
 from .gf import Field, text_terms
 
 Monomial = tuple[int, ...]
@@ -304,7 +304,7 @@ class HomogeneousPolynomial:
                         f"matrix entry [{i}][{j}] = {c!r} is not an element of {F} "
                         f"(an integer in range({F.order}))"
                     )
-        if rank(MatrixOverField(F, rows)) < n:
+        if len(rref(F, rows, n)[1]) < n:
             raise InvalidInputError("matrix is singular")
         return HomogeneousPolynomial._trusted(F, n, self.degree, arrays=_expand(self, rows))
 

@@ -2,9 +2,9 @@
 
 Every decision reduces to membership in graded pieces I_d of an ideal.  A
 :class:`GradedIdeal` builds each degree-d Macaulay matrix (the products
-m * f^k of degree d) once and eliminates it once with the int64 kernel
-:func:`~strangeci.exactla.rref_array`, over every field; every membership
-and annihilator question is then one digit-wise product with that echelon form.
+m * f^k of degree d) as an int64 array once and eliminates it once with
+:func:`~strangeci.exactla.rref`; every membership and annihilator question is
+then one digit-wise product with that echelon form.
 
 Strangeness of a complete-intersection system S for a GF(p)-rational point
 v is decided algebraically: move v to (1:0:...:0) by a deterministic
@@ -25,7 +25,7 @@ from math import comb
 import numpy as np
 
 from .errors import FieldMismatchError, InvalidInputError, UnsupportedVertexError
-from .exactla import MatrixOverField, in_span, rank_and_kernel, rref_array
+from .exactla import MatrixOverField, in_span, kernel_basis, rref
 from .geometry import LinearSubspace, PolynomialSystem, ProjectivePoint
 from .gf import make_field
 from .hompoly import (
@@ -135,7 +135,7 @@ class GradedIdeal:
     def _piece(self, d: int) -> tuple[np.ndarray, list[int]]:
         """Nonzero rows of the reduced echelon form of I_d, and their pivots."""
         if d not in self._pieces:
-            R, pivots = rref_array(self.field, self.macaulay_matrix(d))
+            R, pivots = rref(self.field, self.macaulay_matrix(d), self._dim(d))
             self._pieces[d] = (R[: len(pivots)], pivots)
         return self._pieces[d]
 
@@ -159,7 +159,7 @@ class GradedIdeal:
 
     def annihilator(self, d: int) -> np.ndarray:
         """The functionals vanishing on I_d, one per row: the kernel basis of the Macaulay
-        matrix that :func:`rank_and_kernel` gives, the identity on the free columns."""
+        matrix that :func:`~strangeci.exactla.rank_and_kernel` gives, the identity on the free columns."""
         return self.residues(np.eye(self._dim(d), dtype=np.int64), d).T
 
     def hilbert_function(self, d: int) -> int:
@@ -264,9 +264,9 @@ def strange_locus(S: PolynomialSystem) -> StrangeLocus:
     F = S.field
     n1 = S.n + 1
     ideal = GradedIdeal(S.gens)
-    condition_rows = [row for g in S.gens for row in ideal.residues(g.gradient_rows(), g.degree - 1).T.tolist()]
-    _, kernel = rank_and_kernel(MatrixOverField(F, condition_rows, ncols=n1))
-    return StrangeLocus(LinearSubspace(F, n1, kernel))
+    conditions = np.concatenate([ideal.residues(g.gradient_rows(), g.degree - 1).T for g in S.gens])
+    R, pivots = rref(F, conditions, n1)
+    return StrangeLocus(LinearSubspace(F, n1, kernel_basis(F, R, pivots, n1)))
 
 
 # -- normalization --------------------------------------------------------

@@ -17,7 +17,7 @@ from strangeci.census import (
     sample_hv,
     verify_singularity_theorem,
 )
-from strangeci.exactla import MatrixOverField, invert, mat_vec, rank
+from strangeci.exactla import MatrixOverField, invert, rank
 from strangeci.families import (
     quadric_normal_form,
     strange_hypersurface_p_divides,
@@ -34,6 +34,8 @@ from strangeci.geometry import (
 from strangeci.gf import make_field
 from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree, normalize_z0
 from strangeci.strangeness import is_cone_with_vertex, is_strange_for, strange_locus
+
+from matrices import mat_vec
 
 
 _capsys = None

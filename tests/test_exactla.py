@@ -2,20 +2,22 @@ import random
 
 import numpy as np
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from strangeci.errors import InvalidInputError
 from strangeci.exactla import (
+    LOOP_CELLS,
     MatrixOverField,
     in_span,
     invert,
-    mat_mul,
-    mat_vec,
     rank,
     rank_and_kernel,
     rref,
-    rref_array,
 )
 from strangeci.gf import make_field
+
+from matrices import mat_mul, mat_vec
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -67,73 +69,135 @@ class TestRankAndKernel:
         assert rank_and_kernel(M) == rank_and_kernel(M)
 
 
+def low_rank_rows(rng, F, m, n):
+    """An m x n matrix over F of rank at most r, a random product through inner dimension r."""
+    r = rng.randint(0, min(m, n))
+    B = [[rng.randrange(F.order) for _ in range(r)] for _ in range(m)]
+    C = [[rng.randrange(F.order) for _ in range(n)] for _ in range(r)]
+    return mat_mul(MatrixOverField(F, B, ncols=r), MatrixOverField(F, C, ncols=n)).rows
+
+
+def shapes(rng, count):
+    """Tall and wide shapes with LOOP_CELLS - 1, LOOP_CELLS and LOOP_CELLS + 1 entries, so that
+    rref runs each strategy at its edge, then ``count`` random shapes on both sides of it."""
+    out = []
+    for cells in (LOOP_CELLS - 1, LOOP_CELLS, LOOP_CELLS + 1):
+        r = max(d for d in range(1, int(cells**0.5) + 1) if cells % d == 0)
+        out += [(r, cells // r), (cells // r, r)]
+    return out + [(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(count)]
+
+
+def gauss_jordan(F, rows, ncols):
+    """Reference reduced echelon form through the field's scalar mul, sub and inv."""
+    R, pivots = [list(r) for r in rows], []
+    for col in range(ncols):
+        pr = len(pivots)
+        sel = next((i for i in range(pr, len(R)) if R[i][col]), None)
+        if sel is None:
+            continue
+        R[pr], R[sel] = R[sel], R[pr]
+        inv = F.inv(R[pr][col])
+        R[pr] = [F.mul(inv, x) for x in R[pr]]
+        for i in range(len(R)):
+            if i != pr:
+                f = R[i][col]
+                R[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(R[i], R[pr])]
+        pivots.append(col)
+    return R, pivots
+
+
+def check_rref(F, rows, n, expected):
+    """rref of the rows, given as lists and as an int64 array, equals ``expected``;
+    each result comes back in its input's container."""
+    R, pivots = rref(F, rows, n)
+    assert all(type(x) is int for r in R for x in r)
+    assert (R, pivots) == expected
+    A, pivots = rref(F, np.array(rows, dtype=np.int64).reshape(len(rows), n), n)
+    assert A.dtype == np.int64 and A.shape == (len(rows), n)
+    assert (A.tolist(), pivots) == expected
+    return len(pivots)
+
+
 class TestPrimeFieldElimination:
-    def test_matches_extension_field_path(self):
-        """Integer rows mod p reduce as they do in GF(p^2), whose table path is the reference."""
-        rng = random.Random(23)
-        deficient = 0
-        for p in (2, 3, 5, 7):
-            Fp, Fp2 = make_field(p), make_field(p, 2)
-            for _ in range(15):
-                m, n = rng.randint(1, 12), rng.randint(1, 15)
-                # a product through an inner dimension r has rank at most r
-                r = rng.randint(0, min(m, n))
-                B = [[rng.randrange(p) for _ in range(r)] for _ in range(m)]
-                C = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
-                rows = [
-                    [sum(B[i][k] * C[k][j] for k in range(r)) % p for j in range(n)]
-                    for i in range(m)
-                ]
-                R, pivots = rref(Fp, rows, n)
-                assert (R, pivots) == rref(Fp2, rows, n)
-                deficient += len(pivots) < min(m, n)
-        assert deficient >= 10
-
-
-class TestArrayKernel:
-    """The int64 array elimination returns the rows and pivots of the list kernel."""
+    """rref over GF(p) against sympy's DomainMatrix.rref."""
 
     # 1048573 is the largest prime below the field-order bound 2^20: it pins
-    # the int64 headroom of the f * row products
-    PRIMES = (2, 3, 5, 7, 1048573)
-    FIELDS = tuple(make_field(p) for p in PRIMES) + tuple(
-        make_field(p, m) for p, m in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 8))
-    )
+    # the int64 headroom of the digit update's f * row products
+    PRIMES = (2, 3, 5, 1048573)
 
-    @staticmethod
-    def _check(F, rows, n):
-        R, pivots = rref_array(F, np.array(rows, dtype=np.int64).reshape(len(rows), n))
-        assert R.dtype == np.int64 and R.shape == (len(rows), n)
-        assert (R.tolist(), pivots) == rref(F, rows, n)
-        return len(pivots)
+    def test_matches_sympy_rref(self):
+        rng = random.Random(23)
+        sides = [0, 0]
+        deficient = 0
+        for p in self.PRIMES:
+            F, K = make_field(p), GF(p, symmetric=False)
+            for m, n in shapes(rng, 44):
+                rows = low_rank_rows(rng, F, m, n)
+                R, pivots = DomainMatrix([[K(x) for x in r] for r in rows], (m, n), K).rref()
+                expected = ([[int(x) for x in r] for r in R.to_list()], list(pivots))
+                deficient += check_rref(F, rows, n, expected) < min(m, n)
+                sides[m * n >= LOOP_CELLS] += 1
+        assert min(sides) >= 50 and deficient >= 40
 
-    def test_matches_list_kernel_on_seeded_matrices(self):
+
+class TestExtensionFieldElimination:
+    """rref over GF(p^m), m > 1, against Gauss-Jordan through the field's scalar arithmetic."""
+
+    FIELDS = tuple(make_field(p, m) for p, m in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 8)))
+
+    def test_matches_field_gauss_jordan(self):
         rng = random.Random(61)
-        checked = deficient = 0
+        sides = [0, 0]
+        deficient = 0
         for F in self.FIELDS:
-            for _ in range(24):
-                m, n = rng.randint(1, 14), rng.randint(1, 16)
-                # a product through an inner dimension r has rank at most r
-                r = rng.randint(0, min(m, n))
-                B = [[rng.randrange(F.order) for _ in range(r)] for _ in range(m)]
-                C = [[rng.randrange(F.order) for _ in range(n)] for _ in range(r)]
-                rows = mat_mul(MatrixOverField(F, B, ncols=r), MatrixOverField(F, C, ncols=n)).rows
-                deficient += self._check(F, rows, n) < min(m, n)
-                checked += 1
-        assert checked >= 100 and deficient >= 20
+            for m, n in shapes(rng, 24):
+                rows = low_rank_rows(rng, F, m, n)
+                deficient += check_rref(F, rows, n, gauss_jordan(F, rows, n)) < min(m, n)
+                sides[m * n >= LOOP_CELLS] += 1
+        assert min(sides) >= 40 and deficient >= 30
+
+
+class TestRref:
+    """Cases both strategies of rref must handle alike."""
+
+    FIELDS = tuple(make_field(p) for p in TestPrimeFieldElimination.PRIMES) + TestExtensionFieldElimination.FIELDS
 
     def test_degenerate_shapes(self):
+        big = LOOP_CELLS // 10 + 1  # a big x 10 matrix takes the digit update
         for F in self.FIELDS:
-            assert self._check(F, [[0] * 5 for _ in range(3)], 5) == 0
-            assert self._check(F, [], 4) == 0
-            assert self._check(F, [[] for _ in range(3)], 0) == 0
-            assert self._check(F, [[F.order - 1] * 6 for _ in range(4)], 6) == 1
+            for h in (3, big):
+                assert check_rref(F, [[0] * 10] * h, 10, ([[0] * 10] * h, [])) == 0
+                ones = [[1] * 10] + [[0] * 10] * (h - 1)
+                assert check_rref(F, [[F.order - 1] * 10] * h, 10, (ones, [0])) == 1
+            assert check_rref(F, [], 4, ([], [])) == 0
+            assert check_rref(F, [[] for _ in range(3)], 0, ([[], [], []], [])) == 0
 
     def test_reduces_entries_outside_the_field(self):
-        R, pivots = rref_array(make_field(5), np.array([[7, 3], [2, 5]]))
-        assert (R.tolist(), pivots) == rref(make_field(5), [[2, 3], [2, 0]], 2)
-        R, pivots = rref_array(F4, np.array([[6, 3], [2, 9]]))
-        assert (R.tolist(), pivots) == rref(F4, [[2, 3], [2, 1]], 2)
+        """Entries are read as Field.encode reads integers, mod the field order."""
+        big = LOOP_CELLS // 2  # rows of zeros that send the matrix to the digit update
+        for F, rows, reduced in (
+            (make_field(5), [[7, 3], [2, 5]], [[2, 3], [2, 0]]),
+            (make_field(3), [[-1, 4], [-3, 2]], [[2, 1], [0, 2]]),
+            (F4, [[6, 3], [2, 9]], [[2, 3], [2, 1]]),
+            (F4, [[7, 1]], [[3, 1]]),
+        ):
+            expected = gauss_jordan(F, reduced, 2)
+            check_rref(F, rows, 2, expected)
+            zeros = [[0, 0]] * big
+            check_rref(F, rows + zeros, 2, (expected[0] + zeros, expected[1]))
+
+    def test_zero_rows_across_the_threshold(self):
+        """Padding a matrix with zero rows past LOOP_CELLS keeps its nonzero rows and pivots."""
+        rng = random.Random(5)
+        for F in self.FIELDS:
+            for _ in range(4):
+                rows = low_rank_rows(rng, F, 6, 12)
+                assert len(rows) * 12 < LOOP_CELLS
+                R, pivots = rref(F, rows, 12)
+                padded = rows + [[0] * 12] * (LOOP_CELLS // 12)
+                P, padded_pivots = rref(F, padded, 12)
+                assert padded_pivots == pivots and P[: len(pivots)] == R[: len(pivots)]
+                assert not any(map(any, P[len(pivots):]))
 
 
 class TestInSpan:
@@ -161,6 +225,14 @@ class TestInSpan:
             for c, g in zip(w, gens):
                 recon = [field.add(t, field.mul(c, x)) for t, x in zip(recon, g)]
             assert recon == target
+
+    def test_encodes_target_and_generators(self):
+        """Entries are read as Field.encode reads integers, so the witness is a field element."""
+        assert in_span(F4, [7], [[1]]) == (True, [3])
+        assert in_span(F3, [-1], [[1]]) == (True, [2])
+        assert in_span(F3, [3, 0], [[1, 1]]) == (True, [0])
+        assert in_span(F3, [3, 0], []) == (True, [])
+        assert in_span(F3, [1, 2], [[-2, 5]]) == (True, [1])
 
     def test_membership_iff_rank_equality(self):
         rng = random.Random(17)

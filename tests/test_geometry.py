@@ -10,7 +10,7 @@ from strangeci.errors import (
     InvalidInputError,
     SingularPointError,
 )
-from strangeci.exactla import MatrixOverField, mat_mul, rank, rank_and_kernel
+from strangeci.exactla import MatrixOverField, rank, rank_and_kernel
 from strangeci.families import (
     quadric_normal_form,
     strange_hypersurface_p_divides,
@@ -34,6 +34,8 @@ from strangeci.geometry import (
 )
 from strangeci.gf import make_field
 from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree
+
+from matrices import mat_mul, mat_vec
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -179,7 +181,6 @@ class TestIsSingularAt:
             M = MatrixOverField(F3, rows)
             SM = S.linear_change(rows)
             for a in [unit_point(F3, 4, i) for i in range(4)]:
-                from strangeci.exactla import mat_vec
 
                 Ma = ProjectivePoint(F3, mat_vec(M, list(a.coords)))
                 assert is_singular_at(SM, a) == is_singular_at(S, Ma)
@@ -503,10 +504,17 @@ class TestLinearSubspace:
         assert L.dim == 2
         assert L.contains([1, 1, 2]) and not L.contains([1, 0, 0])
 
+    def test_contains_rejects_wrong_length(self):
+        for basis in ([], [[1, 1, 0]]):
+            for vec in ([0, 0], [0, 0, 0, 0]):
+                with pytest.raises(InvalidInputError):
+                    LinearSubspace(F3, 3, basis).contains(vec)
+
     def test_canonical_equality(self):
         A = LinearSubspace(F3, 3, [[1, 1, 0], [0, 0, 1]])
         B = LinearSubspace(F3, 3, [[2, 2, 2], [0, 0, 2]])
-        assert A == B
+        C = LinearSubspace(F3, 3, [[5, -1, 3], [-3, 0, 4]])
+        assert A == B == C
 
     def test_hyperplane_section_of_tangent(self):
         # intersecting a smooth quadric threefold with z3 = 0 intersects

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strangeci.errors import FieldMismatchError, InvalidInputError, UnsupportedVertexError
-from strangeci.exactla import MatrixOverField, in_span, mat_mul, mat_vec, rank, rank_and_kernel
+from strangeci.exactla import MatrixOverField, in_span, rank, rank_and_kernel
 from strangeci.families import (
     quadric_normal_form,
     strange_hypersurface_p_divides,
@@ -34,6 +34,8 @@ from strangeci.strangeness import (
     normalize_system,
     strange_locus,
 )
+
+from matrices import mat_mul, mat_vec
 
 F2 = make_field(2)
 F3 = make_field(3)
