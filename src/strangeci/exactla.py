@@ -41,6 +41,14 @@ class MatrixOverField:
         self.nrows = len(clean)
         self.ncols = ncols
 
+    @classmethod
+    def _trusted(cls, field: Field, rows: list[list[int]], ncols: int) -> "MatrixOverField":
+        """A matrix the library built, checked no further: rows of ``ncols`` encodings in
+        range(field.order), kept as given."""
+        M = object.__new__(cls)
+        M.field, M.rows, M.nrows, M.ncols = field, rows, len(rows), ncols
+        return M
+
     def __repr__(self) -> str:
         return f"<{self.nrows}x{self.ncols} matrix over {self.field}>"
 
@@ -168,6 +176,20 @@ def rank_and_kernel(M: MatrixOverField) -> tuple[int, list[list[int]]]:
     (see :func:`kernel_basis`); kernel vectors are lists of integer-encoded entries."""
     R, pivots = rref(M.field, M.rows, M.ncols)
     return len(pivots), kernel_basis(M.field, R, pivots, M.ncols)
+
+
+def reduced_kernel(field: Field, rows, ncols: int) -> tuple[int, list[list[int]]]:
+    """Rank and the reduced echelon basis of the right kernel, from one elimination.
+
+    ``rows`` is read as :func:`rref` reads it.  Eliminating with the columns reversed, the
+    vector of :func:`kernel_basis` for the free column j' is 1 at j', zero at the other free
+    columns and nonzero only left of j'; reversed back, each vector's first nonzero entry is
+    a 1 in its own free column, where the others are zero.  That is the kernel's reduced
+    echelon form, which is unique, so rref of the basis :func:`rank_and_kernel` gives is the same.
+    """
+    flipped = rows[:, ::-1] if isinstance(rows, np.ndarray) else [r[::-1] for r in rows]
+    R, pivots = rref(field, flipped, ncols)
+    return len(pivots), [v[::-1] for v in reversed(kernel_basis(field, R, pivots, ncols))]
 
 
 def invert(M: MatrixOverField) -> MatrixOverField:

@@ -43,7 +43,7 @@ from .errors import (
     ParseError,
     SingularPointError,
 )
-from .exactla import MatrixOverField, in_span, rank, rank_and_kernel, rref
+from .exactla import MatrixOverField, in_span, rank, reduced_kernel, rref
 from .gf import Field, make_field
 from .hompoly import HomogeneousPolynomial, format_poly, parse_poly
 
@@ -212,6 +212,14 @@ class LinearSubspace:
         self.ambient_dim = ambient_dim
         self.basis = tuple(tuple(r) for r in R[: len(pivots)])
 
+    @classmethod
+    def _reduced(cls, field: Field, ambient_dim: int, basis: list[list[int]]) -> "LinearSubspace":
+        """The span of rows already in reduced echelon form, such as the kernel basis of
+        :func:`~strangeci.exactla.reduced_kernel`, kept as given."""
+        V = object.__new__(cls)
+        V.field, V.ambient_dim, V.basis = field, ambient_dim, tuple(map(tuple, basis))
+        return V
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -245,10 +253,7 @@ class LinearSubspace:
 def jacobian_full(S: PolynomialSystem, a: ProjectivePoint) -> MatrixOverField:
     """The r x (N+1) matrix [f^k_{z_j}(a)], j = 0..N."""
     F = a.field
-    rows = []
-    for g in S.gens:
-        rows.append([g.partial_derivative(j).evaluate(a.coords, F) for j in range(S.n + 1)])
-    return MatrixOverField(F, rows, ncols=S.n + 1)
+    return MatrixOverField._trusted(F, [g._gradient(a.coords, F) for g in S.gens], S.n + 1)
 
 
 def tangent_space(S: PolynomialSystem, x: ProjectivePoint) -> LinearSubspace:
@@ -256,10 +261,10 @@ def tangent_space(S: PolynomialSystem, x: ProjectivePoint) -> LinearSubspace:
     if not S.on_zero_set(x):
         raise InvalidInputError("point does not lie on the zero set")
     J = jacobian_full(S, x)
-    rk, kernel = rank_and_kernel(J)
+    rk, kernel = reduced_kernel(J.field, J.rows, J.ncols)
     if rk < S.r:
         raise SingularPointError(f"Jacobian rank {rk} < r = {S.r} at {x}")
-    return LinearSubspace(x.field, S.n + 1, kernel)
+    return LinearSubspace._reduced(x.field, S.n + 1, kernel)
 
 
 def gauss_map(f: HomogeneousPolynomial, a: ProjectivePoint) -> ProjectivePoint:
@@ -267,7 +272,7 @@ def gauss_map(f: HomogeneousPolynomial, a: ProjectivePoint) -> ProjectivePoint:
     F = a.field
     if f.evaluate(a.coords, F) != 0:
         raise InvalidInputError("point does not lie on the hypersurface")
-    grad = [f.partial_derivative(j).evaluate(a.coords, F) for j in range(f.n_vars)]
+    grad = f._gradient(a.coords, F)
     if all(v == 0 for v in grad):
         raise SingularPointError(f"all partials vanish at {a}")
     return ProjectivePoint(F, grad)

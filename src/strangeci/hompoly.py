@@ -17,6 +17,8 @@ base-p digits: one path for every GF(p^m), GF(p) being m = 1.
 read-only int64 view (E, c) of it, built on first use or kept from the arrays
 that made the polynomial.  Only the public constructor validates terms; the
 library builds through ``_trusted``, and +, * and parsing share :func:`_merge`.
+Each polynomial keeps the partial derivatives it has computed; a value and a
+gradient at a point go through one term loop, :meth:`_value`.
 Text is read in the grammar of :func:`strangeci.gf.text_terms`.
 """
 
@@ -85,7 +87,7 @@ def _times_z(n_vars: int, degree: int) -> np.ndarray:
 class HomogeneousPolynomial:
     """Immutable sparse homogeneous polynomial over a finite field."""
 
-    __slots__ = ("field", "n_vars", "degree", "terms", "_arrays")
+    __slots__ = ("field", "n_vars", "degree", "terms", "_arrays", "_partials", "_prime")
 
     def __init__(self, field: Field, n_vars: int, degree: int, terms: dict[Monomial, int]):
         if n_vars < 1:
@@ -112,7 +114,7 @@ class HomogeneousPolynomial:
         self.n_vars = n_vars
         self.degree = degree
         self.terms = clean
-        self._arrays = None
+        self._arrays, self._partials, self._prime = None, {}, None
 
     # -- constructors -----------------------------------------------------
 
@@ -126,6 +128,7 @@ class HomogeneousPolynomial:
             arrays[0].flags.writeable = arrays[1].flags.writeable = False
             terms = dict(zip(map(tuple, arrays[0].tolist()), arrays[1].tolist()))
         f.field, f.n_vars, f.degree, f.terms, f._arrays = field, n_vars, degree, terms, arrays
+        f._partials, f._prime = {}, None
         return f
 
     @classmethod
@@ -215,17 +218,22 @@ class HomogeneousPolynomial:
     # -- calculus ---------------------------------------------------------
 
     def partial_derivative(self, i: int) -> "HomogeneousPolynomial":
-        """Formal partial derivative with respect to z_i, reduced mod p."""
+        """Formal partial derivative with respect to z_i, reduced mod p; computed once per
+        polynomial and variable."""
         if not 0 <= i < self.n_vars:
             raise InvalidInputError(f"variable index {i} out of range")
-        F = self.field
-        # w -> w - e_i is one-to-one, and c * (w_i mod p) is zero only when p divides w_i
-        terms = {
-            mono[:i] + (mono[i] - 1,) + mono[i + 1 :]: F.mul(c, mono[i] % F.p)
-            for mono, c in self.terms.items()
-            if mono[i] % F.p
-        }
-        return HomogeneousPolynomial._trusted(F, self.n_vars, max(self.degree - 1, 0), terms)
+        d = self._partials.get(i)
+        if d is None:
+            F = self.field
+            # w -> w - e_i is one-to-one, and c * (w_i mod p) is zero only when p divides w_i
+            terms = {
+                mono[:i] + (mono[i] - 1,) + mono[i + 1 :]: F.mul(c, mono[i] % F.p)
+                for mono, c in self.terms.items()
+                if mono[i] % F.p
+            }
+            d = HomogeneousPolynomial._trusted(F, self.n_vars, max(self.degree - 1, 0), terms)
+            self._partials[i] = d
+        return d
 
     def gradient_rows(self) -> np.ndarray:
         """Coefficient rows of f_{z_0}, ..., f_{z_N}: row i holds c * (w_i mod p) at the rank of
@@ -246,14 +254,34 @@ class HomogeneousPolynomial:
         the case for all stored system generators).
         """
         F = point_field if point_field is not None else self.field
+        return self._value(self._checked(coords, F, (self,)), F)
+
+    def _gradient(self, coords, point_field: Field) -> list[int]:
+        """[f_{z_0}(a), ..., f_{z_N}(a)] from the cached partials: what evaluating each partial
+        gives, with the coordinates and the field checked once for all of them."""
+        partials = [self.partial_derivative(j) for j in range(self.n_vars)]
+        coords = self._checked(coords, point_field, partials)
+        return [d._value(coords, point_field) for d in partials]
+
+    def _checked(self, coords, F: Field, polys) -> list[int]:
+        """The coordinates as a list, once their count is right and F extends the field of
+        ``polys`` (polynomials of this ring): F is that field, or has its characteristic and
+        every coefficient of ``polys`` lies in GF(p)."""
         coords = list(coords)
         if len(coords) != self.n_vars:
             raise InvalidInputError("coordinate vector has wrong length")
-        if F != self.field:
-            if F.p != self.field.p or any(c >= self.field.p for c in self.terms.values()):
-                raise FieldMismatchError(
-                    "evaluation field is not an extension of the coefficient field"
-                )
+        if F != self.field and (F.p != self.field.p or not all(f._prime_coefficients() for f in polys)):
+            raise FieldMismatchError("evaluation field is not an extension of the coefficient field")
+        return coords
+
+    def _prime_coefficients(self) -> bool:
+        """Whether every coefficient lies in the prime subfield; computed once."""
+        if self._prime is None:
+            self._prime = all(c < self.field.p for c in self.terms.values())
+        return self._prime
+
+    def _value(self, coords: list[int], F: Field) -> int:
+        """The value at checked coordinates over the checked field F: one term at a time."""
         acc = 0
         for mono, c in self.terms.items():
             t = c
@@ -281,7 +309,7 @@ class HomogeneousPolynomial:
         """Reinterpret over an extension field (prime-subfield coefficients)."""
         if field == self.field:
             return self
-        if field.p != self.field.p or any(c >= self.field.p for c in self.terms.values()):
+        if field.p != self.field.p or not self._prime_coefficients():
             raise FieldMismatchError("can only lift prime-subfield coefficients")
         return HomogeneousPolynomial._trusted(field, self.n_vars, self.degree, dict(self.terms), self._arrays)
 

@@ -4,7 +4,8 @@ Every decision reduces to membership in graded pieces I_d of an ideal.  A
 :class:`GradedIdeal` builds each degree-d Macaulay matrix (the products
 m * f^k of degree d) as an int64 array once and eliminates it once with
 :func:`~strangeci.exactla.rref`; every membership and annihilator question is
-then one digit-wise product with that echelon form.
+then one digit-wise product with that echelon form.  :func:`graded_membership`,
+which also solves for a witness, eliminates the products with h appended instead.
 
 Strangeness of a complete-intersection system S for a GF(p)-rational point
 v is decided algebraically: move v to (1:0:...:0) by a deterministic
@@ -25,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .errors import FieldMismatchError, InvalidInputError, UnsupportedVertexError
-from .exactla import MatrixOverField, in_span, kernel_basis, rref
+from .exactla import MatrixOverField, reduced_kernel, rref
 from .geometry import LinearSubspace, PolynomialSystem, ProjectivePoint
 from .gf import make_field
 from .hompoly import (
@@ -172,13 +173,18 @@ def graded_membership(
 ) -> tuple[bool, MembershipWitness | None]:
     """Exact membership of h in the degree-deg(h) graded piece of the ideal.
 
-    A member's witness is solved for once, over the unreduced products
-    m * f^k, with the coefficients of free products zero.
+    One elimination decides it and solves for a member's witness: the columns of the
+    augmented int64 array are the unreduced products m * f^k, then h; h is a member iff
+    its column takes no pivot, and the witness sets the coefficients of free products to zero.
     """
     ideal, d, n1 = GradedIdeal(S.gens), h.degree, S.n + 1
-    if not ideal.contains(h):
+    A = ideal.macaulay_matrix(d)
+    R, pivots = rref(S.field, np.concatenate([A, ideal.vectors([h], d)]).T, len(A) + 1)
+    if len(A) in pivots:
         return False, None
-    _, coeffs = in_span(S.field, ideal.vectors([h], d)[0].tolist(), ideal.macaulay_matrix(d).tolist())
+    coeffs = [0] * len(A)
+    for r, pc in enumerate(pivots):
+        coeffs[pc] = int(R[r, len(A)])
     labels = [(k, mono) for k, e in enumerate(S.degrees) if e <= d for mono in monomials_of_degree(n1, d - e)]
     terms: list[dict[Monomial, int]] = [{} for _ in S.degrees]
     for (k, mono), c in zip(labels, coeffs):
@@ -265,8 +271,7 @@ def strange_locus(S: PolynomialSystem) -> StrangeLocus:
     n1 = S.n + 1
     ideal = GradedIdeal(S.gens)
     conditions = np.concatenate([ideal.residues(g.gradient_rows(), g.degree - 1).T for g in S.gens])
-    R, pivots = rref(F, conditions, n1)
-    return StrangeLocus(LinearSubspace(F, n1, kernel_basis(F, R, pivots, n1)))
+    return StrangeLocus(LinearSubspace._reduced(F, n1, reduced_kernel(F, conditions, n1)[1]))
 
 
 # -- normalization --------------------------------------------------------

@@ -13,8 +13,10 @@ from strangeci.exactla import (
     invert,
     rank,
     rank_and_kernel,
+    reduced_kernel,
     rref,
 )
+from strangeci.geometry import LinearSubspace
 from strangeci.gf import make_field
 
 from matrices import mat_mul, mat_vec
@@ -198,6 +200,44 @@ class TestRref:
                 P, padded_pivots = rref(F, padded, 12)
                 assert padded_pivots == pivots and P[: len(pivots)] == R[: len(pivots)]
                 assert not any(map(any, P[len(pivots):]))
+
+
+class TestReducedKernel:
+    """reduced_kernel against the two-elimination route: rank_and_kernel, then the
+    reduced echelon form of its basis."""
+
+    FIELDS = (F2, make_field(5), make_field(2, 4), make_field(3, 2))
+
+    @staticmethod
+    def check(F, rows, n):
+        rk, kernel = rank_and_kernel(MatrixOverField(F, rows, ncols=n))
+        expected = (rk, [list(v) for v in LinearSubspace(F, n, kernel).basis])
+        assert reduced_kernel(F, rows, n) == expected
+        assert reduced_kernel(F, np.array(rows, dtype=np.int64).reshape(len(rows), n), n) == expected
+        return expected
+
+    def test_matches_reduced_kernel_of_rank_and_kernel(self):
+        rng = random.Random(71)
+        sides = [0, 0]
+        for F in self.FIELDS:
+            for m, n in shapes(rng, 16):
+                rk, basis = self.check(F, low_rank_rows(rng, F, m, n), n)
+                assert rk + len(basis) == n
+                sides[m * n >= LOOP_CELLS] += 1
+        assert min(sides) >= 30
+
+    def test_degenerate_shapes(self):
+        big = LOOP_CELLS // 10 + 1  # a big x 10 matrix takes the digit update
+        identity = [[int(i == j) for j in range(10)] for i in range(10)]
+        for F in self.FIELDS:
+            for h in (3, big):
+                assert self.check(F, [[0] * 10] * h, 10) == (0, identity)
+            assert self.check(F, [], 3) == (0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+            assert self.check(F, identity, 10) == (10, [])
+            assert self.check(F, identity + [[0] * 10] * big, 10) == (10, [])
+            # rank_and_kernel's basis is the identity on its free columns 0 and 2, this one on 0 and 1
+            assert rank_and_kernel(MatrixOverField(F, [[0, 1, 1]]))[1] == [[1, 0, 0], [0, F.neg(1), 1]]
+            assert self.check(F, [[0, 1, 1]], 3) == (1, [[1, 0, 0], [0, 1, F.neg(1)]])
 
 
 class TestInSpan:

@@ -7,6 +7,7 @@ import pytest
 from strangeci import geometry
 from strangeci.errors import (
     BudgetExceededError,
+    FieldMismatchError,
     InvalidInputError,
     SingularPointError,
 )
@@ -98,6 +99,18 @@ class TestJacobians:
         v = unit_point(F3, 4, 3)
         assert jacobian_full(S, v).rows == [[0, 0, 0, 0]]
 
+    def test_checks_the_field_against_each_partial(self):
+        """A point over GF(16) may meet GF(4) coefficients that differentiate away: every
+        partial of (t)*z0^2 + z1*z2 lies in GF(2)[z], though the polynomial does not."""
+        F16 = make_field(2, 4)
+        a = ProjectivePoint(F16, [1, 0, 0])
+        S = PolynomialSystem.parse(["(t)*z0^2 + z1*z2"], F4, 3)
+        assert jacobian_full(S, a).rows == [[0, 0, 0]]
+        with pytest.raises(FieldMismatchError):
+            S.gens[0].evaluate(a.coords, F16)
+        with pytest.raises(FieldMismatchError):
+            jacobian_full(PolynomialSystem.parse(["(t)*z0*z1 + z2^2"], F4, 3), a)
+
     def test_shapes(self):
         S = PolynomialSystem.parse(["z0*z1 + z2^2", "z1^2 + z0*z3"], F5, 4)
         a = parse_point("(1:0:0:0)", F5)
@@ -125,6 +138,32 @@ class TestTangentAndGauss:
                 assert tangent_space(S, a).contains_point(a)
                 count += 1
         assert count > 0
+
+    def test_match_partials_and_two_elimination_reference(self):
+        """At smooth points over extension fields of random complete intersections, r = 1 and 2:
+        the Gauss map is the point of the partials' values, and the tangent space the reduced
+        echelon form of rank_and_kernel's basis of the Jacobian's kernel."""
+        rng = random.Random(29)
+        checked = {1: 0, 2: 0}
+        for F, degrees in ((F4, (3,)), (F4, (2, 2)), (make_field(3, 2), (2,)), (make_field(3, 2), (2, 2))):
+            for _ in range(2):
+                gens = []
+                for e in degrees:
+                    terms = {mono: rng.randrange(F.p) for mono in monomials_of_degree(4, e)}
+                    gens.append(HomogeneousPolynomial(make_field(F.p), 4, e, terms))
+                S = PolynomialSystem(gens)
+                for x in enumerate_points(F, 3):
+                    if x.minimal_subfield_degree() == 1 or not S.on_zero_set(x) or is_singular_at(S, x):
+                        continue
+                    J = jacobian_full(S, x)
+                    expected = LinearSubspace(F, 4, rank_and_kernel(J)[1])
+                    assert tangent_space(S, x) == expected and len(expected.basis) == 4 - S.r
+                    if S.r == 1:
+                        f = S.gens[0]
+                        grad = [f.partial_derivative(j).evaluate(x.coords, F) for j in range(4)]
+                        assert gauss_map(f, x) == ProjectivePoint(F, grad)
+                    checked[S.r] += 1
+        assert min(checked.values()) >= 20
 
     def test_off_zero_set_rejected(self):
         S = PolynomialSystem.parse(["z0^2 + z1*z2"], F3, 3)

@@ -139,6 +139,22 @@ class TestDerivative:
                 f = f.partial_derivative(0)
             assert f.is_zero()
 
+    def test_computed_once_per_polynomial(self):
+        f = parse_poly("z0^2*z1 + z1*z2^2 + 2*z2^3", F3, 3)
+        partials = [f.partial_derivative(j) for j in range(3)]
+        assert all(f.partial_derivative(j) is d for j, d in enumerate(partials))
+        g = parse_poly("z0^2*z1 + z1*z2^2 + 2*z2^3", F3, 3)
+        assert g == f and g.partial_derivative(0) == partials[0] and g.partial_derivative(0) is not partials[0]
+
+    def test_lift_starts_an_empty_cache(self):
+        F9 = make_field(3, 2)
+        f = parse_poly("z0^2*z1 + z1*z2^2 + 2*z2^3", F3, 3)
+        before = [f.partial_derivative(j) for j in range(3)]
+        lifted = f.lift_to(F9)
+        for j, d in enumerate(before):
+            assert lifted.partial_derivative(j).field == F9
+            assert lifted.partial_derivative(j).terms == d.terms and d.field == F3
+
     def test_leibniz_rule(self):
         rng = random.Random(11)
         for p in (2, 3, 5):

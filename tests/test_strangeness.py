@@ -15,6 +15,7 @@ from strangeci.families import (
     strange_hypersurface_p_not_divides,
 )
 from strangeci.geometry import (
+    LinearSubspace,
     PolynomialSystem,
     ProjectivePoint,
     enumerate_points,
@@ -86,6 +87,46 @@ class TestGradedMembership:
             assert ok
             recon = w.multipliers[0] * S.gens[0] + w.multipliers[1] * S.gens[1]
             assert recon == h
+
+
+    def test_witness_matches_span_of_products(self):
+        """The witness is the one in_span solves for over the Macaulay rows as Python lists (same
+        pivots, free coefficients zero), and sum_k q_k f^k = h; on both sides of LOOP_CELLS."""
+        rng = random.Random(43)
+        members = 0
+        for F, n_vars, degrees, d in (
+            (F2, 3, (1, 2), 3), (F3, 3, (2, 2), 3), (F4, 3, (2,), 4), (F5, 4, (2, 3), 3), (F2, 5, (2, 2), 4),
+        ):
+            def form(e):
+                basis = monomials_of_degree(n_vars, e)
+                return HomogeneousPolynomial.from_coeff_vector(F, n_vars, e, basis, [rng.randrange(F.order) for _ in basis])
+
+            S = PolynomialSystem([form(e) for e in degrees])
+            ideal = GradedIdeal(S.gens)
+            for trial in range(6):
+                h = form(d)
+                if trial % 2:
+                    h = HomogeneousPolynomial.zero(F, n_vars, d)
+                    for g in S.gens:
+                        h = h + form(d - g.degree) * g
+                ok, w = graded_membership(h, S)
+                span_ok, coeffs = in_span(F, ideal.vectors([h], d)[0].tolist(), ideal.macaulay_matrix(d).tolist())
+                assert ok == span_ok
+                if not ok:
+                    assert w is None
+                    continue
+                members += 1
+                expected, at = [], 0
+                for e in S.degrees:
+                    basis = monomials_of_degree(n_vars, d - e)
+                    expected.append(HomogeneousPolynomial(F, n_vars, d - e, dict(zip(basis, coeffs[at:]))))
+                    at += len(basis)
+                assert w.multipliers == expected
+                recon = HomogeneousPolynomial.zero(F, n_vars, d)
+                for q, g in zip(w.multipliers, S.gens):
+                    recon = recon + q * g
+                assert recon == h
+        assert members >= 15
 
 
 def _span_verdict(gens, h):
@@ -388,6 +429,34 @@ class TestStrangeLocus:
             loc = strange_locus(S)
             for v in enumerate_points(F2, 2):
                 assert is_strange_for(S, v).verdict == loc.subspace.contains_point(v)
+
+    def test_matches_two_elimination_reference(self):
+        """The locus is the reduced echelon form of rank_and_kernel's basis of the condition
+        matrix's kernel, on complete intersections with r = 1 and 2 whose loci have dimension 0 to 2."""
+        rng = random.Random(53)
+
+        def form(F, e, free):
+            """A random form of degree e in the variables from z_free on."""
+            basis = [m for m in monomials_of_degree(5, e) if not any(m[:free])]
+            return HomogeneousPolynomial.from_coeff_vector(F, 5, e, basis, [rng.randrange(F.p) for _ in basis])
+
+        dims = set()
+        for p in (2, 3, 5):
+            F = make_field(p)
+            for free, degrees in ((0, (3,)), (1, (2, 3)), (2, (3,)), (2, (2, 2)), (1, (2,))):
+                gens = [form(F, e, free) for e in degrees]
+                while True:
+                    A = MatrixOverField(F, [[rng.randrange(p) for _ in range(5)] for _ in range(5)])
+                    if rank(A) == 5:
+                        break
+                S = PolynomialSystem(gens).linear_change(A.rows)
+                ideal = GradedIdeal(S.gens)
+                conditions = np.concatenate([ideal.residues(g.gradient_rows(), g.degree - 1).T for g in S.gens])
+                _, kernel = rank_and_kernel(MatrixOverField(F, conditions.tolist(), ncols=5))
+                loc = strange_locus(S)
+                assert loc.subspace == LinearSubspace(F, 5, kernel)
+                dims.add(loc.dim)
+        assert dims >= {0, 1, 2}
 
     def test_matches_membership_of_directional_derivatives(self):
         """v is in the locus iff each sum_i v_i f^k_{z_i} is in the ideal, for all v in GF(p)^(N+1)."""
