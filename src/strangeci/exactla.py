@@ -61,11 +61,12 @@ def rref(field: Field, rows, ncols: int) -> tuple[list[list[int]] | np.ndarray, 
     same container: lists of ints, or an int64 array.  Both strategies take the same pivots.
     """
     as_array, order = isinstance(rows, np.ndarray), field.order
+    # Python integers of any size reduce exactly; an int64 array cannot hold larger ones
+    rows = rows % order if as_array else [[x % order for x in r] for r in rows]
     if len(rows) * ncols < LOOP_CELLS:
-        lists = rows.tolist() if as_array else rows
-        R, pivots = _rref_rows(field, [[x % order for x in r] for r in lists], ncols)
+        R, pivots = _rref_rows(field, rows.tolist() if as_array else rows, ncols)
         return (np.array(R, dtype=np.int64).reshape(len(R), ncols) if as_array else R), pivots
-    R, pivots = _rref_digits(field, np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % order)
+    R, pivots = _rref_digits(field, np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols))
     return (R if as_array else R.tolist()), pivots
 
 

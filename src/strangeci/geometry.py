@@ -101,24 +101,11 @@ class ProjectivePoint:
 
     def minimal_subfield_degree(self) -> int:
         """Smallest d with all coordinates fixed by the d-fold Frobenius."""
-        F = self.field
-        cur = self.coords
-        for d in range(1, F.m + 1):
-            cur = tuple(F.frobenius(c) for c in cur)
-            if cur == self.coords:
-                return d
-        return F.m
+        return len(_orbit(self.field, self.coords))
 
     def galois_canonical(self) -> "ProjectivePoint":
         """Least Frobenius-orbit representative in enumeration order."""
-        F = self.field
-        best = self.coords
-        cur = self.coords
-        for _ in range(F.m - 1):
-            cur = tuple(F.frobenius(c) for c in cur)
-            if cur < best:
-                best = cur
-        return ProjectivePoint(F, best)
+        return ProjectivePoint(self.field, min(_orbit(self.field, self.coords)))
 
     def __str__(self) -> str:
         body = ":".join(self.field.format(c) for c in self.coords)
@@ -127,6 +114,16 @@ class ProjectivePoint:
         return f"({body})"
 
     __repr__ = __str__
+
+
+def _orbit(F: Field, coords: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct Frobenius conjugates of coords, coords first: Frobenius^m is the identity
+    on GF(p^m), so the walk comes back to coords within m steps.  Frobenius fixes 0 and 1, so
+    the conjugates of a normalized point are normalized."""
+    orbit = [coords]
+    while (nxt := tuple(F.frobenius(c) for c in orbit[-1])) != coords:
+        orbit.append(nxt)
+    return orbit
 
 
 # p and m: at most nine ASCII digits each, as more exceed MAX_ORDER anyway
@@ -328,8 +325,8 @@ class _BlockEvaluator:
     monomials.
     """
 
-    def __init__(self, polys: list[HomogeneousPolynomial] | tuple[np.ndarray, np.ndarray], F: Field):
-        (E, C), self.F = polys if isinstance(polys, tuple) else _stack(polys), F
+    def __init__(self, EC: tuple[np.ndarray, np.ndarray], F: Field):
+        (E, C), self.F = EC, F
         self.rows = max(1, _BLOCK // max(len(E), 1))
         self.digits = F.array_tables()[2]
         self.zero_log = int(E.sum(axis=1).max(initial=0)) * (F.order - 2) + 1
@@ -495,22 +492,16 @@ def singular_search(
         used += grid
         later_gens = [_BlockEvaluator(EC, F) for EC in later]
         jacobian = _BlockEvaluator(partials, F)
-        level_hits: list[ProjectivePoint] = []
         for pts in _first_zeros(gens[0], F, n1, F.frobenius_representatives() if m > 1 else None):
             for ev in later_gens:
                 pts = pts[ev(pts)[:, 0] == 0]
             J = jacobian(pts).reshape(pts.shape[0], S.r, n1)
-            level_hits += [ProjectivePoint(F, row) for row in pts[_rank_below(J, S.r, F)].tolist()]
-        for pt in level_hits:
-            d = pt.minimal_subfield_degree()
-            if d < m:
-                continue  # already reported over the smaller field
-            canon = pt.galois_canonical()
-            key = (m, canon.coords)
-            if key in seen:
-                continue
-            seen.add(key)
-            found.append((m, canon))
+            for row in pts[_rank_below(J, S.r, F)].tolist():  # normalized, as the enumeration makes them
+                orbit = _orbit(F, tuple(row))
+                key = (m, min(orbit))  # the same coordinates over two fields are two points
+                if len(orbit) == m and key not in seen:  # a shorter orbit was reported over a smaller field
+                    seen.add(key)
+                    found.append((m, ProjectivePoint(F, key[1])))
         if stop_early and found:
             break
     return found

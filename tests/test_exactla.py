@@ -188,6 +188,24 @@ class TestRref:
             zeros = [[0, 0]] * big
             check_rref(F, rows + zeros, 2, (expected[0] + zeros, expected[1]))
 
+    def test_reduces_integers_past_int64(self):
+        """List entries beyond int64 are reduced mod the field order, as Field.encode reduces
+        them, on both sides of LOOP_CELLS: by rref, and by in_span and LinearSubspace through it."""
+        assert rref(F2, [[2**70 + 1, 1]], 2) == ([[1, 1]], [0])
+        assert rref(F2, [[2**70 + 1] * 300], 300) == ([[1] * 300], [0])
+        rng = random.Random(19)
+        sides = [0, 0]
+        for F in self.FIELDS:
+            for n in (2, LOOP_CELLS):
+                reduced = low_rank_rows(rng, F, 3, n)
+                rows = [[x + rng.randrange(-(2**70), 2**70) * F.order for x in r] for r in reduced]
+                assert rref(F, rows, n) == gauss_jordan(F, reduced, n)
+                sides[3 * n >= LOOP_CELLS] += 1
+                for target in (reduced[0], [rng.randrange(F.order) for _ in range(n)]):
+                    assert in_span(F, target, rows) == in_span(F, target, reduced)
+                assert LinearSubspace(F, n, rows) == LinearSubspace(F, n, reduced)
+        assert min(sides) == len(self.FIELDS)
+
     def test_zero_rows_across_the_threshold(self):
         """Padding a matrix with zero rows past LOOP_CELLS keeps its nonzero rows and pivots."""
         rng = random.Random(5)

@@ -24,6 +24,7 @@ from strangeci.geometry import (
     enumerate_points,
     gauss_map,
     _BlockEvaluator,
+    _stack,
     _first_zeros,
     _float_log,
     _point_blocks,
@@ -74,6 +75,34 @@ class TestProjectivePoint:
     def test_galois_canonical_is_orbit_minimum(self):
         a = parse_point("@GF(2^2)(1:t+1:0)", F2)
         assert a.galois_canonical().coords == (1, 2, 0)
+
+    # every point of P^2 over GF(4), GF(8), GF(9); 200 seeded points of P^3 over GF(16), GF(27)
+    @pytest.mark.parametrize("p,m,n,count", [(2, 2, 2, 0), (2, 3, 2, 0), (3, 2, 2, 0), (2, 4, 3, 200), (3, 3, 3, 200)])
+    def test_orbit_methods_match_brute_force_walk(self, p, m, n, count):
+        """minimal_subfield_degree and galois_canonical against the conjugates Frobenius^k(a),
+        k = 1..m, taken coordinate-wise: the first k that gives back a, and their least."""
+        F = make_field(p, m)
+        if count:
+            rng = random.Random(f"orbit-{F.order}")
+            points = []
+            while len(points) < count:
+                coords = [rng.randrange(F.order) for _ in range(n + 1)]
+                if any(coords):
+                    points.append(ProjectivePoint(F, coords))
+        else:
+            points = list(enumerate_points(F, n))
+        degrees = set()
+        for a in points:
+            conjugates, cur = [], a.coords
+            for _ in range(m):
+                cur = tuple(F.frobenius(c) for c in cur)
+                conjugates.append(cur)
+            degree = conjugates.index(a.coords) + 1
+            assert a.minimal_subfield_degree() == degree
+            assert a.galois_canonical() == ProjectivePoint(F, min(conjugates))
+            degrees.add(degree)
+        divisors = {d for d in range(1, m + 1) if m % d == 0}
+        assert m in degrees and degrees <= divisors and (count or degrees == divisors)
 
     def test_point_count(self):
         # |P^2(GF(3))| = 9 + 3 + 1
@@ -257,7 +286,7 @@ class TestBlockEvaluator:
         if F.order < 10:  # every point of P^(n_vars - 1)
             points.extend(_point_blocks(F.order, n_vars))
         X = np.concatenate(points)
-        got = _BlockEvaluator(polys, F)(X)
+        got = _BlockEvaluator(_stack(polys), F)(X)
         assert got.shape == (len(X), len(polys)) and got.dtype == np.int64
         assert got.tolist() == [[f.evaluate(row.tolist(), F) for f in polys] for row in X]
         assert (got[X.any(axis=1)] != 0).any() and (got[:, 1:] == 0).any()
@@ -278,7 +307,7 @@ class TestBlockEvaluator:
         """Evaluators over one field and zero sentinel read one float64 log table."""
         F = make_field(2, 4)
         f = HomogeneousPolynomial(F2, 3, 2, {(2, 0, 0): 1, (0, 1, 1): 1})
-        a, b = _BlockEvaluator([f], F), _BlockEvaluator([f, f], F)
+        a, b = _BlockEvaluator(_stack([f]), F), _BlockEvaluator(_stack([f, f]), F)
         assert a.log is b.log is _float_log(F, a.zero_log)
         assert a.log.dtype == np.float64 and not a.log.flags.writeable
         assert a.log[0] == a.zero_log and a.log[1:].tolist() == F.array_tables()[1][1:].tolist()
@@ -319,7 +348,7 @@ class TestSplitFilter:
         rng = random.Random(f"split-{p}-{m}-{e}")
         f = self.random_form(p, n_vars, e, rng) if e else quadric_normal_form(n_vars - 1, p).gens[0]
         F = make_field(p, m)
-        ev = _BlockEvaluator([f], F)
+        ev = _BlockEvaluator(_stack([f]), F)
         for reps in [None, F.frobenius_representatives()]:
             grids = self.enumerated_grids(monkeypatch)
             got = list(_first_zeros(f, F, n_vars, reps))
@@ -346,7 +375,7 @@ class TestSplitFilter:
         got = np.concatenate(list(_first_zeros(f, F, 3)))
         assert grids and 3 not in grids, "the grid should take the head x tail product"
         monkeypatch.undo()
-        ev = _BlockEvaluator([f], F)
+        ev = _BlockEvaluator(_stack([f]), F)
         expect = np.concatenate([X[ev(X)[:, 0] == 0] for X in _point_blocks(p, 3)])
         assert np.array_equal(got, expect) and len(expect) > 1000
 

@@ -190,6 +190,25 @@ class TestGradedIdeal:
             assert V.shape == (len(basis), len(basis))
             assert (V.argmax(axis=1) == np.arange(len(basis))).all() and (V.sum(axis=1) == 2).all()
 
+    def test_vectors_fill_each_polynomial_in_its_row(self):
+        """Polynomials of different term counts, a zero one among them, give the rows that
+        placing each term at its monomial's index gives."""
+        rng = random.Random(29)
+        for F, n_vars, d in ((F3, 3, 4), (make_field(3, 2), 4, 2), (F2, 1, 5), (F5, 5, 0), (F2, 6, 3)):
+            basis = monomials_of_degree(n_vars, d)
+            polys = [
+                HomogeneousPolynomial(F, n_vars, d, {mo: 1 + rng.randrange(F.order - 1) for mo in rng.sample(basis, k)})
+                for k in (len(basis), 1, len(basis) // 2)
+            ]
+            polys.insert(1, HomogeneousPolynomial.zero(F, n_vars, d))
+            want = np.zeros((len(polys), len(basis)), dtype=np.int64)
+            for i, h in enumerate(polys):
+                for mono, c in h.terms.items():
+                    want[i, basis.index(mono)] = c
+            ideal = GradedIdeal([HomogeneousPolynomial.monomial(F, n_vars, basis[0])])
+            assert np.array_equal(ideal.vectors(polys, d), want)
+            assert ideal.vectors([], d).shape == (0, len(basis))
+
     def test_many_variables_low_degree(self):
         q = parse_poly(" + ".join(f"z{2 * i}*z{2 * i + 1}" for i in range(50)), F3, 100)
         ideal = GradedIdeal([q])
@@ -417,6 +436,13 @@ class TestStrangeLocus:
     def test_even_dim_quadric_p2_trivial(self):
         assert strange_locus(quadric_normal_form(3, 2)).dim == 0
 
+    def test_keeps_no_partials_on_the_generators(self):
+        """The condition rows come from each generator's view, not from derivatives kept on it:
+        a system that lives on after its locus is computed holds no N + 1 partials per generator."""
+        S = PolynomialSystem.parse(["z0^2 + z1*z2 + z3^2", "z1^3 + z2*z3^2"], F2, 4)
+        assert strange_locus(S).subspace.basis == ((1, 0, 0, 0), (0, 0, 0, 1))
+        assert not any(g._partials for g in S.gens)
+
     def test_agrees_with_pointwise_decision(self):
         rng = random.Random(37)
         for _ in range(15):
@@ -451,8 +477,15 @@ class TestStrangeLocus:
                         break
                 S = PolynomialSystem(gens).linear_change(A.rows)
                 ideal = GradedIdeal(S.gens)
-                conditions = np.concatenate([ideal.residues(g.gradient_rows(), g.degree - 1).T for g in S.gens])
-                _, kernel = rank_and_kernel(MatrixOverField(F, conditions.tolist(), ncols=5))
+                conditions = []
+                for g in S.gens:
+                    basis = monomials_of_degree(5, g.degree - 1)
+                    T = np.zeros((5, len(basis)), dtype=np.int64)
+                    for j in range(5):
+                        for mono, c in g.partial_derivative(j).terms.items():
+                            T[j, basis.index(mono)] = c
+                    conditions += ideal.residues(T, g.degree - 1).T.tolist()
+                _, kernel = rank_and_kernel(MatrixOverField(F, conditions, ncols=5))
                 loc = strange_locus(S)
                 assert loc.subspace == LinearSubspace(F, 5, kernel)
                 dims.add(loc.dim)
