@@ -95,10 +95,6 @@ class ProjectivePoint:
     def __hash__(self) -> int:
         return hash((self.field, self.coords))
 
-    def frobenius(self) -> "ProjectivePoint":
-        F = self.field
-        return ProjectivePoint(F, [F.frobenius(c) for c in self.coords])
-
     def minimal_subfield_degree(self) -> int:
         """Smallest d with all coordinates fixed by the d-fold Frobenius."""
         return len(_orbit(self.field, self.coords))

@@ -18,9 +18,11 @@ irreducible polynomial of degree m over GF(p), coefficients compared low
 degree first, found by scanning candidates in that order with trial
 division.  The scan starts at constant term 1, because every candidate with
 constant term 0 is divisible by x.  The exp/log tables are the powers of g,
-the smallest element of order p^m - 1, filled in numpy by repeated
-doubling: multiplying the first n powers by g^n, a GF(p)-linear map on
-coefficient vectors, gives the next n.  Each table is held once, as a
+the smallest element of order p^m - 1, found by powers of its
+multiplication matrix, an m x m matrix over GF(p) built from the companion
+matrix of the modulus.  They are filled in numpy by repeated doubling:
+multiplying the first n powers by g^n, a GF(p)-linear map on coefficient
+vectors, gives the next n.  Each table is held once, as a
 read-only int64 array: scalar arithmetic indexes memoryviews of it and
 :meth:`Field.array_tables` returns it.  Every field has these tables; GF(p),
 whose scalar arithmetic is plain modular arithmetic, builds them on the
@@ -106,14 +108,8 @@ def _digits(val: int, p: int, length: int) -> list[int]:
     return out
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a modulo monic b, coefficient lists low degree first."""
+    """Remainder of a modulo monic b, coefficient lists low degree first, untrimmed."""
     a = list(a)
     db = len(b) - 1
     while len(a) - 1 >= db and a:
@@ -123,16 +119,7 @@ def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
             for i, bc in enumerate(b):
                 a[shift + i] = (a[shift + i] - lead * bc) % p
         a.pop()
-    return _poly_trim(a)
-
-
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ac in enumerate(a):
-        if ac:
-            for j, bc in enumerate(b):
-                prod[i + j] = (prod[i + j] + ac * bc) % p
-    return _poly_rem(prod, mod, p)
+    return a
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:
@@ -145,7 +132,7 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     for d in range(1, m // 2 + 1):
         for idx in range(p**d):
             div = _digits(idx, p, d) + [1]
-            if not _poly_rem(poly, div, p):
+            if not any(_poly_rem(poly, div, p)):
                 return False
     return True
 
@@ -178,16 +165,6 @@ class Field:
 
     # -- discrete-log tables (built with the field when m > 1) -------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        p = self.p
-        pa = _digits(a, p, self.m)
-        pb = _digits(b, p, self.m)
-        r = _poly_mulmod(pa, pb, list(self.modulus), p)
-        val = 0
-        for c in reversed(r):
-            val = val * p + c
-        return val
-
     def _build_tables(self) -> None:
         p, m, q = self.p, self.m, self.order
         # Find a primitive element: smallest g whose order is q - 1.
@@ -202,23 +179,28 @@ class Field:
             d += 1
         if n > 1:
             factors.append(n)
+        # X, the companion matrix of the modulus, multiplies by x: row j holds the digits of
+        # x^(j+1).  The matrix of a, mul_matrices(a), is the sum of a's digits times X^0, ...,
+        # X^(m-1); entries stay below p, so int64 products, at most m (p-1)^2, are exact.
+        X, one = np.eye(m, k=1, dtype=np.int64), np.eye(m, dtype=np.int64)
+        X[-1] = np.negative(self.modulus[:m]) % p
+        powers = [one]
+        for _ in range(m - 1):
+            powers.append(powers[-1] @ X % p)
 
-        def pow_raw(a: int, e: int) -> int:
-            r = 1
+        def power(M: np.ndarray, e: int) -> np.ndarray:
+            R = one
             while e:
                 if e & 1:
-                    r = self._mul_raw(r, a)
-                a = self._mul_raw(a, a)
-                e >>= 1
-            return r
+                    R = R @ M % p
+                M, e = M @ M % p, e >> 1
+            return R
 
         # start past GF(p) when m > 1: its elements have orders dividing p - 1
-        g = None
-        for cand in range(1 if m == 1 else p, q):
-            if all(pow_raw(cand, (q - 1) // f) != 1 for f in factors):
-                g = cand
+        for g in range(1 if m == 1 else p, q):
+            M = np.tensordot(self.to_digits(g), powers, 1) % p
+            if all((power(M, (q - 1) // f) != one).any() for f in factors):
                 break
-        assert g is not None
         # exp holds g^0, ..., g^(q-2) twice over, so that a sum of two logs
         # indexes it unreduced.  Row j of M holds the digits of c * x^j: the
         # matrix of multiplication by c = g^n on coefficient vectors.  Once
@@ -226,7 +208,7 @@ class Field:
         # matrix of c^2, so about log2(q) doublings fill exp.  Over GF(p^m),
         # m > 1, c * a is the sum of c * (the h low digits of a) and c * (the
         # rest), each read from a table of about sqrt(q) products.
-        h, M = m // 2, self.to_digits([self._mul_raw(g, p**j) for j in range(m)])
+        h = m // 2
         exp = np.empty(2 * (q - 1), dtype=np.int64)
         exp[0], n = 1, 1
         while n < q - 1:
@@ -426,9 +408,15 @@ class Field:
         return val
 
     def encode(self, values) -> list[int]:
-        """The encodings of ``values``: a :class:`FieldElement` gives its own, anything else is read
-        as an integer and reduced mod the field order."""
-        return [v.val if isinstance(v, FieldElement) else int(v) % self.order for v in values]
+        """The encodings of ``values``: a :class:`FieldElement` of this field gives its own, one of
+        another field raises :class:`FieldMismatchError`, anything else is read as an integer and
+        reduced mod the field order."""
+        return [self._own_val(v) if isinstance(v, FieldElement) else int(v) % self.order for v in values]
+
+    def _own_val(self, x: "FieldElement") -> int:
+        if x.field != self:
+            raise FieldMismatchError(f"mixed fields {self} and {x.field}")
+        return x.val
 
     def __repr__(self) -> str:
         if self.m == 1:
@@ -494,9 +482,7 @@ class FieldElement:
 
     def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(f"mixed fields {self.field} and {other.field}")
-            return other.val
+            return self.field._own_val(other)
         if isinstance(other, int):
             return other % self.field.p
         return NotImplemented
@@ -549,9 +535,6 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.field, self.field.inv(self.val))
-
-    def frobenius(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.frobenius(self.val))
 
     def __bool__(self) -> bool:
         return self.val != 0

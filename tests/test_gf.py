@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import os
 import pickle
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 import strangeci
 from strangeci.errors import FieldMismatchError, InvalidInputError
+from strangeci.exactla import MatrixOverField, in_span, rank
+from strangeci.geometry import ProjectivePoint
 from strangeci.gf import Field, FieldElement, embed, make_field
 
 
@@ -205,6 +208,27 @@ class TestConstruction:
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize(
+        "p,m,g,digest",
+        [
+            (2, 16, 6, "3cad62fe612b8c78"),
+            (3, 10, 34, "bb1be2d55951169a"),
+            (2, 20, 2, "4cb1763d286d33f4"),
+            (3, 12, 4, "91d1352aef801c29"),
+            (5, 8, 6, "2662421036df1e4a"),
+            (1021, 2, 1030, "e878aad652c5ec4b"),
+            (1048573, 1, 2, "46938002dd1ca9e3"),
+        ],
+    )
+    def test_golden_tables(self, p, m, g, digest):
+        """Fields too large for the reference builder: the generator and a digest of the exp
+        table.  GF(1021^2), modulus (1, 5, 1), has the largest p of any extension under
+        MAX_ORDER, so its construction multiplies the largest matrix entries."""
+        F = make_field(p, m)
+        exp2, _, _ = F.array_tables()
+        assert exp2[1] == g
+        assert hashlib.sha256(exp2[: F.order - 1].tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
         "p,m,modulus",
         [
             (2, 16, (1,) + (0,) * 10 + (1, 0, 1, 0, 1, 1)),
@@ -280,6 +304,27 @@ class TestArithmetic:
         b = make_field(3).element(1)
         with pytest.raises(FieldMismatchError):
             a + b
+
+    def test_element_of_another_field_rejected_on_encoding(self):
+        """An element of another field is never read as an encoding: not by encode, a point, a
+        matrix or an in_span target.  Elements of the field itself still are."""
+        F, G = make_field(2, 2), make_field(2, 3)
+        x, y = G.element(7), F.element(3)
+        with pytest.raises(FieldMismatchError):
+            make_field(3).encode([make_field(5).element(4)])
+        for build in [
+            lambda v: F.encode([v, 1]),
+            lambda v: ProjectivePoint(F, [v, 1]),
+            lambda v: MatrixOverField(F, [[v, 1]]),
+            lambda v: in_span(F, [v, 1], [[1, 0], [0, 1]]),
+        ]:
+            with pytest.raises(FieldMismatchError):
+                build(x)
+            build(y)
+        assert F.encode([y, 5]) == [3, 1]
+        assert ProjectivePoint(F, [y, 1]).coords == (1, F.inv(3))
+        assert rank(MatrixOverField(F, [[y, 1]])) == 1
+        assert in_span(F, [y, 0], [[1, 0]]) == (True, [3])
 
     @given(a=st.integers(0, 26), b=st.integers(0, 26), c=st.integers(0, 26))
     def test_gf27_ring_axioms(self, a, b, c):
