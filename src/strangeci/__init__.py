@@ -1,5 +1,7 @@
 """Exact tools for strange complete intersections over finite fields."""
 
+__version__ = "0.1.0"  # before the imports: census writes it into its file headers
+
 from .errors import (
     BudgetExceededError,
     FieldMismatchError,
@@ -61,5 +63,3 @@ from .census import (
     sample_hv,
     verify_singularity_theorem,
 )
-
-__version__ = "0.1.0"

@@ -11,6 +11,7 @@ and never certifies smoothness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -18,6 +19,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator
 
+from . import __version__
 from .errors import BudgetExceededError, InvalidInputError
 from .exactla import MatrixOverField, rank
 from .gf import Field, make_field
@@ -91,9 +93,19 @@ def hv_monomial_basis(p: int, N: int, e: int) -> list[Monomial]:
     This is exactly the kernel basis of f -> f_{z_0} on the degree-e
     monomial space; graded-lex ordered, z_0 greatest.
     """
+    return list(_hv_basis(p, N, e))
+
+
+@functools.lru_cache(maxsize=64)
+def _hv_basis(p: int, N: int, e: int) -> tuple[Monomial, ...]:
     if e < 1:
         raise InvalidInputError("degree must be >= 1")
-    return [m for m in monomials_of_degree(N + 1, e) if m[0] % p == 0]
+    return tuple(m for m in monomials_of_degree(N + 1, e) if m[0] % p == 0)
+
+
+def _member(F: Field, N: int, e: int, basis: tuple[Monomial, ...], coeffs) -> HomogeneousPolynomial:
+    """The generator with the given coefficients on the basis monomials, zero ones left out."""
+    return HomogeneousPolynomial._trusted(F, N + 1, e, {m: c for m, c in zip(basis, coeffs) if c})
 
 
 def sample_hv(spec: CensusSpec) -> Iterator[PolynomialSystem]:
@@ -104,7 +116,7 @@ def sample_hv(spec: CensusSpec) -> Iterator[PolynomialSystem]:
     excluded from the product).
     """
     F = make_field(spec.p)
-    bases = [hv_monomial_basis(spec.p, spec.N, e) for e in spec.degrees]
+    bases = [_hv_basis(spec.p, spec.N, e) for e in spec.degrees]
     if spec.mode == "exhaustive":
         total = 1
         for b in bases:
@@ -122,11 +134,7 @@ def sample_hv(spec: CensusSpec) -> Iterator[PolynomialSystem]:
                 for _ in basis:
                     coeffs.append(c % spec.p)
                     c //= spec.p
-                gens.append(
-                    HomogeneousPolynomial.from_coeff_vector(
-                        F, spec.N + 1, e, basis, coeffs
-                    )
-                )
+                gens.append(_member(F, spec.N, e, basis, coeffs))
             yield PolynomialSystem(gens)
     else:
         rng = random.Random(spec.seed)
@@ -137,11 +145,7 @@ def sample_hv(spec: CensusSpec) -> Iterator[PolynomialSystem]:
                     coeffs = [rng.randrange(spec.p) for _ in basis]
                     if any(coeffs):
                         break
-                gens.append(
-                    HomogeneousPolynomial.from_coeff_vector(
-                        F, spec.N + 1, e, basis, coeffs
-                    )
-                )
+                gens.append(_member(F, spec.N, e, basis, coeffs))
             yield PolynomialSystem(gens)
 
 
@@ -252,7 +256,7 @@ def phi_surjectivity_check(a: ProjectivePoint, e: int, b: list[int]) -> bool:
 def persist(records, path: str, run_meta: dict | None = None) -> None:
     """Write one JSON object per line, preceded by a run metadata header."""
     header = {"run": dict(run_meta or {})}
-    header["run"].setdefault("version", "0.1.0")
+    header["run"].setdefault("version", __version__)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for rec in records:

@@ -10,22 +10,30 @@ generators have GF(p) coefficients, so Frobenius maps the singular locus to
 itself.  Over GF(p^m), m > 1, the coordinate after the pivot therefore runs
 only over the least element of each orbit of x -> x^p: that keeps the least
 conjugate of every point, and first among its conjugates.  The budget is
-charged each level's whole grid before the level is enumerated.  A block
-evaluator computes polynomials at once from exponent and coefficient
-matrices through the field's discrete-log tables, one float64 path for every
-field, its log and digit products in BLAS and exact below 2^53.  On a grid of
-at least 2^10 points and 16 times the tail grid, the first generator f splits
-at a tail t, the last w = 2 coordinates (w = 1 when q^2 > 2^14), and a head h
-in P^(N-w): f(h, t) is the sum over tail exponents tau of t^tau g_tau(h), and
-multiplying by g_tau(h) is the m x m matrix over GF(p) whose column j holds
-the digits of g_tau(h) x^j.  So f's digits on a chunk of heads times all tails
-are one product P = (heads*m x tau*m) @ (tau*m x tails), zero mod p where
-P == p rint(P/p).  Each entry of P is at most b = the number of tail exponents
-times m(p-1)^2; the product runs in float32, exact for b < 2^22, and else in
-float64, exact for b < 2^51.  Other grids, zero heads, later generators and
-the r(N+1) partials at the survivors take the block evaluator, and a batched
-Gaussian elimination tests the Jacobian ranks.  Points come at their minimal
-field, one per Galois orbit.
+charged each level's whole grid before the level is enumerated.  A level whose
+point count, counted from q and the number of orbit representatives, times the
+monomials of the largest degree is at most 2^16 takes cached tables, one per
+field, N+1 and degree e: the base-p digits of every degree-e monomial at every
+point of the level, in the digit table's dtype.  A generator's values there
+are one product of each digit plane with its dense coefficient column, and its
+Jacobian rows at the zeros the degree-(e-1) table's rows times its gradient
+rows.  Larger levels stack their generators and partials when the first of
+them runs.  A block evaluator computes polynomials at once from exponent and
+coefficient matrices through the field's discrete-log tables, one float64 path
+for every field, its log and digit products in BLAS and exact below 2^53.  On
+a grid of at least 2^10 points and 16 times the tail grid, the first generator
+f splits at a tail t, the last w = 2 coordinates (w = 1 when q^2 > 2^14), and
+a head h in P^(N-w): f(h, t) is the sum over tail exponents tau of t^tau
+g_tau(h), and multiplying by g_tau(h) is the m x m matrix over GF(p) whose
+column j holds the digits of g_tau(h) x^j.  So f's digits on a chunk of heads
+times all tails are one product P = (heads*m x tau*m) @ (tau*m x tails), zero
+mod p where P == p rint(P/p).  Each entry of P is at most b = the number of
+tail exponents times m(p-1)^2; the product runs in float32, exact for b <
+2^22, and else in float64, exact for b < 2^51.  Other grids, zero heads, later
+generators and the r(N+1) partials at the survivors, read from each
+generator's view, take the block evaluator.  On both paths a batched Gaussian
+elimination tests the Jacobian ranks.  Points come at their minimal field, one
+per Galois orbit.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from __future__ import annotations
 import functools
 import os
 import re
+from math import comb
 
 import numpy as np
 
@@ -45,7 +54,7 @@ from .errors import (
 )
 from .exactla import MatrixOverField, in_span, rank, reduced_kernel, rref
 from .gf import Field, make_field
-from .hompoly import HomogeneousPolynomial, format_poly, parse_poly
+from .hompoly import HomogeneousPolynomial, _monomial_array, format_poly, monomial_rank, parse_poly
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -298,12 +307,37 @@ def _mod(x: np.ndarray, n: int) -> np.ndarray:
     return x - n * np.floor(x / n)
 
 
+def _log_index(X: np.ndarray, log: np.ndarray, ET: np.ndarray, zero_log: int, q1: int) -> np.ndarray:
+    """Where each monomial (column of the float64 exponents ET) at each point (row of X) lies in
+    the digit tables: L = log[X] @ ET mod q1, or q1, the entry of zero, when L >= zero_log."""
+    L = log[X] @ ET
+    idx = _mod(L, q1)
+    idx[L >= zero_log] = q1
+    return idx.astype(np.intp)
+
+
 def _stack(polys: list[HomogeneousPolynomial]) -> tuple[np.ndarray, np.ndarray]:
     """(E, C): E (T x n_vars) stacks the exponent rows of every polynomial's view, and
     column k of C (T x len(polys)) holds polynomial k's coefficients in its own rows."""
     Es, cs = zip(*(f.arrays() for f in polys))
     owner = np.repeat(np.eye(len(polys), dtype=np.int64), [len(c) for c in cs], axis=0)
     return np.concatenate(Es), owner * np.concatenate(cs)[:, None]
+
+
+def _jacobian_stack(gens: list[HomogeneousPolynomial]) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (E, C) of :func:`_stack` for the partials of every generator, column k(N+1) + j
+    holding f^k_{z_j}: its nonzero terms, read from f^k's view, not computed as polynomials."""
+    n1, Es, cols, cs = gens[0].n_vars, [], [], []
+    for k, g in enumerate(gens):
+        var, E, c = g._partial_terms()
+        keep = c != 0  # c * (w_j mod p) vanishes where p divides w_j
+        Es.append(E[keep])
+        cols.append(k * n1 + var[keep])
+        cs.append(c[keep])
+    c = np.concatenate(cs)
+    C = np.zeros((len(c), len(gens) * n1), dtype=np.int64)
+    C[np.arange(len(c)), np.concatenate(cols)] = c
+    return np.concatenate(Es), C
 
 
 class _BlockEvaluator:
@@ -341,10 +375,7 @@ class _BlockEvaluator:
         p, q1, G = self.F.p, self.F.order - 1, self.group
         out = np.zeros((X.shape[0], self.C.shape[1]))
         for s in range(0, X.shape[0], self.rows):
-            L = self.log[X[s : s + self.rows]] @ self.ET
-            idx = _mod(L, q1)
-            idx[L >= self.zero_log] = q1
-            idx = idx.astype(np.intp)
+            idx = _log_index(X[s : s + self.rows], self.log, self.ET, self.zero_log, q1)
             for d, table in enumerate(self.digits):
                 V = table[idx[:, :G]] @ self.C[:G]
                 for g in range(G, len(self.C), G):
@@ -449,6 +480,75 @@ def _first_zeros(f: HomogeneousPolynomial, F: Field, n_plus_1: int, reps: np.nda
         yield coords[ev(coords)[:, 0] == 0]
 
 
+@functools.lru_cache(maxsize=16)
+def _grid(F: Field, n_plus_1: int) -> np.ndarray:
+    """The points a search level enumerates over F, as one read-only array in the order of
+    ``_point_blocks``: every point over GF(p), the Frobenius-restricted grid over GF(p^m), m > 1."""
+    reps = F.frobenius_representatives() if F.m > 1 else None
+    X = np.concatenate(list(_point_blocks(F.order, n_plus_1, reps=reps)))
+    X.flags.writeable = False
+    return X
+
+
+@functools.lru_cache(maxsize=64)
+def _table(F: Field, n_plus_1: int, e: int) -> np.ndarray:
+    """D[d, i, k], digit d of the k-th monomial of ``monomials_of_degree(n_plus_1, e)`` at point i
+    of ``_grid(F, n_plus_1)``: read-only, in the dtype of F's digit table, gathered from it as
+    :class:`_BlockEvaluator` gathers, in row chunks of at most _BLOCK entries."""
+    X, E, digits = _grid(F, n_plus_1), _monomial_array(n_plus_1, e), F.array_tables()[2]
+    zero_log = e * (F.order - 2) + 1
+    log, ET = _float_log(F, zero_log), E.T.astype(np.float64)
+    D = np.empty((F.m, len(X), len(E)), dtype=digits.dtype)
+    rows = max(1, _BLOCK // len(E))
+    for s in range(0, len(X), rows):
+        idx = _log_index(X[s : s + rows], log, ET, zero_log, F.order - 1)
+        for d, table in enumerate(digits):
+            D[d, s : s + rows] = table[idx]
+    D.flags.writeable = False
+    return D
+
+
+def _table_level(gens: list[HomogeneousPolynomial], F: Field, n_plus_1: int):
+    """The points of ``_grid(F, n_plus_1)`` where every generator vanishes, and their r x (N+1)
+    Jacobians: a generator's values are its degree table times its dense coefficient column, its
+    Jacobian rows the degree-(e-1) table's rows at the zeros times its transposed gradient rows.
+    GF(p) coefficients act on each base-p digit alone; the digit planes are multiplied one at a
+    time, so no int64 copy of a whole table is made."""
+    p, X = F.p, _grid(F, n_plus_1)
+
+    def times(D: np.ndarray, C: np.ndarray) -> np.ndarray:
+        out = D[0] @ C % p
+        for d in range(1, len(D)):
+            out += D[d] @ C % p * p**d
+        return out
+
+    zero = np.ones(len(X), dtype=bool)
+    for g in gens:
+        (E, c), row = g.arrays(), np.zeros(comb(g.degree + n_plus_1 - 1, n_plus_1 - 1), dtype=np.int64)
+        row[monomial_rank(E, g.degree)] = c
+        zero &= times(_table(F, n_plus_1, g.degree), row) == 0
+    at = np.flatnonzero(zero)
+    J = np.empty((len(at), len(gens), n_plus_1), dtype=np.int64)
+    for k, g in enumerate(gens):
+        J[:, k] = times(_table(F, n_plus_1, g.degree - 1)[:, at], g.gradient_rows().T)
+    return X[at], J
+
+
+def _block_level(
+    gens: list[HomogeneousPolynomial], later: list, partials: tuple, F: Field, n_plus_1: int, reps: np.ndarray | None
+):
+    """Yield, block by block, the zeros of every generator among the points of
+    ``_point_blocks(q, n_plus_1, reps=reps)`` and their Jacobians: the first generator's zeros
+    from :func:`_first_zeros`, the later generators and the partials by block evaluators of the
+    stacks ``later`` and ``partials``."""
+    later_gens = [_BlockEvaluator(EC, F) for EC in later]
+    jacobian = _BlockEvaluator(partials, F)
+    for pts in _first_zeros(gens[0], F, n_plus_1, reps):
+        for ev in later_gens:
+            pts = pts[ev(pts)[:, 0] == 0]
+        yield pts, jacobian(pts).reshape(pts.shape[0], len(gens), n_plus_1)
+
+
 def singular_search(
     S: PolynomialSystem,
     m_max: int = 3,
@@ -474,8 +574,8 @@ def singular_search(
     p = S.field.p
     n1 = S.n + 1
     gens = [g.lift_to(make_field(p)) for g in S.gens]  # coefficients must lie in GF(p)
-    later = [_stack([g]) for g in gens[1:]]  # stacked once, evaluated over each GF(p^m)
-    partials = _stack([g.partial_derivative(j) for g in gens for j in range(n1)])
+    cells = comb(max(S.degrees) + S.n, S.n)  # the monomials of the largest degree, a table's columns
+    stacks = None  # the block path's later generators and partials, stacked for its first level
     found: list[tuple[int, ProjectivePoint]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     used = 0
@@ -486,12 +586,16 @@ def singular_search(
             msg = f"point budget {budget} exhausted at extension degree {m}"
             raise BudgetExceededError(msg, partial=found, completed_m=m - 1, used=used)
         used += grid
-        later_gens = [_BlockEvaluator(EC, F) for EC in later]
-        jacobian = _BlockEvaluator(partials, F)
-        for pts in _first_zeros(gens[0], F, n1, F.frobenius_representatives() if m > 1 else None):
-            for ev in later_gens:
-                pts = pts[ev(pts)[:, 0] == 0]
-            J = jacobian(pts).reshape(pts.shape[0], S.r, n1)
+        reps = F.frobenius_representatives() if m > 1 else None
+        # the points _point_blocks enumerates, counted without enumerating them
+        count = 1 + (F.order if reps is None else len(reps)) * (F.order**S.n - 1) // (F.order - 1)
+        if count * cells <= _BLOCK:
+            blocks = [_table_level(gens, F, n1)]
+        else:
+            if stacks is None:
+                stacks = [_stack([g]) for g in gens[1:]], _jacobian_stack(gens)
+            blocks = _block_level(gens, *stacks, F, n1, reps)
+        for pts, J in blocks:
             for row in pts[_rank_below(J, S.r, F)].tolist():  # normalized, as the enumeration makes them
                 orbit = _orbit(F, tuple(row))
                 key = (m, min(orbit))  # the same coordinates over two fields are two points

@@ -235,15 +235,23 @@ class HomogeneousPolynomial:
             self._partials[i] = d
         return d
 
+    def _partial_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(var, E, c), the terms of f_{z_0}, ..., f_{z_N} read from the view: c * (w_i mod p) * z^(w - e_i)
+        in f_{z_i} for each term c * z^w with w_i > 0, variable by variable and in term order within
+        each, zero coefficients kept; row k is the term c[k] * z^E[k] of f_{z_var[k]}."""
+        F, (monos, coeffs) = self.field, self.arrays()
+        var, term = np.nonzero(monos.T)
+        E, w = monos[term], monos[term, var]
+        E[np.arange(len(term)), var] -= 1
+        return var, E, F.mul_array(coeffs[term], w % F.p)
+
     def gradient_rows(self) -> np.ndarray:
         """Coefficient rows of f_{z_0}, ..., f_{z_N}: row i holds c * (w_i mod p) at the rank of
         w - e_i for each term c * z^w with w_i > 0."""
-        F, n, d = self.field, self.n_vars, max(self.degree - 1, 0)
-        monos, coeffs = self.arrays()
-        var, term = np.nonzero(monos.T)
+        n, d = self.n_vars, max(self.degree - 1, 0)
+        var, E, c = self._partial_terms()
         out = np.zeros((n, comb(d + n - 1, n - 1)), dtype=np.int64)
-        ranks = monomial_rank(monos[term] - np.eye(n, dtype=np.int64)[var], d)
-        out[var, ranks] = F.mul_array(coeffs[term], monos[term, var] % F.p)
+        out[var, monomial_rank(E, d)] = c
         return out
 
     def evaluate(self, coords, point_field: Field | None = None) -> int:

@@ -36,6 +36,12 @@ class TestHvBasis:
             ]
             assert hv_monomial_basis(p, N, e) == expect
 
+    def test_fresh_list_per_call(self):
+        basis = hv_monomial_basis(2, 3, 3)
+        expect = list(basis)
+        basis.clear()
+        assert hv_monomial_basis(2, 3, 3) == expect and len(expect) == 13
+
     def test_count_p2_N2_e2(self):
         # z0^2, z1^2, z1z2, z2^2
         assert len(hv_monomial_basis(2, 2, 2)) == 4
@@ -57,6 +63,20 @@ class TestSampling:
         assert a == b
         c = [str(S) for S in sample_hv(CensusSpec(p=3, N=3, degrees=(3,), count=10, seed=43))]
         assert a != c
+
+    def test_stream_reference(self):
+        """Each generator draws one coefficient per basis monomial from random.Random(seed),
+        again until one is nonzero, and keeps the nonzero ones in basis order."""
+        for p, N, degrees, seed in [(2, 3, (3,), 5), (3, 3, (2, 2), 6), (2, 4, (4, 2, 2), 7)]:
+            spec = CensusSpec(p=p, N=N, degrees=degrees, count=10, seed=seed)
+            rng = random.Random(seed)
+            for S in sample_hv(spec):
+                for g, e in zip(S.gens, degrees):
+                    basis = hv_monomial_basis(p, N, e)
+                    while not any(coeffs := [rng.randrange(p) for _ in basis]):
+                        pass
+                    expect = HomogeneousPolynomial(make_field(p), N + 1, e, dict(zip(basis, coeffs)))
+                    assert g == expect and list(g.terms.items()) == list(expect.terms.items())
 
     def test_samples_live_in_strange_space(self):
         spec = CensusSpec(p=2, N=3, degrees=(3, 2), count=20, seed=1)
@@ -236,6 +256,13 @@ class TestPersistence:
         d1 = [dict(r.to_dict(), elapsed_ms=0) for r in r1]
         d2 = [dict(r.to_dict(), elapsed_ms=0) for r in r2]
         assert d1 == d2
+
+    def test_header_carries_package_version(self, tmp_path):
+        import strangeci
+
+        path = tmp_path / "run.jsonl"
+        persist([], str(path), run_meta={"seed": 1})
+        assert load_records(str(path))[0]["run"] == {"seed": 1, "version": strangeci.__version__}
 
     def test_non_run_file_rejected(self, tmp_path):
         path = tmp_path / "junk.jsonl"

@@ -23,11 +23,17 @@ from strangeci.geometry import (
     ProjectivePoint,
     enumerate_points,
     gauss_map,
+    _BLOCK,
     _BlockEvaluator,
     _stack,
+    _block_level,
     _first_zeros,
     _float_log,
+    _grid,
+    _jacobian_stack,
     _point_blocks,
+    _table,
+    _table_level,
     is_singular_at,
     jacobian_full,
     parse_point,
@@ -419,6 +425,93 @@ class TestSplitFilter:
                 singular_search(S, m_max=2, budget=budget)
             assert exc.value.completed_m == completed and exc.value.partial == []
             assert exc.value.used == used
+
+
+class TestTables:
+    """Census-sized levels, evaluated from the cached monomial tables."""
+
+    @staticmethod
+    def random_system(p, n_vars, degrees, rng):
+        basis = {e: monomials_of_degree(n_vars, e) for e in degrees}
+        return [HomogeneousPolynomial(make_field(p), n_vars, e, {mo: rng.randrange(p) for mo in basis[e]} | {basis[e][-1]: 1})
+                for e in degrees]
+
+    # the grid is every point over GF(p) and the Frobenius-restricted one over GF(p^m), m > 1
+    @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4)])
+    def test_values_and_jacobians_match_block_path(self, p, m):
+        F, rng = make_field(p, m), random.Random(f"table-{p}-{m}")
+        reps = F.frobenius_representatives() if m > 1 else None
+        levels = 0
+        for n_vars in (3, 4, 5):
+            X = _grid(F, n_vars)
+            assert np.array_equal(X, np.concatenate(list(_point_blocks(F.order, n_vars, reps=reps))))
+            for e in range(1, 5):
+                basis = monomials_of_degree(n_vars, e)
+                if len(X) * len(basis) > _BLOCK:
+                    continue  # singular_search takes such a level on the block path
+                D = _table(F, n_vars, e)
+                assert D.shape == (m, len(X), len(basis)) and D.dtype == F.array_tables()[2].dtype
+                assert not D.flags.writeable and _table(F, n_vars, e) is D
+                (f,) = self.random_system(p, n_vars, [e], rng)
+                row = np.array([f.terms.get(mo, 0) for mo in basis])
+                values = sum(D[d].astype(np.int64) @ row % p * p**d for d in range(m))
+                assert values.tolist() == _BlockEvaluator(_stack([f]), F)(X)[:, 0].tolist()
+                gens = self.random_system(p, n_vars, [e, max(e - 1, 1)], rng)
+                pts, J = _table_level(gens, F, n_vars)
+                blocks = list(_block_level(gens, [_stack(gens[1:])], _jacobian_stack(gens), F, n_vars, reps))
+                assert np.array_equal(pts, np.concatenate([b[0] for b in blocks]))
+                assert np.array_equal(J, np.concatenate([b[1] for b in blocks])) and J.shape == (len(pts), 2, n_vars)
+                levels += 1
+        assert levels >= 5
+
+    @pytest.mark.parametrize("p,N,degrees,m_max", [(2, 3, (3,), 4), (2, 3, (2, 2), 4), (3, 3, (3,), 2), (2, 3, (4,), 4)])
+    def test_census_levels_build_no_block_evaluator(self, p, N, degrees, m_max, monkeypatch):
+        """Every level the census configurations reach up to GF(16) and GF(9) takes the tables."""
+        from strangeci.census import CensusSpec, sample_hv
+
+        made = []
+
+        class Spy(_BlockEvaluator):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        systems = list(sample_hv(CensusSpec(p, N, degrees, count=3, seed=21)))
+        monkeypatch.setattr(geometry, "_BlockEvaluator", Spy)
+        hits = [singular_search(S, m_max=m_max) for S in systems]
+        assert made == []
+        monkeypatch.undo()
+        assert hits == [TestSingularSearch.bruteforce_singular_points(S, m_max) for S in systems]
+
+    def test_large_level_builds_no_table_or_grid(self, monkeypatch):
+        """GF(25)'s 244 141-point grid in P^4 takes the block path: no grid is held for it."""
+        built = []
+        for name in ("_grid", "_table"):
+            fn = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, lambda F, *args, fn=fn: built.append(F) or fn(F, *args))
+        assert singular_search(quadric_normal_form(4, 5), m_max=2) == []
+        assert built and set(built) == {F5}
+
+    def test_coefficients_outside_the_prime_field_rejected(self):
+        """t * z0^2 + z1 * z2 over GF(4) has a coefficient outside GF(2): no level runs."""
+        S = PolynomialSystem.parse(["(t)*z0^2 + z1*z2"], F4, 3)
+        with pytest.raises(FieldMismatchError):
+            singular_search(S, m_max=1)
+
+    def test_jacobian_stack_from_views(self):
+        """The stack of the partials read from the generators' views is the one made from
+        partial_derivative, and no search computes a partial on the caller's generators."""
+        rng = random.Random("jacobian-stack")
+        systems = [self.random_system(p, n, degrees, rng) for p, n, degrees in [(2, 4, (3, 1)), (3, 4, (4, 3)), (5, 3, (6,))]]
+        for gens in systems:
+            expect = _stack([g.partial_derivative(j) for g in gens for j in range(gens[0].n_vars)])
+            assert all(np.array_equal(a, b) for a, b in zip(_jacobian_stack(gens), expect))
+        searched = [quadric_normal_form(4, 5), strange_hypersurface_p_divides(3, 4, 2), PolynomialSystem(systems[0])]
+        for S, m_max in zip(searched, [2, 6, 3]):
+            # fresh generators: the loop above filled the partial caches of systems[0]
+            S = PolynomialSystem([HomogeneousPolynomial(g.field, g.n_vars, g.degree, g.terms) for g in S.gens])
+            singular_search(S, m_max=m_max)
+            assert not any(g._partials for g in S.gens)
 
 
 class TestSingularSearch:
