@@ -17,14 +17,17 @@ import json
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from math import comb
 from typing import Iterator
+
+import numpy as np
 
 from . import __version__
 from .errors import BudgetExceededError, InvalidInputError
 from .exactla import MatrixOverField, rank
 from .gf import Field, make_field
 from .geometry import PolynomialSystem, ProjectivePoint, jacobian_full, singular_search
-from .hompoly import HomogeneousPolynomial, Monomial, format_poly, monomials_of_degree
+from .hompoly import HomogeneousPolynomial, Monomial, _monomial_array, format_poly, monomials_of_degree
 from .strangeness import strange_locus
 
 EXHAUSTIVE_BUDGET = 1_000_000
@@ -103,9 +106,19 @@ def _hv_basis(p: int, N: int, e: int) -> tuple[Monomial, ...]:
     return tuple(m for m in monomials_of_degree(N + 1, e) if m[0] % p == 0)
 
 
-def _member(F: Field, N: int, e: int, basis: tuple[Monomial, ...], coeffs) -> HomogeneousPolynomial:
-    """The generator with the given coefficients on the basis monomials, zero ones left out."""
-    return HomogeneousPolynomial._trusted(F, N + 1, e, {m: c for m, c in zip(basis, coeffs) if c})
+@functools.lru_cache(maxsize=64)
+def _hv_ranks(p: int, N: int, e: int) -> np.ndarray:
+    """The positions of ``_hv_basis(p, N, e)`` in ``monomials_of_degree(N + 1, e)``."""
+    return np.flatnonzero(_monomial_array(N + 1, e)[:, 0] % p == 0)
+
+
+def _member(F: Field, N: int, e: int, coeffs) -> HomogeneousPolynomial:
+    """The generator with the given coefficients on the basis monomials, zero ones left out of
+    its term map, and its dense row placed at the basis ranks."""
+    row = np.zeros(comb(N + e, N), dtype=np.int64)
+    row[_hv_ranks(F.p, N, e)] = coeffs
+    terms = {m: c for m, c in zip(_hv_basis(F.p, N, e), coeffs) if c}
+    return HomogeneousPolynomial._trusted(F, N + 1, e, terms, dense=row)
 
 
 def sample_hv(spec: CensusSpec) -> Iterator[PolynomialSystem]:
@@ -134,7 +147,7 @@ def sample_hv(spec: CensusSpec) -> Iterator[PolynomialSystem]:
                 for _ in basis:
                     coeffs.append(c % spec.p)
                     c //= spec.p
-                gens.append(_member(F, spec.N, e, basis, coeffs))
+                gens.append(_member(F, spec.N, e, coeffs))
             yield PolynomialSystem(gens)
     else:
         rng = random.Random(spec.seed)
@@ -145,7 +158,7 @@ def sample_hv(spec: CensusSpec) -> Iterator[PolynomialSystem]:
                     coeffs = [rng.randrange(spec.p) for _ in basis]
                     if any(coeffs):
                         break
-                gens.append(_member(F, spec.N, e, basis, coeffs))
+                gens.append(_member(F, spec.N, e, coeffs))
             yield PolynomialSystem(gens)
 
 

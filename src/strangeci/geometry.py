@@ -54,7 +54,7 @@ from .errors import (
 )
 from .exactla import MatrixOverField, in_span, rank, reduced_kernel, rref
 from .gf import Field, make_field
-from .hompoly import HomogeneousPolynomial, _monomial_array, format_poly, monomial_rank, parse_poly
+from .hompoly import HomogeneousPolynomial, _monomial_array, format_poly, parse_poly
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -510,7 +510,7 @@ def _table(F: Field, n_plus_1: int, e: int) -> np.ndarray:
 
 def _table_level(gens: list[HomogeneousPolynomial], F: Field, n_plus_1: int):
     """The points of ``_grid(F, n_plus_1)`` where every generator vanishes, and their r x (N+1)
-    Jacobians: a generator's values are its degree table times its dense coefficient column, its
+    Jacobians: a generator's values are its degree table times its ``dense()`` row, its
     Jacobian rows the degree-(e-1) table's rows at the zeros times its transposed gradient rows.
     GF(p) coefficients act on each base-p digit alone; the digit planes are multiplied one at a
     time, so no int64 copy of a whole table is made."""
@@ -524,9 +524,7 @@ def _table_level(gens: list[HomogeneousPolynomial], F: Field, n_plus_1: int):
 
     zero = np.ones(len(X), dtype=bool)
     for g in gens:
-        (E, c), row = g.arrays(), np.zeros(comb(g.degree + n_plus_1 - 1, n_plus_1 - 1), dtype=np.int64)
-        row[monomial_rank(E, g.degree)] = c
-        zero &= times(_table(F, n_plus_1, g.degree), row) == 0
+        zero &= times(_table(F, n_plus_1, g.degree), g.dense()) == 0
     at = np.flatnonzero(zero)
     J = np.empty((len(at), len(gens), n_plus_1), dtype=np.int64)
     for k, g in enumerate(gens):

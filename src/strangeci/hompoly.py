@@ -15,8 +15,10 @@ base-p digits: one path for every GF(p^m), GF(p) being m = 1.
 
 ``.terms`` is the public term map; numpy code reads ``arrays()``, one cached,
 read-only int64 view (E, c) of it, built on first use or kept from the arrays
-that made the polynomial.  Only the public constructor validates terms; the
-library builds through ``_trusted``, and +, * and parsing share :func:`_merge`.
+that made the polynomial, and ``dense()``, the cached read-only coefficient row
+over ``monomials_of_degree``, from which gradient rows are one gather.  Only the
+public constructor validates terms; the library builds through ``_trusted``,
+and +, * and parsing share :func:`_merge`.
 Each polynomial keeps the partial derivatives it has computed; a value and a
 gradient at a point go through one term loop, :meth:`_value`.
 Text is read in the grammar of :func:`strangeci.gf.text_terms`.
@@ -87,7 +89,7 @@ def _times_z(n_vars: int, degree: int) -> np.ndarray:
 class HomogeneousPolynomial:
     """Immutable sparse homogeneous polynomial over a finite field."""
 
-    __slots__ = ("field", "n_vars", "degree", "terms", "_arrays", "_partials", "_prime")
+    __slots__ = ("field", "n_vars", "degree", "terms", "_arrays", "_dense", "_partials", "_prime")
 
     def __init__(self, field: Field, n_vars: int, degree: int, terms: dict[Monomial, int]):
         if n_vars < 1:
@@ -114,20 +116,23 @@ class HomogeneousPolynomial:
         self.n_vars = n_vars
         self.degree = degree
         self.terms = clean
-        self._arrays, self._partials, self._prime = None, {}, None
+        self._arrays, self._dense, self._partials, self._prime = None, None, {}, None
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _trusted(cls, field: Field, n_vars: int, degree: int, terms=None, arrays=None):
+    def _trusted(cls, field: Field, n_vars: int, degree: int, terms=None, arrays=None, dense=None):
         """A polynomial the library built, checked no further: exponent vectors of length n_vars and
         sum degree, nonzero coefficients in range(field.order).  Give the term map, the int64 view
-        (E, c) of it, or only the view, which is then made read-only and the map read from it."""
+        (E, c) of it, or only the view, which is then made read-only and the map read from it; and,
+        if known, the row of ``dense()``, which is made read-only too."""
         f = object.__new__(cls)
         if terms is None:
             arrays[0].flags.writeable = arrays[1].flags.writeable = False
             terms = dict(zip(map(tuple, arrays[0].tolist()), arrays[1].tolist()))
-        f.field, f.n_vars, f.degree, f.terms, f._arrays = field, n_vars, degree, terms, arrays
+        if dense is not None:
+            dense.flags.writeable = False
+        f.field, f.n_vars, f.degree, f.terms, f._arrays, f._dense = field, n_vars, degree, terms, arrays, dense
         f._partials, f._prime = {}, None
         return f
 
@@ -170,6 +175,17 @@ class HomogeneousPolynomial:
             E.flags.writeable = c.flags.writeable = False
             self._arrays = (E, c)
         return self._arrays
+
+    def dense(self) -> np.ndarray:
+        """The read-only int64 coefficient row over ``monomials_of_degree(n_vars, degree)``, the
+        column order of :func:`monomial_rank`: built once from ``arrays()``, or kept as given."""
+        if self._dense is None:
+            (E, c), n = self.arrays(), self.n_vars
+            row = np.zeros(comb(self.degree + n - 1, n - 1), dtype=np.int64)
+            row[monomial_rank(E, self.degree)] = c
+            row.flags.writeable = False
+            self._dense = row
+        return self._dense
 
     # -- arithmetic -------------------------------------------------------
 
@@ -246,13 +262,13 @@ class HomogeneousPolynomial:
         return var, E, F.mul_array(coeffs[term], w % F.p)
 
     def gradient_rows(self) -> np.ndarray:
-        """Coefficient rows of f_{z_0}, ..., f_{z_N}: row i holds c * (w_i mod p) at the rank of
-        w - e_i for each term c * z^w with w_i > 0."""
-        n, d = self.n_vars, max(self.degree - 1, 0)
-        var, E, c = self._partial_terms()
-        out = np.zeros((n, comb(d + n - 1, n - 1)), dtype=np.int64)
-        out[var, monomial_rank(E, d)] = c
-        return out
+        """Coefficient rows of f_{z_0}, ..., f_{z_N}, one gather from ``dense()``: row j holds
+        dense[rank of u + e_j] * ((u_j + 1) mod p) at the rank of each degree-(e - 1) monomial u."""
+        n, F = self.n_vars, self.field
+        if not self.degree:
+            return np.zeros((n, 1), dtype=np.int64)
+        U = _monomial_array(n, self.degree - 1)
+        return F.mul_array(self.dense()[_times_z(n, self.degree - 1).T], (U.T + 1) % F.p)
 
     def evaluate(self, coords, point_field: Field | None = None) -> int:
         """Evaluate at a coordinate vector of integer-encoded elements.
@@ -319,7 +335,9 @@ class HomogeneousPolynomial:
             return self
         if field.p != self.field.p or not self._prime_coefficients():
             raise FieldMismatchError("can only lift prime-subfield coefficients")
-        return HomogeneousPolynomial._trusted(field, self.n_vars, self.degree, dict(self.terms), self._arrays)
+        return HomogeneousPolynomial._trusted(
+            field, self.n_vars, self.degree, dict(self.terms), self._arrays, self._dense
+        )
 
     def linear_change(self, matrix) -> "HomogeneousPolynomial":
         """Substitute z_i <- sum_j M[i][j] z_j for an invertible matrix M.

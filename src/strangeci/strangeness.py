@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import FieldMismatchError, InvalidInputError, UnsupportedVertexError
+from .errors import FieldMismatchError, HomogeneityError, InvalidInputError, UnsupportedVertexError
 from .exactla import MatrixOverField, reduced_kernel, rref
 from .geometry import LinearSubspace, PolynomialSystem, ProjectivePoint
 from .gf import make_field
@@ -111,12 +111,15 @@ class GradedIdeal:
         return comb(d + self.n_vars - 1, self.n_vars - 1)
 
     def vectors(self, polys, d: int) -> np.ndarray:
-        """Coefficient rows of degree-d polynomials in monomials_of_degree order."""
+        """Coefficient rows of degree-d polynomials in monomials_of_degree order, each its
+        ``dense()`` row; a zero polynomial of any degree gives a zero row."""
         self._check_ring(polys)
         T = np.zeros((len(polys), self._dim(d)), dtype=np.int64)
         for i, h in enumerate(polys):
-            E, c = h.arrays()
-            T[i, monomial_rank(E, d)] = c
+            if h.terms:
+                if h.degree != d:
+                    raise HomogeneityError(f"polynomial of degree {h.degree} in the degree-{d} piece")
+                T[i] = h.dense()
         return T
 
     def macaulay_matrix(self, d: int) -> np.ndarray:
@@ -134,9 +137,12 @@ class GradedIdeal:
         return np.concatenate(blocks)
 
     def _piece(self, d: int) -> tuple[np.ndarray, list[int]]:
-        """Nonzero rows of the reduced echelon form of I_d, and their pivots."""
+        """Nonzero rows of the reduced echelon form of I_d, and their pivots; no elimination
+        when every generator's degree exceeds d, as I_d is then empty."""
         if d not in self._pieces:
-            R, pivots = rref(self.field, self.macaulay_matrix(d), self._dim(d))
+            R, pivots = np.zeros((0, self._dim(d)), dtype=np.int64), []
+            if any(g.degree <= d for g in self.gens):
+                R, pivots = rref(self.field, self.macaulay_matrix(d), self._dim(d))
             self._pieces[d] = (R[: len(pivots)], pivots)
         return self._pieces[d]
 

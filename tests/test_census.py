@@ -20,6 +20,8 @@ from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree
 
 F2 = make_field(2)
 F3 = make_field(3)
+# the configurations of the benchmark's census workload: (p, N, degrees, m_max)
+CENSUS_CONFIGS = [(2, 3, (3,), 4), (2, 3, (2, 2), 4), (3, 3, (3,), 4), (2, 3, (4,), 2)]
 
 
 class TestHvBasis:
@@ -78,6 +80,19 @@ class TestSampling:
                     expect = HomogeneousPolynomial(make_field(p), N + 1, e, dict(zip(basis, coeffs)))
                     assert g == expect and list(g.terms.items()) == list(expect.terms.items())
 
+    @pytest.mark.parametrize("p,N,degrees,m_max", CENSUS_CONFIGS)
+    def test_members_carry_their_dense_rows(self, p, N, degrees, m_max):
+        """Each member's preset row is the row its terms give, read-only."""
+        for S in sample_hv(CensusSpec(p=p, N=N, degrees=degrees, count=20, seed=m_max)):
+            for g, e in zip(S.gens, degrees):
+                assert g._dense is not None and not g._dense.flags.writeable
+                assert g._dense.tolist() == [g.terms.get(mo, 0) for mo in monomials_of_degree(N + 1, e)]
+
+    def test_exhaustive_members_carry_their_dense_rows(self):
+        for S in sample_hv(CensusSpec(p=3, N=2, degrees=(2,), mode="exhaustive")):
+            (g,) = S.gens
+            assert g._dense.tolist() == [g.terms.get(mo, 0) for mo in monomials_of_degree(3, 2)]
+
     def test_samples_live_in_strange_space(self):
         spec = CensusSpec(p=2, N=3, degrees=(3, 2), count=20, seed=1)
         for S in sample_hv(spec):
@@ -111,6 +126,20 @@ class TestSampling:
 
 
 class TestVerifyTheorem:
+    @pytest.mark.parametrize("p,N,degrees,m_max", CENSUS_CONFIGS)
+    def test_samples_place_no_terms_once_warm(self, p, N, degrees, m_max, monkeypatch):
+        """After a warm-up pass fills the rank tables, 50 samples call monomial_rank under no name."""
+        from strangeci import census, exactla, families, geometry, gf, hompoly, strangeness
+
+        spec = CensusSpec(p=p, N=N, degrees=degrees, count=50, seed=1, m_max=m_max)
+        expect = verify_singularity_theorem(spec)["summary"]
+        calls, rank = [], hompoly.monomial_rank
+        for mod in (census, exactla, families, geometry, gf, hompoly, strangeness):
+            if hasattr(mod, "monomial_rank"):
+                monkeypatch.setattr(mod, "monomial_rank", lambda *args: calls.append(args) or rank(*args))
+        assert verify_singularity_theorem(spec)["summary"] == expect
+        assert calls == []
+
     def test_small_run_all_found(self):
         spec = CensusSpec(p=2, N=3, degrees=(3,), count=25, seed=7, m_max=3)
         out = verify_singularity_theorem(spec)

@@ -573,7 +573,22 @@ class TestSingularSearch:
             if any(coeffs):
                 return HomogeneousPolynomial(P, n_vars, e, dict(zip(basis, coeffs)))
 
-    def test_matches_bruteforce_oracle(self):
+    @staticmethod
+    def level_paths(monkeypatch, n_vars):
+        """The orders of the fields whose level takes the head x tail product (it enumerates grids
+        of fewer coordinates than the level's), and of those whose level reads the grid tables."""
+        split, tables = set(), set()
+
+        def blocks(q, n, *args, **kwargs):
+            if n < n_vars:
+                split.add(q)
+            yield from _point_blocks(q, n, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "_point_blocks", blocks)
+        monkeypatch.setattr(geometry, "_grid", lambda F, n: tables.add(F.order) or _grid(F, n))
+        return split, tables
+
+    def test_matches_bruteforce_oracle(self, monkeypatch):
         rng = random.Random(14)
         from strangeci.census import CensusSpec, sample_hv
         from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree
@@ -599,23 +614,24 @@ class TestSingularSearch:
                 systems.append((PolynomialSystem(gens), 2))
             spec = CensusSpec(p=p, N=N, degrees=degrees, count=3, seed=rng.randrange(1 << 30))
             systems.extend((S, 2) for S in sample_hv(spec))
-        # Up to m_max = 3 or 4, whose last level takes the head x tail product over
-        # GF(8) in P^4 and GF(16) and GF(27) in P^3: hypersurfaces singular at a planted
-        # point.  Planted at a pair over GF(4) or GF(9), the singular locus holds pairs
+        # Up to m_max = 3 or 4: hypersurfaces singular at a planted point, each with the
+        # field whose level takes the head x tail product, GF(8) in P^4 and GF(27) in P^3,
+        # or None where every level reads the grid tables, as GF(16) in P^3 does.
+        # Planted at a pair over GF(4) or GF(9), the singular locus holds pairs
         # only at this seed.  Over GF(16) the coordinate after the pivot lies in a proper
         # subfield: x4 in GF(4) for (1:x4:g:1) and (0:1:x4:g), 1 in GF(2) for (0:1:1:g);
         # in the last two it is the tail's first coordinate, behind the head (0:1).
         F4, F8, F9, F16, F27 = (make_field(p, m) for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
         x4, g = F16.array_tables()[0][[5, 1]].tolist()  # g^5 has order 3: it lies in GF(4)
         planted = [
-            (ProjectivePoint(F4, [1, 2, 3, 0]), 4, 4, True),
-            (ProjectivePoint(F4, [1, 2, 0, 1, 3]), 3, 3, True),
-            (ProjectivePoint(F9, [0, 1, 4, 0]), 3, 3, True),
-            (ProjectivePoint(F16, [1, x4, g, 1]), 4, 4, False),
-            (ProjectivePoint(F16, [0, 1, x4, g]), 4, 4, False),
-            (ProjectivePoint(F16, [0, 1, 1, g]), 4, 4, False),
-            (ProjectivePoint(F8, [1, 1, 2, 0, 1]), 3, 3, False),
-            (ProjectivePoint(F27, [1, 2, 3, 1]), 3, 3, False),
+            (ProjectivePoint(F4, [1, 2, 3, 0]), 4, 4, True, None),
+            (ProjectivePoint(F4, [1, 2, 0, 1, 3]), 3, 3, True, 8),
+            (ProjectivePoint(F9, [0, 1, 4, 0]), 3, 3, True, 27),
+            (ProjectivePoint(F16, [1, x4, g, 1]), 4, 4, False, None),
+            (ProjectivePoint(F16, [0, 1, x4, g]), 4, 4, False, None),
+            (ProjectivePoint(F16, [0, 1, 1, g]), 4, 4, False, None),
+            (ProjectivePoint(F8, [1, 1, 2, 0, 1]), 3, 3, False, 8),
+            (ProjectivePoint(F27, [1, 2, 3, 1]), 3, 3, False, 27),
         ]
         nonempty = 0
         for S, m_max in systems:
@@ -624,10 +640,15 @@ class TestSingularSearch:
             nonempty += bool(expect)
         assert nonempty >= 6
         prng = random.Random(0)
-        for a, e, m_max, pairs_only in planted:
+        for a, e, m_max, pairs_only, split_order in planted:
             S = PolynomialSystem([self.singular_at(a, e, prng)])
             expect = self.bruteforce_singular_points(S, m_max)
-            assert singular_search(S, m_max=m_max) == expect, str(S)
+            split, tables = self.level_paths(monkeypatch, a.n + 1)
+            got = singular_search(S, m_max=m_max)
+            monkeypatch.undo()
+            assert got == expect, str(S)
+            orders = {a.field.p**m for m in range(1, m_max + 1)}
+            assert split == ({split_order} if split_order else set()) and tables == orders - split
             assert (a.field.m, a.galois_canonical()) in expect
             assert not pairs_only or all(m == 2 for m, _ in expect)
 

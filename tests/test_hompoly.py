@@ -327,6 +327,43 @@ class TestLinearChange:
         assert f.linear_change(BA) == f.linear_change(B).linear_change(A)
 
 
+def scattered(f: HomogeneousPolynomial, degree: int) -> list[int]:
+    """f's coefficients placed by looking each monomial of the given degree up in the term map."""
+    return [f.terms.get(mo, 0) for mo in monomials_of_degree(f.n_vars, degree)]
+
+
+class TestDense:
+    @pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_row_is_the_terms_scattered(self, pm):
+        F = make_field(*pm)
+        rng = random.Random(f"dense-{pm}")
+        for e in range(5):
+            for n in range(1, 5):
+                basis = monomials_of_degree(n, e)
+                f = HomogeneousPolynomial(F, n, e, {m: rng.randrange(F.order) for m in basis if rng.random() < 0.6})
+                for g in (f, HomogeneousPolynomial.zero(F, n, e)):
+                    assert g.dense().dtype == np.int64 and g.dense().tolist() == scattered(g, e)
+
+    def test_row_of_built_polynomials(self):
+        """Polynomials made from arrays (sum, product, coordinate change) place their terms too."""
+        f, g = parse_poly("z0^2 + z1*z2", F3, 3), parse_poly("2*z1 + z2", F3, 3)
+        for h in (f + f.scale(2), f * g, f.linear_change([[1, 1, 0], [0, 1, 0], [2, 0, 1]])):
+            assert h.dense().tolist() == scattered(h, h.degree)
+
+    def test_read_only_cached_and_shared_by_lift(self):
+        f = parse_poly("z0*z1 + z2^2", F2, 3)
+        row = f.dense()
+        assert f.dense() is row and not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1
+        assert f.lift_to(make_field(2, 2)).dense() is row
+
+    def test_given_row_kept_read_only(self):
+        row = np.array([1, 0, 0, 0, 0, 1], dtype=np.int64)
+        f = HomogeneousPolynomial._trusted(F3, 3, 2, {(2, 0, 0): 1, (0, 0, 2): 1}, dense=row)
+        assert f.dense() is row and not row.flags.writeable
+
+
 class TestGradientRows:
     @pytest.mark.parametrize("pm", [(3, 1), (1048573, 1), (3, 2)])
     def test_rows_are_the_partials_vectors(self, pm):
@@ -341,6 +378,36 @@ class TestGradientRows:
             ideal = GradedIdeal([f])
             want = ideal.vectors([f.partial_derivative(i) for i in range(n)], e - 1)
             assert (f.gradient_rows() == want).all()
+
+    @pytest.mark.parametrize(
+        "text,F,n",
+        [
+            ("2", F3, 2),  # degree 0: every partial is the zero constant
+            ("z0 + 2*z2", F3, 3),  # degree 1: constant partials
+            ("z0^2*z1 + z1^3 + z0*z1*z2", F2, 3),  # p divides w_0 in z0^2*z1
+            ("z0^3 + 2*z1^3 + z0*z1*z2", F3, 3),  # p divides w_0 in z0^3 and w_1 in z1^3
+            ("(t)*z0^2*z1 + (t+1)*z1*z2^2 + z2^3", make_field(2, 2), 3),  # GF(4) coefficients
+        ],
+    )
+    def test_rows_are_the_partials_in_edge_cases(self, text, F, n):
+        f = parse_poly(text, F, n)
+        want = [scattered(f.partial_derivative(j), max(f.degree - 1, 0)) for j in range(n)]
+        assert f.gradient_rows().tolist() == want
+
+    def test_one_gather_from_the_dense_row(self, monkeypatch):
+        """Once the rank table of the degree below is cached, gradient rows place no term."""
+        from strangeci import hompoly
+
+        f = parse_poly("z0^2*z1 + 2*z1*z2^2 + z2^3", F3, 3)
+        want = f.gradient_rows()
+        g = HomogeneousPolynomial._trusted(F3, 3, 3, dict(f.terms), dense=np.array(f.dense()))
+
+        def refuse(*args):
+            raise AssertionError("gradient_rows placed terms")
+
+        monkeypatch.setattr(hompoly, "monomial_rank", refuse)
+        monkeypatch.setattr(HomogeneousPolynomial, "_partial_terms", refuse)
+        assert np.array_equal(g.gradient_rows(), want) and g._arrays is None
 
 
 class TestNormalizeOperator:

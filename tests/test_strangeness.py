@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strangeci.errors import FieldMismatchError, InvalidInputError, UnsupportedVertexError
+from strangeci.errors import FieldMismatchError, HomogeneityError, InvalidInputError, UnsupportedVertexError
 from strangeci.exactla import MatrixOverField, in_span, rank, rank_and_kernel
 from strangeci.families import (
     quadric_normal_form,
@@ -208,6 +208,37 @@ class TestGradedIdeal:
             ideal = GradedIdeal([HomogeneousPolynomial.monomial(F, n_vars, basis[0])])
             assert np.array_equal(ideal.vectors(polys, d), want)
             assert ideal.vectors([], d).shape == (0, len(basis))
+
+    def test_vectors_reject_a_nonzero_polynomial_of_another_degree(self):
+        """Over GF(3) in 3 variables, with f = z0^2 + z1*z2: z0^3 has no row in degree 2, nor f one in degree 3."""
+        f = parse_poly("z0^2 + z1*z2", F3, 3)
+        ideal = GradedIdeal([f])
+        for polys, d in (([parse_poly("z0^3", F3, 3)], 2), ([f], 3), ([f, parse_poly("z2^3", F3, 3)], 2)):
+            with pytest.raises(HomogeneityError):
+                ideal.vectors(polys, d)
+
+    def test_vectors_keep_zero_polynomials_of_any_degree_as_zero_rows(self):
+        f = parse_poly("z0^2 + z1*z2", F3, 3)
+        zeros = [HomogeneousPolynomial.zero(F3, 3, e) for e in (0, 2, 5)]
+        V = GradedIdeal([f]).vectors(zeros[:1] + [f] + zeros[1:], 2)
+        assert V.tolist() == [[0] * 6, f.dense().tolist(), [0] * 6, [0] * 6]
+
+    def test_empty_piece_takes_no_elimination(self, monkeypatch):
+        """Below every generator's degree I_d is empty: its piece, residues and Hilbert
+        function come without an elimination, and strange_locus eliminates once."""
+        from strangeci import exactla, strangeness
+
+        calls = []
+        for mod in (exactla, strangeness):
+            monkeypatch.setattr(mod, "rref", lambda *args, fn=mod.rref: calls.append(args) or fn(*args))
+        ideal = GradedIdeal([parse_poly("z0^2 + z1*z2", F3, 3), parse_poly("z0*z1*z2", F3, 3)])
+        T = np.arange(9, dtype=np.int64).reshape(3, 3) % 3
+        assert ideal.hilbert_function(1) == 3 and ideal.residues(T, 1) is T
+        assert ideal.annihilator(1).tolist() == np.eye(3, dtype=np.int64).tolist() and not calls
+        assert ideal.hilbert_function(2) == 5 and len(calls) == 1
+        calls.clear()
+        assert strange_locus(PolynomialSystem([parse_poly("z0^2 + z1*z2", F2, 3)])).dim == 1
+        assert len(calls) == 1
 
     def test_many_variables_low_degree(self):
         q = parse_poly(" + ".join(f"z{2 * i}*z{2 * i + 1}" for i in range(50)), F3, 100)
