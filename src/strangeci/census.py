@@ -50,6 +50,13 @@ class CensusSpec:
             raise InvalidInputError("need r <= N-1 for a positive-dimensional scheme")
         if self.mode not in ("sample", "exhaustive"):
             raise InvalidInputError(f"unknown census mode {self.mode!r}")
+        for e in self.degrees:
+            # comb(N + e, N) >= comb(N + e, j) >= 2^j for j <= min(N, e), so j need not pass the
+            # budget's bit length: that keeps comb cheap when N and e are both huge
+            if comb(self.N + e, min(self.N, e, EXHAUSTIVE_BUDGET.bit_length())) > EXHAUSTIVE_BUDGET:
+                raise BudgetExceededError(
+                    f"degree {e} in {self.N + 1} variables has more than {EXHAUSTIVE_BUDGET} monomials"
+                )
 
     def is_excluded_case(self) -> bool:
         """The odd-dimensional quadric space in characteristic 2."""

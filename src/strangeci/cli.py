@@ -1,9 +1,9 @@
 """Command-line frontend with machine-readable JSON output.
 
 Exit codes: 0 completed, 1 property/theorem check failed, 2 invalid
-input, 3 resource budget exceeded.  Output is a single JSON document on
-stdout (or indented human-oriented JSON with --pretty); diagnostics go to
-stderr.
+input, 3 resource budget exceeded or memory exhausted.  Output is a single
+JSON document on stdout (or indented human-oriented JSON with --pretty);
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -414,6 +414,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except (InvalidInputError, StrangeCIError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

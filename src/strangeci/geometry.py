@@ -493,17 +493,12 @@ def _grid(F: Field, n_plus_1: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _table(F: Field, n_plus_1: int, e: int) -> np.ndarray:
     """D[d, i, k], digit d of the k-th monomial of ``monomials_of_degree(n_plus_1, e)`` at point i
-    of ``_grid(F, n_plus_1)``: read-only, in the dtype of F's digit table, gathered from it as
-    :class:`_BlockEvaluator` gathers, in row chunks of at most _BLOCK entries."""
+    of ``_grid(F, n_plus_1)``: read-only, in the dtype of F's digit table, gathered whole from it
+    as :class:`_BlockEvaluator` gathers: singular_search asks only for tables of <= _BLOCK entries."""
     X, E, digits = _grid(F, n_plus_1), _monomial_array(n_plus_1, e), F.array_tables()[2]
     zero_log = e * (F.order - 2) + 1
-    log, ET = _float_log(F, zero_log), E.T.astype(np.float64)
-    D = np.empty((F.m, len(X), len(E)), dtype=digits.dtype)
-    rows = max(1, _BLOCK // len(E))
-    for s in range(0, len(X), rows):
-        idx = _log_index(X[s : s + rows], log, ET, zero_log, F.order - 1)
-        for d, table in enumerate(digits):
-            D[d, s : s + rows] = table[idx]
+    idx = _log_index(X, _float_log(F, zero_log), E.T.astype(np.float64), zero_log, F.order - 1)
+    D = np.stack([table[idx] for table in digits])
     D.flags.writeable = False
     return D
 

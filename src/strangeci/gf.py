@@ -15,14 +15,14 @@ Element and polynomial text share one grammar, read by :func:`text_terms`.
 
 The reduction modulus of GF(p^m) is the lexicographically least monic
 irreducible polynomial of degree m over GF(p), coefficients compared low
-degree first, found by scanning candidates in that order with trial
-division.  The scan starts at constant term 1, because every candidate with
-constant term 0 is divisible by x.  The exp/log tables are the powers of g,
-the smallest element of order p^m - 1, found by powers of its
-multiplication matrix, an m x m matrix over GF(p) built from the companion
-matrix of the modulus.  They are filled in numpy by repeated doubling:
-multiplying the first n powers by g^n, a GF(p)-linear map on coefficient
-vectors, gives the next n.  Each table is held once, as a
+degree first, found by scanning candidates in that order with Rabin's test
+on each candidate's companion matrix.  The scan starts at constant term 1,
+because every candidate with constant term 0 is divisible by x.  The
+exp/log tables are the powers of g, the smallest element of order p^m - 1,
+found by powers of its multiplication matrix, an m x m matrix over GF(p)
+built from the companion matrix of the modulus.  They are filled in numpy
+by repeated doubling: multiplying the first n powers by g^n, a GF(p)-linear
+map on coefficient vectors, gives the next n.  Each table is held once, as a
 read-only int64 array: scalar arithmetic indexes memoryviews of it and
 :meth:`Field.array_tables` returns it.  Every field has these tables; GF(p),
 whose scalar arithmetic is plain modular arithmetic, builds them on the
@@ -85,19 +85,22 @@ def text_terms(text: str, symbol: str) -> list[tuple[int, list]]:
     return terms
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, in increasing order, by trial division."""
+    factors, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _digits(val: int, p: int, length: int) -> list[int]:
@@ -108,33 +111,38 @@ def _digits(val: int, p: int, length: int) -> list[int]:
     return out
 
 
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a modulo monic b, coefficient lists low degree first, untrimmed."""
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - db
-            for i, bc in enumerate(b):
-                a[shift + i] = (a[shift + i] - lead * bc) % p
-        a.pop()
-    return a
+def _companion(modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """X, the companion matrix of the monic modulus, multiplies by x: row j holds the digits of
+    x^(j+1).  A polynomial g reduced mod the modulus is g(X), and entries stay below p, so int64
+    products, at most m (p-1)^2, are exact."""
+    m = len(modulus) - 1
+    X = np.eye(m, k=1, dtype=np.int64)
+    X[-1] = np.negative(modulus[:m]) % p
+    return X
 
 
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial by trial division.
+def _power(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    """M^e over GF(p), by repeated squaring."""
+    R = np.eye(len(M), dtype=np.int64)
+    while e:
+        if e & 1:
+            R = R @ M % p
+        M, e = M @ M % p, e >> 1
+    return R
 
-    Divides by every monic polynomial of degree 1..deg/2 (reducible trial
-    divisors are harmless: they only ever divide reducible inputs).
-    """
-    m = len(poly) - 1
-    for d in range(1, m // 2 + 1):
-        for idx in range(p**d):
-            div = _digits(idx, p, d) + [1]
-            if not any(_poly_rem(poly, div, p)):
-                return False
-    return True
+
+def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 9(2), 1980): a monic f of degree m is irreducible over GF(p)
+    exactly when x^(p^m) = x mod f and, for every prime r dividing m, x^(p^(m/r)) - x is prime
+    to f.  On the companion matrix X of f, the first is X^(p^m) = X, and the second says that
+    X^(p^(m/r)) - X has rank m: its eigenvalues are a^(p^(m/r)) - a at the roots a of f."""
+    from .exactla import rref  # exactla imports this module
+
+    m, F = len(modulus) - 1, make_field(p)
+    X = _companion(modulus, p)
+    return np.array_equal(_power(X, p**m, p), X) and all(
+        len(rref(F, _power(X, p ** (m // r), p) - X, m)[1]) == m for r in _prime_factors(m)
+    )
 
 
 class Field:
@@ -167,39 +175,17 @@ class Field:
 
     def _build_tables(self) -> None:
         p, m, q = self.p, self.m, self.order
-        # Find a primitive element: smallest g whose order is q - 1.
-        factors = []
-        n = q - 1
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                factors.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            factors.append(n)
-        # X, the companion matrix of the modulus, multiplies by x: row j holds the digits of
-        # x^(j+1).  The matrix of a, mul_matrices(a), is the sum of a's digits times X^0, ...,
-        # X^(m-1); entries stay below p, so int64 products, at most m (p-1)^2, are exact.
-        X, one = np.eye(m, k=1, dtype=np.int64), np.eye(m, dtype=np.int64)
-        X[-1] = np.negative(self.modulus[:m]) % p
+        # Find a primitive element: smallest g whose order is q - 1.  The matrix of a,
+        # mul_matrices(a), is the sum of a's digits times X^0, ..., X^(m-1).
+        factors = _prime_factors(q - 1)
+        X, one = _companion(self.modulus, p), np.eye(m, dtype=np.int64)
         powers = [one]
         for _ in range(m - 1):
             powers.append(powers[-1] @ X % p)
-
-        def power(M: np.ndarray, e: int) -> np.ndarray:
-            R = one
-            while e:
-                if e & 1:
-                    R = R @ M % p
-                M, e = M @ M % p, e >> 1
-            return R
-
         # start past GF(p) when m > 1: its elements have orders dividing p - 1
         for g in range(1 if m == 1 else p, q):
             M = np.tensordot(self.to_digits(g), powers, 1) % p
-            if all((power(M, (q - 1) // f) != one).any() for f in factors):
+            if all((_power(M, (q - 1) // f, p) != one).any() for f in factors):
                 break
         # exp holds g^0, ..., g^(q-2) twice over, so that a sum of two logs
         # indexes it unreduced.  Row j of M holds the digits of c * x^j: the
@@ -458,15 +444,12 @@ def _make_field(p: int, m: int) -> Field:
         raise InvalidInputError(f"characteristic must be prime, got {p}")
     if m == 1:
         return Field(p, 1, (0, 1))
-    # idx < p^(m-1) would give c_0 = 0: divisible by x, so never irreducible
+    # c_0 = 0 would make the candidate divisible by x, so never irreducible; the odometer with
+    # the highest-degree coefficient fastest gives increasing lexicographic order on (c_0, ...)
     for idx in range(p ** (m - 1), p**m):
-        lows = _digits(idx, p, m)
-        # odometer with the last (highest-degree) coefficient fastest gives
-        # increasing lexicographic order on (c_0, ..., c_{m-1})
-        coeffs = [lows[m - 1 - i] for i in range(m)]
-        poly = coeffs + [1]
-        if _is_irreducible(poly, p):
-            return Field(p, m, tuple(poly))
+        modulus = (*reversed(_digits(idx, p, m)), 1)
+        if _is_irreducible(modulus, p):
+            return Field(p, m, modulus)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 

@@ -212,6 +212,20 @@ class TestCensusCommand:
         assert len(lines) == 11  # header + 10 records
         assert "run" in json.loads(lines[0])
 
+    def test_degree_past_the_monomial_budget(self, capsys):
+        """Rejected by the spec before any monomial is enumerated, not by a MemoryError."""
+        code, out, err = run(capsys, "census", "--char", "2", "--n", "3", "--degrees", "99999999999", "--samples", "1")
+        assert code == EXIT_BUDGET and out == "" and err.count("\n") == 1
+        assert err.startswith("error: degree 99999999999 in 4 variables has more than 1000000 monomials")
+
+    def test_memory_error_exits_3(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("strangeci.cli.verify_singularity_theorem", exhausted)
+        code, out, err = run(capsys, "census", "--char", "2", "--n", "3", "--degrees", "3", "--samples", "1")
+        assert code == EXIT_BUDGET and out == "" and err == "error: out of memory\n"
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize(

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import isprime
 
 import strangeci
+from strangeci import gf
 from strangeci.errors import FieldMismatchError, InvalidInputError
 from strangeci.exactla import MatrixOverField, in_span, rank
 from strangeci.geometry import ProjectivePoint
@@ -115,6 +117,28 @@ class TestConstruction:
                     candidates.append((c0, c1))
         least = min(candidates)
         assert make_field(3, 2).modulus == (*least, 1)
+
+    @pytest.mark.parametrize("p,degrees", [(2, range(2, 11)), (3, range(2, 7)), (5, range(2, 5)), (7, range(2, 4))])
+    def test_rabin_test_matches_trial_division(self, p, degrees):
+        """Rabin's test on the companion matrix agrees with "no monic divisor of degree 1..m/2"
+        on every monic polynomial of these degrees, constant term 0 and squares such as (x+1)^2
+        among them."""
+        for m in degrees:
+            for low in itertools.product(range(p), repeat=m):
+                f = low + (1,)
+                divisors = (_coeffs(i, p, d) + (1,) for d in range(1, m // 2 + 1) for i in range(p**d))
+                assert gf._is_irreducible(f, p) == (not any(_divides(g, f, p) for g in divisors)), f
+
+    def test_rabin_rank_condition_rejects_squarefree_products(self):
+        """(x+1)(x^2+x+1)(x^3+x+1) over GF(2) divides x^64 - x, as its factors' degrees divide 6:
+        only the rank of X^(2^3) - X or X^(2^2) - X rejects it."""
+        f = (1, 1, 0, 0, 1, 0, 1)
+        X = gf._companion(f, 2)
+        assert np.array_equal(gf._power(X, 2**6, 2), X) and not gf._is_irreducible(f, 2)
+
+    def test_is_prime_matches_sympy(self):
+        for n in [*range(5000), 1048573, 1048575, 1048576, 1048583]:
+            assert gf.is_prime(n) == isprime(n), n
 
     def test_non_prime_rejected(self):
         with pytest.raises(InvalidInputError):
