@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 

@@ -17,7 +17,6 @@ from .census import (
     CensusSpec,
     euler_rank_lemma_check,
     phi_surjectivity_check,
-    persist,
     sample_hv,
     verify_singularity_theorem,
 )
@@ -38,7 +37,7 @@ from .geometry import (
     tangent_space,
 )
 from .gf import make_field
-from .hompoly import format_poly, normalize_z0, parse_poly
+from .hompoly import format_poly, normalize_z0
 from .strangeness import (
     cone_corollary_check,
     is_cone_with_vertex,

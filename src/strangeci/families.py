@@ -10,16 +10,9 @@ from __future__ import annotations
 
 from .errors import InvalidInputError
 from .exactla import rank
-from .gf import Field, make_field
+from .gf import make_field
 from .geometry import PolynomialSystem, ProjectivePoint, jacobian_full
 from .hompoly import HomogeneousPolynomial
-
-
-def _mono(field: Field, n_vars: int, pairs: dict[int, int], coeff: int = 1) -> HomogeneousPolynomial:
-    exps = [0] * n_vars
-    for i, e in pairs.items():
-        exps[i] = e
-    return HomogeneousPolynomial.monomial(field, n_vars, tuple(exps), coeff)
 
 
 def quadric_normal_form(N: int, p: int) -> PolynomialSystem:
@@ -30,17 +23,10 @@ def quadric_normal_form(N: int, p: int) -> PolynomialSystem:
     """
     if N < 2:
         raise InvalidInputError("quadric normal form needs N >= 2")
-    F = make_field(p)
-    n_vars = N + 1
-    f = HomogeneousPolynomial.zero(F, n_vars, 2)
-    if N % 2 == 0:
-        f = f + _mono(F, n_vars, {0: 2})
-        start = 1
-    else:
-        start = 0
-    for i in range(start, N, 2):
-        f = f + _mono(F, n_vars, {i: 1, i + 1: 1})
-    return PolynomialSystem([f])
+    terms = {(2,) + (0,) * N: 1} if N % 2 == 0 else {}
+    for i in range(1 - N % 2, N, 2):
+        terms[(0,) * i + (1, 1) + (0,) * (N - 1 - i)] = 1
+    return PolynomialSystem([HomogeneousPolynomial(make_field(p), N + 1, 2, terms)])
 
 
 def strange_hypersurface_p_divides(N: int, e: int, p: int) -> PolynomialSystem:
@@ -51,12 +37,10 @@ def strange_hypersurface_p_divides(N: int, e: int, p: int) -> PolynomialSystem:
     """
     if e < 3 or e % p != 0 or N < 2:
         raise InvalidInputError("family requires e >= 3, p | e, N >= 2")
-    F = make_field(p)
-    n_vars = N + 1
-    f = _mono(F, n_vars, {0: e})
+    terms = {(e,) + (0,) * N: 1}
     for i in range(2, N + 1):
-        f = f + _mono(F, n_vars, {i: 1, i - 1: e - 1})
-    return PolynomialSystem([f])
+        terms[(0,) * (i - 1) + (e - 1, 1) + (0,) * (N - i)] = 1
+    return PolynomialSystem([HomogeneousPolynomial(make_field(p), N + 1, e, terms)])
 
 
 def strange_hypersurface_p_not_divides(N: int, e: int, p: int) -> PolynomialSystem:
@@ -67,12 +51,10 @@ def strange_hypersurface_p_not_divides(N: int, e: int, p: int) -> PolynomialSyst
     """
     if e <= p or e % p == 0 or N < 2:
         raise InvalidInputError("family requires e > p, p not dividing e, N >= 2")
-    F = make_field(p)
-    n_vars = N + 1
-    f = _mono(F, n_vars, {0: p, 1: e - p})
+    terms = {(p, e - p) + (0,) * (N - 1): 1}
     for i in range(2, N + 1):
-        f = f + _mono(F, n_vars, {i: e})
-    return PolynomialSystem([f])
+        terms[(0,) * i + (e,) + (0,) * (N - i)] = 1
+    return PolynomialSystem([HomogeneousPolynomial(make_field(p), N + 1, e, terms)])
 
 
 def cone_over(Sbase: PolynomialSystem, alpha: ProjectivePoint) -> PolynomialSystem:

@@ -17,7 +17,7 @@ field, N+1 and degree e: the base-p digits of every degree-e monomial at every
 point of the level, in the digit table's dtype.  A generator's values there
 are one product of each digit plane with its dense coefficient column, and its
 Jacobian rows at the zeros the degree-(e-1) table's rows times its gradient
-rows.  Larger levels stack their generators and partials when the first of
+rows.  Larger levels stack later generators and gradient rows when the first of
 them runs.  A block evaluator computes polynomials at once from exponent and
 coefficient matrices through the field's discrete-log tables, one float64 path
 for every field, its log and digit products in BLAS and exact below 2^53.  On
@@ -30,10 +30,10 @@ times all tails are one product P = (heads*m x tau*m) @ (tau*m x tails), zero
 mod p where P == p rint(P/p).  Each entry of P is at most b = the number of
 tail exponents times m(p-1)^2; the product runs in float32, exact for b <
 2^22, and else in float64, exact for b < 2^51.  Other grids, zero heads, later
-generators and the r(N+1) partials at the survivors, read from each
-generator's view, take the block evaluator.  On both paths a batched Gaussian
-elimination tests the Jacobian ranks.  Points come at their minimal field, one
-per Galois orbit.
+generators and the Jacobians at the survivors take the block evaluator.  On
+both paths each generator's Jacobian rows come from its ``gradient_rows()``,
+and a batched Gaussian elimination tests the Jacobian ranks.  Points come at
+their minimal field, one per Galois orbit.
 """
 
 from __future__ import annotations
@@ -324,20 +324,12 @@ def _stack(polys: list[HomogeneousPolynomial]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(Es), owner * np.concatenate(cs)[:, None]
 
 
-def _jacobian_stack(gens: list[HomogeneousPolynomial]) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (E, C) of :func:`_stack` for the partials of every generator, column k(N+1) + j
-    holding f^k_{z_j}: its nonzero terms, read from f^k's view, not computed as polynomials."""
-    n1, Es, cols, cs = gens[0].n_vars, [], [], []
-    for k, g in enumerate(gens):
-        var, E, c = g._partial_terms()
-        keep = c != 0  # c * (w_j mod p) vanishes where p divides w_j
-        Es.append(E[keep])
-        cols.append(k * n1 + var[keep])
-        cs.append(c[keep])
-    c = np.concatenate(cs)
-    C = np.zeros((len(c), len(gens) * n1), dtype=np.int64)
-    C[np.arange(len(c)), np.concatenate(cols)] = c
-    return np.concatenate(Es), C
+def _gradient_stack(g: HomogeneousPolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (E, C) of :func:`_stack` for g's partials, column j holding g_{z_j}: each
+    degree-(e-1) monomial that some partial holds, once, with its column of ``gradient_rows()``."""
+    G = g.gradient_rows()
+    keep = G.any(axis=0)
+    return _monomial_array(g.n_vars, g.degree - 1)[keep], G[:, keep].T
 
 
 class _BlockEvaluator:
@@ -528,18 +520,18 @@ def _table_level(gens: list[HomogeneousPolynomial], F: Field, n_plus_1: int):
 
 
 def _block_level(
-    gens: list[HomogeneousPolynomial], later: list, partials: tuple, F: Field, n_plus_1: int, reps: np.ndarray | None
+    gens: list[HomogeneousPolynomial], later: list, gradients: list, F: Field, n_plus_1: int, reps: np.ndarray | None
 ):
     """Yield, block by block, the zeros of every generator among the points of
     ``_point_blocks(q, n_plus_1, reps=reps)`` and their Jacobians: the first generator's zeros
-    from :func:`_first_zeros`, the later generators and the partials by block evaluators of the
-    stacks ``later`` and ``partials``."""
+    from :func:`_first_zeros`, the later generators by block evaluators of the stacks ``later``,
+    and row k of each Jacobian by one of generator k's :func:`_gradient_stack` in ``gradients``."""
     later_gens = [_BlockEvaluator(EC, F) for EC in later]
-    jacobian = _BlockEvaluator(partials, F)
+    jacobian = [_BlockEvaluator(EC, F) for EC in gradients]
     for pts in _first_zeros(gens[0], F, n_plus_1, reps):
         for ev in later_gens:
             pts = pts[ev(pts)[:, 0] == 0]
-        yield pts, jacobian(pts).reshape(pts.shape[0], len(gens), n_plus_1)
+        yield pts, np.stack([ev(pts) for ev in jacobian], axis=1)
 
 
 def singular_search(
@@ -568,7 +560,7 @@ def singular_search(
     n1 = S.n + 1
     gens = [g.lift_to(make_field(p)) for g in S.gens]  # coefficients must lie in GF(p)
     cells = comb(max(S.degrees) + S.n, S.n)  # the monomials of the largest degree, a table's columns
-    stacks = None  # the block path's later generators and partials, stacked for its first level
+    stacks = None  # the block path's later generators and gradients, stacked for its first level
     found: list[tuple[int, ProjectivePoint]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     used = 0
@@ -586,7 +578,7 @@ def singular_search(
             blocks = [_table_level(gens, F, n1)]
         else:
             if stacks is None:
-                stacks = [_stack([g]) for g in gens[1:]], _jacobian_stack(gens)
+                stacks = [_stack([g]) for g in gens[1:]], [_gradient_stack(g) for g in gens]
             blocks = _block_level(gens, *stacks, F, n1, reps)
         for pts, J in blocks:
             for row in pts[_rank_below(J, S.r, F)].tolist():  # normalized, as the enumeration makes them

@@ -251,16 +251,6 @@ class HomogeneousPolynomial:
             self._partials[i] = d
         return d
 
-    def _partial_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(var, E, c), the terms of f_{z_0}, ..., f_{z_N} read from the view: c * (w_i mod p) * z^(w - e_i)
-        in f_{z_i} for each term c * z^w with w_i > 0, variable by variable and in term order within
-        each, zero coefficients kept; row k is the term c[k] * z^E[k] of f_{z_var[k]}."""
-        F, (monos, coeffs) = self.field, self.arrays()
-        var, term = np.nonzero(monos.T)
-        E, w = monos[term], monos[term, var]
-        E[np.arange(len(term)), var] -= 1
-        return var, E, F.mul_array(coeffs[term], w % F.p)
-
     def gradient_rows(self) -> np.ndarray:
         """Coefficient rows of f_{z_0}, ..., f_{z_N}, one gather from ``dense()``: row j holds
         dense[rank of u + e_j] * ((u_j + 1) mod p) at the rank of each degree-(e - 1) monomial u."""

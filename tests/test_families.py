@@ -35,6 +35,12 @@ class TestQuadricNormalForm:
             "z0^2 + z1*z2 + z3*z4", F5, 5
         )
 
+    @pytest.mark.parametrize("N,p", [(2, 3), (3, 2), (6, 5), (9, 2), (40, 3), (201, 7)])
+    def test_documented_formula(self, N, p):
+        """z0^2 + z1*z2 + ... + z_{N-1}*z_N for N even, z0*z1 + ... + z_{N-1}*z_N for N odd."""
+        text = " + ".join(["z0^2"] * (N % 2 == 0) + [f"z{i}*z{i + 1}" for i in range(1 - N % 2, N, 2)])
+        assert quadric_normal_form(N, p).gens[0] == parse_poly(text, make_field(p), N + 1)
+
     def test_always_smooth(self):
         for N in range(2, 6):
             for p in (2, 3, 5):
@@ -57,6 +63,12 @@ class TestPDividesFamily:
         S = strange_hypersurface_p_divides(3, 3, 3)
         assert S.gens[0] == parse_poly("z3*z2^2 + z2*z1^2 + z0^3", F3, 4)
 
+    @pytest.mark.parametrize("N,e,p", [(2, 3, 3), (3, 4, 2), (7, 6, 3), (12, 10, 5), (150, 4, 2)])
+    def test_documented_formula(self, N, e, p):
+        """z_N z_{N-1}^{e-1} + ... + z_2 z_1^{e-1} + z_0^e."""
+        text = " + ".join([f"z{i}*z{i - 1}^{e - 1}" for i in range(N, 1, -1)] + [f"z0^{e}"])
+        assert strange_hypersurface_p_divides(N, e, p).gens[0] == parse_poly(text, make_field(p), N + 1)
+
     def test_strange_and_singular_at_last_unit(self):
         for N, e, p in [(2, 4, 2), (3, 3, 3), (2, 6, 3), (4, 4, 2)]:
             S = strange_hypersurface_p_divides(N, e, p)
@@ -77,6 +89,12 @@ class TestPNotDividesFamily:
     def test_explicit_form(self):
         S = strange_hypersurface_p_not_divides(3, 3, 2)
         assert S.gens[0] == parse_poly("z0^2*z1 + z2^3 + z3^3", F2, 4)
+
+    @pytest.mark.parametrize("N,e,p", [(2, 3, 2), (3, 4, 3), (8, 7, 5), (13, 9, 2), (150, 5, 3)])
+    def test_documented_formula(self, N, e, p):
+        """z0^p z1^{e-p} + z2^e + ... + zN^e."""
+        text = " + ".join([f"z0^{p}*z1^{e - p}"] + [f"z{i}^{e}" for i in range(2, N + 1)])
+        assert strange_hypersurface_p_not_divides(N, e, p).gens[0] == parse_poly(text, make_field(p), N + 1)
 
     def test_singular_locus_cases(self):
         # e = p+1: only (0:1:0:...:0); e > p+1: both unit points

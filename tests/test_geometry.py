@@ -29,8 +29,8 @@ from strangeci.geometry import (
     _block_level,
     _first_zeros,
     _float_log,
+    _gradient_stack,
     _grid,
-    _jacobian_stack,
     _point_blocks,
     _table,
     _table_level,
@@ -41,7 +41,7 @@ from strangeci.geometry import (
     tangent_space,
 )
 from strangeci.gf import make_field
-from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree
+from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree, parse_poly
 
 from matrices import mat_mul, mat_vec
 
@@ -456,13 +456,28 @@ class TestTables:
                 row = np.array([f.terms.get(mo, 0) for mo in basis])
                 values = sum(D[d].astype(np.int64) @ row % p * p**d for d in range(m))
                 assert values.tolist() == _BlockEvaluator(_stack([f]), F)(X)[:, 0].tolist()
-                gens = self.random_system(p, n_vars, [e, max(e - 1, 1)], rng)
-                pts, J = _table_level(gens, F, n_vars)
-                blocks = list(_block_level(gens, [_stack(gens[1:])], _jacobian_stack(gens), F, n_vars, reps))
-                assert np.array_equal(pts, np.concatenate([b[0] for b in blocks]))
-                assert np.array_equal(J, np.concatenate([b[1] for b in blocks])) and J.shape == (len(pts), 2, n_vars)
+                self.assert_paths_agree(self.random_system(p, n_vars, [e, max(e - 1, 1)], rng), F, reps)
                 levels += 1
+            # every partial of z1^p + ... + zN^p vanishes mod p, so its gradient stack has no rows
+            frobenius = parse_poly(" + ".join(f"z{j}^{p}" for j in range(1, n_vars)), make_field(p), n_vars)
+            assert len(_gradient_stack(frobenius)[0]) == 0
+            (linear,) = self.random_system(p, n_vars, [1], rng)
+            if len(X) * len(monomials_of_degree(n_vars, p)) <= _BLOCK:
+                self.assert_paths_agree([frobenius], F, reps)
+                self.assert_paths_agree([linear, frobenius], F, reps)
+                levels += 1
+            self.assert_paths_agree([linear], F, reps)
         assert levels >= 5
+
+    @staticmethod
+    def assert_paths_agree(gens, F, reps):
+        """The table path and the block path give the same zeros, in order, and Jacobians."""
+        n_vars = gens[0].n_vars
+        pts, J = _table_level(gens, F, n_vars)
+        later, gradients = [_stack([g]) for g in gens[1:]], [_gradient_stack(g) for g in gens]
+        blocks = list(_block_level(gens, later, gradients, F, n_vars, reps))
+        assert np.array_equal(pts, np.concatenate([b[0] for b in blocks]))
+        assert np.array_equal(J, np.concatenate([b[1] for b in blocks])) and J.shape == (len(pts), len(gens), n_vars)
 
     @pytest.mark.parametrize("p,N,degrees,m_max", [(2, 3, (3,), 4), (2, 3, (2, 2), 4), (3, 3, (3,), 2), (2, 3, (4,), 4)])
     def test_census_levels_build_no_block_evaluator(self, p, N, degrees, m_max, monkeypatch):
@@ -498,14 +513,19 @@ class TestTables:
         with pytest.raises(FieldMismatchError):
             singular_search(S, m_max=1)
 
-    def test_jacobian_stack_from_views(self):
-        """The stack of the partials read from the generators' views is the one made from
-        partial_derivative, and no search computes a partial on the caller's generators."""
+    def test_gradient_stack_matches_partial_derivative(self):
+        """Each generator's gradient stack holds every monomial once and has the values of its
+        partials from partial_derivative, and no search computes a partial on the caller's generators."""
         rng = random.Random("jacobian-stack")
         systems = [self.random_system(p, n, degrees, rng) for p, n, degrees in [(2, 4, (3, 1)), (3, 4, (4, 3)), (5, 3, (6,))]]
         for gens in systems:
-            expect = _stack([g.partial_derivative(j) for g in gens for j in range(gens[0].n_vars)])
-            assert all(np.array_equal(a, b) for a, b in zip(_jacobian_stack(gens), expect))
+            F = make_field(gens[0].field.p, 2)
+            X = np.array([[rng.randrange(F.order) for _ in range(gens[0].n_vars)] for _ in range(200)])
+            for g in gens:
+                E, C = _gradient_stack(g)
+                assert len(np.unique(E, axis=0)) == len(E)
+                expect = _BlockEvaluator(_stack([g.partial_derivative(j) for j in range(g.n_vars)]), F)(X)
+                assert np.array_equal(_BlockEvaluator((E, C), F)(X), expect)
         searched = [quadric_normal_form(4, 5), strange_hypersurface_p_divides(3, 4, 2), PolynomialSystem(systems[0])]
         for S, m_max in zip(searched, [2, 6, 3]):
             # fresh generators: the loop above filled the partial caches of systems[0]

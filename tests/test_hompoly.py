@@ -406,7 +406,6 @@ class TestGradientRows:
             raise AssertionError("gradient_rows placed terms")
 
         monkeypatch.setattr(hompoly, "monomial_rank", refuse)
-        monkeypatch.setattr(HomogeneousPolynomial, "_partial_terms", refuse)
         assert np.array_equal(g.gradient_rows(), want) and g._arrays is None
 
 
