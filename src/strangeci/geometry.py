@@ -31,9 +31,11 @@ mod p where P == p rint(P/p).  Each entry of P is at most b = the number of
 tail exponents times m(p-1)^2; the product runs in float32, exact for b <
 2^22, and else in float64, exact for b < 2^51.  Other grids, zero heads, later
 generators and the Jacobians at the survivors take the block evaluator.  On
-both paths each generator's Jacobian rows come from its ``gradient_rows()``,
-and a batched Gaussian elimination tests the Jacobian ranks.  Points come at
-their minimal field, one per Galois orbit.
+both paths each generator's Jacobian rows are its ``gradient_rows()``, which
+the block path reads as their nonzero entries from the generator's terms, so
+its stacks grow with the terms, not the monomials.  A batched Gaussian
+elimination tests the Jacobian ranks.  Points come at their minimal field,
+one per Galois orbit.
 """
 
 from __future__ import annotations
@@ -326,10 +328,16 @@ def _stack(polys: list[HomogeneousPolynomial]) -> tuple[np.ndarray, np.ndarray]:
 
 def _gradient_stack(g: HomogeneousPolynomial) -> tuple[np.ndarray, np.ndarray]:
     """The pair (E, C) of :func:`_stack` for g's partials, column j holding g_{z_j}: each
-    degree-(e-1) monomial that some partial holds, once, with its column of ``gradient_rows()``."""
-    G = g.gradient_rows()
-    keep = G.any(axis=0)
-    return _monomial_array(g.n_vars, g.degree - 1)[keep], G[:, keep].T
+    degree-(e-1) monomial that some partial holds, once, with its column of ``gradient_rows()``,
+    in that order.  The nonzero entries are read from g's view, c * (w_j mod p) at w - e_j for
+    each term c * z^w, so the stack's size follows g's terms, not its monomials; for each j,
+    w -> w - e_j is one-to-one.  np.unique sorts the negated rows, so the rows come descending."""
+    F, (W, c) = g.field, g.arrays()
+    term, var = np.nonzero(W % F.p)
+    neg, row = np.unique(np.eye(g.n_vars, dtype=np.int64)[var] - W[term], axis=0, return_inverse=True)
+    C = np.zeros((len(neg), g.n_vars), dtype=np.int64)
+    C[row.reshape(-1), var] = F.mul_array(c[term], W[term, var] % F.p)
+    return -neg, C
 
 
 class _BlockEvaluator:

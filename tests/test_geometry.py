@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 
@@ -514,8 +515,9 @@ class TestTables:
             singular_search(S, m_max=1)
 
     def test_gradient_stack_matches_partial_derivative(self):
-        """Each generator's gradient stack holds every monomial once and has the values of its
-        partials from partial_derivative, and no search computes a partial on the caller's generators."""
+        """Each generator's gradient stack holds every monomial once, equals the nonzero columns of
+        its gradient_rows() in their order, has the values of its partials from partial_derivative,
+        and no search computes a partial on the caller's generators."""
         rng = random.Random("jacobian-stack")
         systems = [self.random_system(p, n, degrees, rng) for p, n, degrees in [(2, 4, (3, 1)), (3, 4, (4, 3)), (5, 3, (6,))]]
         for gens in systems:
@@ -524,6 +526,10 @@ class TestTables:
             for g in gens:
                 E, C = _gradient_stack(g)
                 assert len(np.unique(E, axis=0)) == len(E)
+                G = g.gradient_rows()
+                keep = G.any(axis=0)
+                assert np.array_equal(E, np.array(monomials_of_degree(g.n_vars, g.degree - 1))[keep])
+                assert np.array_equal(C, G[:, keep].T)
                 expect = _BlockEvaluator(_stack([g.partial_derivative(j) for j in range(g.n_vars)]), F)(X)
                 assert np.array_equal(_BlockEvaluator((E, C), F)(X), expect)
         searched = [quadric_normal_form(4, 5), strange_hypersurface_p_divides(3, 4, 2), PolynomialSystem(systems[0])]
@@ -542,6 +548,19 @@ class TestSingularSearch:
             S = strange_hypersurface_p_divides(N, e, p)
             hits = singular_search(S, m_max=m_max)
             assert hits == [(1, unit_point(F, N + 1, N))]
+
+    def test_sparse_high_degree_search_in_small_memory(self):
+        """The block path's Jacobian stack follows the generator's 8 terms, not its C(27, 7) = 888 030
+        monomials: a stack gathered from the dense gradient rows peaks near 250 MB here."""
+        S = strange_hypersurface_p_divides(7, 20, 2)
+        tracemalloc.start()
+        try:
+            hits = singular_search(S, m_max=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits == [(1, unit_point(F2, 8, 7))]
+        assert peak < 32 << 20
 
     def test_p_not_divides_family(self):
         # e = p + 1: only (0:1:0:...); e > p + 1: both unit points
