@@ -330,14 +330,19 @@ def _gradient_stack(g: HomogeneousPolynomial) -> tuple[np.ndarray, np.ndarray]:
     """The pair (E, C) of :func:`_stack` for g's partials, column j holding g_{z_j}: each
     degree-(e-1) monomial that some partial holds, once, with its column of ``gradient_rows()``,
     in that order.  The nonzero entries are read from g's view, c * (w_j mod p) at w - e_j for
-    each term c * z^w, so the stack's size follows g's terms, not its monomials; for each j,
-    w -> w - e_j is one-to-one.  np.unique sorts the negated rows, so the rows come descending."""
+    each term c * z^w, so the stack's size follows g's terms, not its monomials, and not its
+    degree; for each j, w -> w - e_j is one-to-one.  Sorted descending, the rows come in the
+    order of ``monomials_of_degree``."""
     F, (W, c) = g.field, g.arrays()
     term, var = np.nonzero(W % F.p)
-    neg, row = np.unique(np.eye(g.n_vars, dtype=np.int64)[var] - W[term], axis=0, return_inverse=True)
-    C = np.zeros((len(neg), g.n_vars), dtype=np.int64)
-    C[row.reshape(-1), var] = F.mul_array(c[term], W[term, var] % F.p)
-    return -neg, C
+    E = W[term] - np.eye(g.n_vars, dtype=np.int64)[var]
+    order = np.lexsort(E.T[::-1])[::-1]
+    E, term, var = E[order], term[order], var[order]
+    new = np.ones(len(E), dtype=bool)
+    new[1:] = (E[1:] != E[:-1]).any(axis=1)
+    C = np.zeros((np.count_nonzero(new), g.n_vars), dtype=np.int64)
+    C[np.cumsum(new) - 1, var] = F.mul_array(c[term], W[term, var] % F.p)
+    return E[new], C
 
 
 class _BlockEvaluator:

@@ -561,6 +561,11 @@ class TestSingularSearch:
             tracemalloc.stop()
         assert hits == [(1, unit_point(F2, 8, 7))]
         assert peak < 32 << 20
+        # at degree 10^9 in 27 variables the degree-(e-1) monomials overflow an int64 count;
+        # 999 999 999 is 0 mod 3, so z0^999999999 drops out of every partial
+        E, C = _gradient_stack(parse_poly("z1^999999998*z2 + z0^999999999", make_field(3), 27))
+        assert E.tolist() == [[0, 999_999_998] + [0] * 25, [0, 999_999_997, 1] + [0] * 24]
+        assert C.tolist() == [[0, 0, 1] + [0] * 24, [0, 2] + [0] * 25]
 
     def test_p_not_divides_family(self):
         # e = p + 1: only (0:1:0:...); e > p + 1: both unit points
