@@ -5,7 +5,8 @@ field reference.  Elimination uses deterministic pivoting: the first
 nonzero entry scanning left-to-right, top-to-bottom.  Kernel bases and
 span-membership witnesses are therefore reproducible across runs.  Every
 elimination goes through :func:`rref`, which runs a loop over Python rows
-below ``LOOP_CELLS`` entries and int64 updates on base-p digits from there on.
+below ``LOOP_CELLS`` entries and one array update per pivot from there on:
+a float64 row update mod p over GF(p), int64 on base-p digits over GF(p^m).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .gf import Field
+from .gf import Field, _mod
 
-# rows x columns from which rref takes the digit update: its fixed cost per pivot is tens of
-# microseconds, and the row loop is faster below 150-600 entries over GF(p), by the shape
+# rows x columns from which rref takes the array update: its fixed cost per pivot is tens of
+# microseconds, and the row loop is faster below about 150-300 entries over GF(p), by the shape
 LOOP_CELLS = 300
 
 
@@ -124,14 +125,16 @@ def _rref_rows(field: Field, R: list[list[int]], ncols: int) -> tuple[list[list[
 
 
 def _rref_digits(F: Field, R: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan on the int64 array R in place, entries in range(F.order).
+    """Gauss-Jordan on the int64 array R, entries in range(F.order); returns an int64 array.
 
-    A pivot row is scaled with ``mul_array``; its column is cleared from the other rows, in the
-    trailing block only (the pivot row is zero left of its pivot), by one update on base-p digits:
-    digit s of f * y is (to_digits(y) @ mul_matrices(f))[s] mod p, and with p <= 2^20 the m
-    products summed fit in int64.
+    A pivot row y is scaled to 1, and its column f cleared from the other rows, in the trailing
+    block only (y is zero left of its pivot), by one update.  Over GF(p) that is R - f (x) y on
+    one float64 array, reduced by x - p floor(x / p) and exact, as -p^2 < R - f (x) y < p.  Over
+    GF(p^m), m > 1, digit s of f * y is (to_digits(y) @ mul_matrices(f))[s] mod p, in int64 for
+    p <= 2^20; that digit update in float64 for every m was measured no faster over GF(p).
     """
-    p = F.p
+    p, prime = F.p, F.m == 1
+    R = R.astype(np.float64) if prime else R
     pivots: list[int] = []
     for col in range(R.shape[1]):
         pr = len(pivots)
@@ -141,15 +144,21 @@ def _rref_digits(F: Field, R: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if not nonzero.size:
             continue
         sel = pr + int(nonzero[0])
-        R[[pr, sel]] = R[[sel, pr]]
-        R[pr, col:] = F.mul_array(R[pr, col:], F.inv(int(R[pr, col])))
+        if sel != pr:
+            R[[pr, sel]] = R[[sel, pr]]
+        inv = F.inv(int(R[pr, col]))
+        if inv != 1:
+            R[pr, col:] = _mod(R[pr, col:] * inv, p) if prime else F.mul_array(R[pr, col:], inv)
         f = R[:, col].copy()
         f[pr] = 0
         rows = f.nonzero()[0]
-        D = F.to_digits(R[rows, col:]) - F.to_digits(R[pr, col:]) @ F.mul_matrices(f[rows])
-        R[rows, col:] = D % p @ F.place
+        if prime:
+            R[rows, col:] = _mod(R[rows, col:] - f[rows, None] * R[pr, col:], p)
+        else:
+            D = F.to_digits(R[rows, col:]) - F.to_digits(R[pr, col:]) @ F.mul_matrices(f[rows])
+            R[rows, col:] = D % p @ F.place
         pivots.append(col)
-    return R, pivots
+    return R.astype(np.int64, copy=False), pivots
 
 
 def rank(M: MatrixOverField) -> int:

@@ -55,8 +55,8 @@ from .errors import (
     SingularPointError,
 )
 from .exactla import MatrixOverField, in_span, rank, reduced_kernel, rref
-from .gf import Field, make_field
-from .hompoly import HomogeneousPolynomial, _monomial_array, format_poly, parse_poly
+from .gf import Field, _mod, make_field
+from .hompoly import HomogeneousPolynomial, _Change, _monomial_array, format_poly, parse_poly
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -187,7 +187,9 @@ class PolynomialSystem:
         return cls([parse_poly(t, field, n_vars) for t in texts])
 
     def linear_change(self, matrix) -> "PolynomialSystem":
-        return PolynomialSystem([g.linear_change(matrix) for g in self.gens])
+        """Every generator under z_i <- sum_j M[i][j] z_j, M checked once for all of them."""
+        change = _Change(self.field, self.n + 1, matrix)
+        return PolynomialSystem([g.linear_change(change) for g in self.gens])
 
     def evaluate_all(self, coords, point_field: Field) -> list[int]:
         return [g.evaluate(coords, point_field) for g in self.gens]
@@ -301,12 +303,6 @@ def _float_log(F: Field, zero_log: int) -> np.ndarray:
     log[0] = zero_log
     log.flags.writeable = False
     return log
-
-
-def _mod(x: np.ndarray, n: int) -> np.ndarray:
-    """x mod n, exact for float64 integers 0 <= x < 2^53, whose x / n never rounds
-    up to the next integer; numpy's float remainder is many times slower."""
-    return x - n * np.floor(x / n)
 
 
 def _log_index(X: np.ndarray, log: np.ndarray, ET: np.ndarray, zero_log: int, q1: int) -> np.ndarray:

@@ -10,8 +10,9 @@ Terms are kept in graded-lexicographic order with z_0 greatest; since all
 monomials of a homogeneous polynomial share the total degree, that is
 plain descending lexicographic order on exponent vectors, and the one column
 order of dense coefficient rows (:func:`monomial_rank`).  ``linear_change``
-expands f(L_0, ..., L_N) level-wise by Horner's scheme over numpy rows of
-base-p digits: one path for every GF(p^m), GF(p) being m = 1.
+expands f(L_0, ..., L_N) level-wise by Horner's scheme over base-p digit rows,
+one float64 BLAS product with the change's GF(p) matrix per level, exact below
+2^53: one path for every GF(p^m), GF(p) being m = 1.
 
 ``.terms`` is the public term map; numpy code reads ``arrays()``, one cached,
 read-only int64 view (E, c) of it, built on first use or kept from the arrays
@@ -39,7 +40,7 @@ from .errors import (
     ParseError,
 )
 from .exactla import rref
-from .gf import Field, text_terms
+from .gf import Field, _mod, text_terms
 
 Monomial = tuple[int, ...]
 
@@ -84,6 +85,14 @@ def _times_z(n_vars: int, degree: int) -> np.ndarray:
     """Rank in degree + 1 of each degree-``degree`` monomial (row) times z_j (column j)."""
     E, unit = _monomial_array(n_vars, degree), np.eye(n_vars, dtype=np.int64)
     return np.stack([monomial_rank(E + unit[j], degree + 1) for j in range(n_vars)], axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _gather(n_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat positions u * n_vars + j of :func:`_times_z`, sorted by the rank of u * z_j, and
+    where each rank starts: ``reduceat`` over them sums the products that land on one monomial."""
+    ranks = _times_z(n_vars, degree).ravel()
+    return np.argsort(ranks, kind="stable"), np.searchsorted(np.sort(ranks), np.arange(ranks.max() + 1))
 
 
 class HomogeneousPolynomial:
@@ -334,23 +343,12 @@ class HomogeneousPolynomial:
 
         M is given as rows of integer-encoded entries of the polynomial's
         field; an entry outside range(field.order) is rejected, not reduced.
-        :func:`_expand` expands f(M z) level-wise over base-p digit rows.
+        A :class:`_Change` of this ring counts as checked.
         """
-        rows = [list(r) for r in matrix]
-        n = self.n_vars
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise InvalidInputError("matrix has wrong shape")
-        F = self.field
-        for i, row in enumerate(rows):
-            for j, c in enumerate(row):
-                if not isinstance(c, int) or not 0 <= c < F.order:
-                    raise InvalidInputError(
-                        f"matrix entry [{i}][{j}] = {c!r} is not an element of {F} "
-                        f"(an integer in range({F.order}))"
-                    )
-        if len(rref(F, rows, n)[1]) < n:
-            raise InvalidInputError("matrix is singular")
-        return HomogeneousPolynomial._trusted(F, n, self.degree, arrays=_expand(self, rows))
+        F, n = self.field, self.n_vars
+        if not (isinstance(matrix, _Change) and matrix.field == F and len(matrix) == n):
+            matrix = _Change(F, n, matrix)
+        return HomogeneousPolynomial._trusted(F, n, self.degree, arrays=_expand(self, matrix.times))
 
     # -- text form --------------------------------------------------------
 
@@ -361,39 +359,67 @@ class HomogeneousPolynomial:
         return f"<{self.field} poly deg {self.degree}: {format_poly(self)}>"
 
 
-def _expand(f: HomogeneousPolynomial, rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The view (E, c) of f(L_0, ..., L_N), L_i = sum_j rows[i][j] z_j, by Horner's scheme level-wise.
+class _Change(list):
+    """The rows of M in z_i <- sum_j M[i][j] z_j, checked once for n variables over F: n rows of n
+    entries in range(F.order), invertible.  ``times`` is the float64 (n m x n m) GF(p) matrix that
+    :func:`_expand` multiplies by, [(i, r), (j, s)] digit s of M[i][j] * t^r."""
+
+    __slots__ = ("field", "times")
+
+    def __init__(self, F: Field, n: int, matrix):
+        super().__init__(list(r) for r in matrix)
+        if len(self) != n or any(len(r) != n for r in self):
+            raise InvalidInputError("matrix has wrong shape")
+        for i, row in enumerate(self):
+            for j, c in enumerate(row):
+                if not isinstance(c, int) or not 0 <= c < F.order:
+                    raise InvalidInputError(
+                        f"matrix entry [{i}][{j}] = {c!r} is not an element of {F} "
+                        f"(an integer in range({F.order}))"
+                    )
+        if len(rref(F, self, n)[1]) < n:
+            raise InvalidInputError("matrix is singular")
+        times = F.mul_matrices(np.array(self, dtype=np.int64)).transpose(0, 2, 1, 3)
+        self.field, self.times = F, times.reshape(n * F.m, n * F.m).astype(np.float64)
+
+
+def _expand(f: HomogeneousPolynomial, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The view (E, c) of f(L_0, ..., L_N), L_i = sum_j M[i][j] z_j, by Horner's scheme level-wise;
+    ``times`` is the float64 GF(p) matrix of the change, [(i, r), (j, s)] digit s of M[i][j] * t^r.
 
     A term c * z_(s_1) ... z_(s_e), s_1 <= ... <= s_e, lies below the level-k node P = (s_1, ..., s_k),
     which holds the row over the degree-(e - k) monomials of W(P), the sum of c * L_(s_(k+1)) ...
-    L_(s_e) over the terms below P.  As W(P) = sum_i L_i * W(P + (i,)), a level step multiplies each row
-    by the form of its node's last variable, one z_j at a time so that memory stays at nodes x
-    columns, and adds it into the parent's row; W(()) = f(L).  Rows hold m base-p digits per
-    coefficient; a * x is the m x m GF(p) matrix with rows the digits of a * t^r, applied to x.
-    int64 is exact: a bin collects at most n children x n variables x m digits products below
-    p^2 before the reduction mod p once per level, and n^2 * m * p^2 < 2^63 for p^m <= 2^20
-    (MAX_ORDER) and n < 2^11.
+    L_(s_e) over the terms below P; W(()) = f(L).  As W(P) = sum_i L_i * W(P + (i,)), a level step
+    places each node's row, as m base-p digits per monomial, in its parent's block at its last
+    variable i, multiplies every parent's (monomials x n m) block by ``times`` in one BLAS
+    product, and adds the products at u, z_j into the column of u * z_j by one gather and
+    ``reduceat``: the rows come mod p once per level.  float64 is exact: a level sum adds at most
+    e products at u, z_j of n m terms below p^2, and while e n m p^2 >= 2^53 the product takes
+    ``times`` in row groups, each added to the residue mod p of the groups before it.
     """
     F, (E, c), e = f.field, f.arrays(), f.degree
     if not len(c) or e == 0:
         return E, c
-    n, m, p = len(rows), F.m, F.p
-    times = F.mul_matrices(np.array(rows, dtype=np.int64))  # [i, j, r, s]: digit s of M[i][j] * t^r
+    n, m, p = f.n_vars, F.m, F.p
+    group = ((1 << 53) // e - p) // (p - 1) ** 2  # rows of times per exact partial sum
     # each term's variables, ascending; sorting them puts equal prefixes side by side
     seq = np.repeat(np.tile(np.arange(n), len(c)), E.ravel()).reshape(-1, e)
     order = np.lexsort(seq.T[::-1])
     seq, coeffs = seq[order], c[order]
     first = np.ones((len(seq), e + 1), dtype=bool)  # first[t, k]: term t starts its level-k node
     first[1:, 1:], first[1:, 0] = np.logical_or.accumulate(seq[1:] != seq[:-1], axis=1), False
-    W = F.to_digits(coeffs)[:, :, None]
+    W = F.to_digits(coeffs)[:, None, :].astype(np.float64)  # [node, monomial, digit]
     for k in range(e, 0, -1):
         nodes = np.flatnonzero(first[:, k])
-        last, cols = seq[nodes, k - 1], _times_z(n, e - k)
-        out = np.zeros((len(nodes), m, comb(e - k + n, n - 1)), dtype=np.int64)
-        for j in np.flatnonzero(times[last].any(axis=(0, 2, 3))):
-            out[:, :, cols[:, j]] += sum(times[last, j, r, :, None] * W[:, r, None, :] for r in range(m))
-        W = np.add.reduceat(out, np.flatnonzero(first[nodes, k - 1]), axis=0) % p
-    coeffs = F.place @ W[0]
+        parent = np.cumsum(first[nodes, k - 1]) - 1
+        S = np.zeros((parent[-1] + 1, W.shape[1], n, m))  # [parent, monomial, variable, digit]
+        S[parent, :, seq[nodes, k - 1], :] = W
+        Y = 0.0
+        for g in range(0, n * m, group):  # one product unless e n m p^2 >= 2^53
+            Y = _mod(Y, p) + S.reshape(-1, n * m)[:, g : g + group] @ times[g : g + group]
+        perm, starts = _gather(n, e - k)
+        W = _mod(np.add.reduceat(Y.reshape(parent[-1] + 1, -1, m)[:, perm], starts, axis=1), p)
+    coeffs = (W[0] @ F.place).astype(np.int64)
     nz = np.flatnonzero(coeffs)
     return _monomial_array(n, e)[nz], coeffs[nz]
 

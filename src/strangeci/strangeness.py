@@ -101,7 +101,7 @@ class GradedIdeal:
             raise InvalidInputError("an ideal needs at least one generator")
         self.field, self.n_vars = self.gens[0].field, self.gens[0].n_vars
         self._check_ring(self.gens)
-        self._pieces: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._pieces: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _check_ring(self, polys) -> None:
         if any(h.field != self.field or h.n_vars != self.n_vars for h in polys):
@@ -136,29 +136,31 @@ class GradedIdeal:
                 blocks.append(A)
         return np.concatenate(blocks)
 
-    def _piece(self, d: int) -> tuple[np.ndarray, list[int]]:
-        """Nonzero rows of the reduced echelon form of I_d, and their pivots; no elimination
-        when every generator's degree exceeds d, as I_d is then empty."""
+    def _piece(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pivot and free columns of the reduced echelon form R of I_d as int64 arrays, and R's nonzero
+        rows at the free columns on base-p digits, row (i, j) digit j of row i; built once, with no
+        elimination when every generator's degree exceeds d, as I_d is then empty."""
         if d not in self._pieces:
-            R, pivots = np.zeros((0, self._dim(d)), dtype=np.int64), []
+            D, F = self._dim(d), self.field
+            pivots, free, digits = np.zeros(0, dtype=np.int64), np.arange(D), np.zeros((0, D), dtype=np.int64)
             if any(g.degree <= d for g in self.gens):
-                R, pivots = rref(self.field, self.macaulay_matrix(d), self._dim(d))
-            self._pieces[d] = (R[: len(pivots)], pivots)
+                R, piv = rref(F, self.macaulay_matrix(d), D)
+                pivots, free = np.array(piv, dtype=np.int64), np.delete(free, piv)
+                digits = F.to_digits(R[: len(piv), free]).transpose(0, 2, 1).reshape(len(piv) * F.m, len(free))
+            self._pieces[d] = (pivots, free, digits)
         return self._pieces[d]
 
     def residues(self, T: np.ndarray, d: int) -> np.ndarray:
         """Rows t of T (degree d) reduced modulo I_d, read at the free columns:
         entry j is phi_j(t) for row j of :meth:`annihilator`, all zero iff t is in I_d.
 
-        T - T[:, pivots] @ R on base-p digits, one product over the pivots i and digits j:
+        T - T[:, pivots] @ R at the free columns on base-p digits, one product over pivots i and digits j:
         digit s of T[t, i] * R[i, c] is the sum over j of (digit s of T[t, i] x^j) (digit j of R[i, c])."""
-        (R, pivots), F = self._piece(d), self.field
-        if not pivots:
+        (pivots, free, rhs), F = self._piece(d), self.field
+        if not len(pivots):
             return T
         lhs = F.mul_matrices(T[:, pivots]).transpose(0, 3, 1, 2).reshape(len(T), F.m, -1)  # [t, s, (i, j)]
-        rhs = F.to_digits(R).transpose(0, 2, 1).reshape(-1, R.shape[1])  # [(i, j), c]
-        digits = (F.to_digits(T).transpose(0, 2, 1) - lhs @ rhs) % F.p  # [t, s, c]
-        return np.delete(F.place @ digits, pivots, axis=1)
+        return F.place @ ((F.to_digits(T[:, free]).transpose(0, 2, 1) - lhs @ rhs) % F.p)  # [t, s, c] digits
 
     def contains(self, h: HomogeneousPolynomial) -> bool:
         """Whether h lies in the graded piece of its degree."""
@@ -171,7 +173,7 @@ class GradedIdeal:
 
     def hilbert_function(self, d: int) -> int:
         """dim S_d - dim I_d."""
-        return self._dim(d) - len(self._piece(d)[1]) if d >= 0 else 0
+        return self._dim(d) - len(self._piece(d)[0]) if d >= 0 else 0
 
 
 def graded_membership(

@@ -141,6 +141,19 @@ class TestPrimeFieldElimination:
                 sides[m * n >= LOOP_CELLS] += 1
         assert min(sides) >= 50 and deficient >= 40
 
+    def test_largest_products_over_the_largest_prime(self):
+        """Over GF(1048573), rows that are p - 1 but for a 1 on the diagonal (invertible, as
+        2 - n is nonzero mod p) and rows of entries near p - 1: the float64 update subtracts f * y
+        up to (p - 1)^2 at the first pivot, and agrees with scalar Gauss-Jordan."""
+        F, rng = make_field(1048573), random.Random(7)
+        p, n = F.p, 20
+        for rows in (
+            [[1 if i == j else p - 1 for j in range(n)] for i in range(n)],
+            [[p - 1 - rng.randrange(16) for _ in range(n + 5)] for _ in range(n)],
+        ):
+            assert len(rows) * len(rows[0]) >= LOOP_CELLS
+            check_rref(F, rows, len(rows[0]), gauss_jordan(F, rows, len(rows[0])))
+
 
 class TestExtensionFieldElimination:
     """rref over GF(p^m), m > 1, against Gauss-Jordan through the field's scalar arithmetic."""

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strangeci import hompoly
 from strangeci.errors import HomogeneityError, InvalidInputError, ParseError
 from strangeci.exactla import MatrixOverField, invert, rank
-from strangeci.geometry import ProjectivePoint
+from strangeci.geometry import PolynomialSystem, ProjectivePoint
 from strangeci.gf import make_field
 from strangeci.hompoly import (
     HomogeneousPolynomial,
@@ -303,6 +305,8 @@ class TestLinearChange:
             terms[tuple(mono)] = rng.randrange(1, 5)
         f = HomogeneousPolynomial(F, n, e, terms)
         rows = random_change(rng, F, n, kind)
+        for table in (hompoly._monomial_array, hompoly._times_z, hompoly._gather):
+            table.cache_clear()  # the index tables built for this change count in the peak
         tracemalloc.start()
         try:
             g = f.linear_change(rows)
@@ -311,6 +315,51 @@ class TestLinearChange:
             tracemalloc.stop()
         assert g == naive_change(f, rows)
         assert peak < 64 << 20
+
+    @pytest.mark.parametrize("n,e", [(100, 2), (30, 4)])
+    def test_float64_headroom_over_the_largest_prime(self, n, e):
+        """Over GF(1048573), the largest prime below 2^20, with coefficients and entries near
+        p - 1: a sparse f against the termwise expansion, and a dense f, which fills every
+        parent's block so that a level's sums come near their bound e n p^2 < 2^53, against
+        evaluation at points (a wrong form of degree e vanishes at a point with chance <= e/p)."""
+        F = make_field(1048573)
+        p, rng = F.p, random.Random(f"headroom-{n}-{e}")
+        rows = [[p - 1 - rng.randrange(1 << 10) for _ in range(n)] for _ in range(n)]
+        sparse = {}
+        while len(sparse) < 4:
+            mono = [0] * n
+            for _ in range(e):
+                mono[rng.randrange(n)] += 1
+            sparse[tuple(mono)] = p - 1 - rng.randrange(4)
+        f = HomogeneousPolynomial(F, n, e, sparse)
+        assert f.linear_change(rows) == naive_change(f, rows)
+        f = HomogeneousPolynomial(F, n, e, {mo: p - 1 - rng.randrange(4) for mo in monomials_of_degree(n, e)})
+        g, M = f.linear_change(rows), MatrixOverField(F, rows)
+        for _ in range(2):
+            a = [rng.randrange(p) for _ in range(n)]
+            assert g.evaluate(a) == f.evaluate(mat_vec(M, a))
+
+    def test_system_change_checks_the_matrix_once(self, monkeypatch):
+        """PolynomialSystem.linear_change checks the matrix once for all generators, with the
+        errors each generator's own linear_change raises, and gives the same generators."""
+        S = PolynomialSystem.parse(["z0*z1 + z2^2", "z0^3 + z1*z2^2 + z2^3"], F3, 3)
+        rows = [[1, 2, 0], [0, 1, 1], [2, 0, 1]]
+        calls = []
+        monkeypatch.setattr(hompoly, "rref", lambda *args, fn=hompoly.rref: calls.append(args) or fn(*args))
+        moved = S.linear_change(rows)
+        assert len(calls) == 1
+        assert moved.gens == tuple(g.linear_change(rows) for g in S.gens)
+        for bad in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 3, 0], [0, 0, 1]], [[1, 0, 0], [0, 1.0, 0], [0, 0, 1]],
+                    [[1, 1, 0], [2, 2, 0], [0, 0, 1]]):
+            with pytest.raises(InvalidInputError) as own:
+                S.gens[0].linear_change(bad)
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(str(own.value))}$"):
+                S.linear_change(bad)
+        # a change checked for another ring is checked again for this one
+        with pytest.raises(InvalidInputError, match="wrong shape"):
+            S.gens[0].linear_change(hompoly._Change(F3, 2, [[1, 0], [0, 1]]))
+        with pytest.raises(InvalidInputError, match=r"entry \[1\]\[1\] = 3 "):
+            S.gens[0].linear_change(hompoly._Change(F5, 3, [[1, 0, 0], [0, 3, 0], [0, 0, 1]]))
 
     def test_composition_law(self):
         rng = random.Random(9)
