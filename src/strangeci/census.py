@@ -17,7 +17,6 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import BudgetExceededError, InvalidInputError
 from .exactla import MatrixOverField, rank
 from .gf import Field, make_field
 from .geometry import PolynomialSystem, ProjectivePoint, jacobian_full, singular_search
-from .hompoly import HomogeneousPolynomial, Monomial, _monomial_array, format_poly, monomials_of_degree
+from .hompoly import HomogeneousPolynomial, Monomial, _monomial_array, format_poly, monomial_count, monomials_of_degree
 from .strangeness import strange_locus
 
 EXHAUSTIVE_BUDGET = 1_000_000
@@ -50,13 +49,8 @@ class CensusSpec:
             raise InvalidInputError("need r <= N-1 for a positive-dimensional scheme")
         if self.mode not in ("sample", "exhaustive"):
             raise InvalidInputError(f"unknown census mode {self.mode!r}")
-        for e in self.degrees:
-            # comb(N + e, N) >= comb(N + e, j) >= 2^j for j <= min(N, e), so j need not pass the
-            # budget's bit length: that keeps comb cheap when N and e are both huge
-            if comb(self.N + e, min(self.N, e, EXHAUSTIVE_BUDGET.bit_length())) > EXHAUSTIVE_BUDGET:
-                raise BudgetExceededError(
-                    f"degree {e} in {self.N + 1} variables has more than {EXHAUSTIVE_BUDGET} monomials"
-                )
+        for e in self.degrees:  # a member's dense row holds every monomial of its degree
+            monomial_count(self.N + 1, e)
 
     def is_excluded_case(self) -> bool:
         """The odd-dimensional quadric space in characteristic 2."""
@@ -122,7 +116,7 @@ def _hv_ranks(p: int, N: int, e: int) -> np.ndarray:
 def _member(F: Field, N: int, e: int, coeffs) -> HomogeneousPolynomial:
     """The generator with the given coefficients on the basis monomials, zero ones left out of
     its term map, and its dense row placed at the basis ranks."""
-    row = np.zeros(comb(N + e, N), dtype=np.int64)
+    row = np.zeros(monomial_count(N + 1, e), dtype=np.int64)
     row[_hv_ranks(F.p, N, e)] = coeffs
     terms = {m: c for m, c in zip(_hv_basis(F.p, N, e), coeffs) if c}
     return HomogeneousPolynomial._trusted(F, N + 1, e, terms, dense=row)
@@ -180,28 +174,29 @@ def verify_singularity_theorem(
     at the first extension degree with a singular point; exhausting
     ``budget_per_sample`` points first yields an unresolved record.  The
     summary counts outcomes and always reports zero smooth certifications
-    (the search cannot certify smoothness).
+    (the search cannot certify smoothness).  With ``out_path`` the file is opened, and its
+    header written, before the first sample is drawn, and each record is written as it completes.
     """
     records: list[CensusRecord] = []
-    for index, S in enumerate(sample_hv(spec)):
-        t0 = time.monotonic()
-        locus_dim = strange_locus(S).dim
-        try:
-            points = singular_search(S, 2 * spec.m_max, budget=budget_per_sample, stop_early=True)
-        except BudgetExceededError as exc:
-            points = list(exc.partial)  # empty: stop_early returns once a point is found
-        resolution = "found" if points else "unresolved"
-        elapsed_ms = int((time.monotonic() - t0) * 1000)
-        records.append(
-            CensusRecord(
-                index=index,
-                system=S,
-                strange_locus_dim=locus_dim,
-                singular_points=points,
-                resolution=resolution,
-                elapsed_ms=elapsed_ms,
-            )
-        )
+
+    def run() -> Iterator[CensusRecord]:
+        for index, S in enumerate(sample_hv(spec)):
+            t0 = time.monotonic()
+            locus_dim = strange_locus(S).dim
+            try:
+                points = singular_search(S, 2 * spec.m_max, budget=budget_per_sample, stop_early=True)
+            except BudgetExceededError as exc:
+                points = list(exc.partial)  # empty: stop_early returns once a point is found
+            resolution = "found" if points else "unresolved"
+            elapsed_ms = int((time.monotonic() - t0) * 1000)
+            records.append(CensusRecord(index, S, locus_dim, points, resolution, elapsed_ms))
+            yield records[-1]
+
+    if out_path is None:
+        for _ in run():
+            pass
+    else:
+        persist(run(), out_path, run_meta={"spec": spec.to_dict(), "seed": spec.seed})
     unresolved = [r.index for r in records if r.resolution == "unresolved"]
     summary = {
         "spec": spec.to_dict(),
@@ -212,8 +207,6 @@ def verify_singularity_theorem(
         "unresolved_fraction": (len(unresolved) / len(records)) if records else 0.0,
         "smooth_certified": 0,
     }
-    if out_path is not None:
-        persist(records, out_path, run_meta={"spec": spec.to_dict(), "seed": spec.seed})
     return {"summary": summary, "records": records}
 
 
@@ -265,23 +258,22 @@ def phi_surjectivity_check(a: ProjectivePoint, e: int, b: list[int]) -> bool:
     scale = F.inv(F.pow(a.coords[N], e - 1))
     monos = [tuple(int(i == j) + (e - 1) * (i == N) for i in range(N + 1)) for j in range(1, N)]
     f = HomogeneousPolynomial(F, N + 1, e, {mono: F.mul(bj, scale) for mono, bj in zip(monos, b)})
-    if not f.partial_derivative(0).is_zero():
-        return False
-    for j, bj in enumerate(b, start=1):
-        if f.partial_derivative(j).evaluate(a.coords, F) != bj:
-            return False
-    return True
+    return f.partial_derivative(0).is_zero() and f._gradient(a.coords, F)[1:N] == list(b)
 
 
 def persist(records, path: str, run_meta: dict | None = None) -> None:
-    """Write one JSON object per line, preceded by a run metadata header."""
+    """Write one JSON object per line, preceded by a run metadata header.  The file is opened and
+    the header flushed before the first record is asked for, and each record is flushed as it
+    comes, so ``records`` may be a generator that computes them."""
     header = {"run": dict(run_meta or {})}
     header["run"].setdefault("version", __version__)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.flush()
         for rec in records:
             obj = rec.to_dict() if isinstance(rec, CensusRecord) else rec
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.flush()
 
 
 def load_records(path: str) -> tuple[dict, list[dict]]:

@@ -31,9 +31,11 @@ mod p where P == p rint(P/p).  Each entry of P is at most b = the number of
 tail exponents times m(p-1)^2; the product runs in float32, exact for b <
 2^22, and else in float64, exact for b < 2^51.  Other grids, zero heads, later
 generators and the Jacobians at the survivors take the block evaluator.  On
-both paths each generator's Jacobian rows are its ``gradient_rows()``, which
-the block path reads as their nonzero entries from the generator's terms, so
-its stacks grow with the terms, not the monomials.  A batched Gaussian
+both paths each generator's Jacobian rows are its ``gradient_rows()``; the
+block path takes them as its ``gradient_stack()``, their nonzero entries read
+from its terms, so its stacks grow with the terms, not the monomials.
+:mod:`strangeci.hompoly` forms every derivative, stacks and gradients at a
+point included; this module only evaluates them.  A batched Gaussian
 elimination tests the Jacobian ranks.  Points come at their minimal field,
 one per Galois orbit.
 """
@@ -191,11 +193,9 @@ class PolynomialSystem:
         change = _Change(self.field, self.n + 1, matrix)
         return PolynomialSystem([g.linear_change(change) for g in self.gens])
 
-    def evaluate_all(self, coords, point_field: Field) -> list[int]:
-        return [g.evaluate(coords, point_field) for g in self.gens]
-
     def on_zero_set(self, a: ProjectivePoint) -> bool:
-        return all(v == 0 for v in self.evaluate_all(a.coords, a.field))
+        """Whether every generator vanishes at a; stops at the first that does not."""
+        return all(g.evaluate(a.coords, a.field) == 0 for g in self.gens)
 
     def __str__(self) -> str:
         return "; ".join(format_poly(g) for g in self.gens)
@@ -320,25 +320,6 @@ def _stack(polys: list[HomogeneousPolynomial]) -> tuple[np.ndarray, np.ndarray]:
     Es, cs = zip(*(f.arrays() for f in polys))
     owner = np.repeat(np.eye(len(polys), dtype=np.int64), [len(c) for c in cs], axis=0)
     return np.concatenate(Es), owner * np.concatenate(cs)[:, None]
-
-
-def _gradient_stack(g: HomogeneousPolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (E, C) of :func:`_stack` for g's partials, column j holding g_{z_j}: each
-    degree-(e-1) monomial that some partial holds, once, with its column of ``gradient_rows()``,
-    in that order.  The nonzero entries are read from g's view, c * (w_j mod p) at w - e_j for
-    each term c * z^w, so the stack's size follows g's terms, not its monomials, and not its
-    degree; for each j, w -> w - e_j is one-to-one.  Sorted descending, the rows come in the
-    order of ``monomials_of_degree``."""
-    F, (W, c) = g.field, g.arrays()
-    term, var = np.nonzero(W % F.p)
-    E = W[term] - np.eye(g.n_vars, dtype=np.int64)[var]
-    order = np.lexsort(E.T[::-1])[::-1]
-    E, term, var = E[order], term[order], var[order]
-    new = np.ones(len(E), dtype=bool)
-    new[1:] = (E[1:] != E[:-1]).any(axis=1)
-    C = np.zeros((np.count_nonzero(new), g.n_vars), dtype=np.int64)
-    C[np.cumsum(new) - 1, var] = F.mul_array(c[term], W[term, var] % F.p)
-    return E[new], C
 
 
 class _BlockEvaluator:
@@ -534,7 +515,7 @@ def _block_level(
     """Yield, block by block, the zeros of every generator among the points of
     ``_point_blocks(q, n_plus_1, reps=reps)`` and their Jacobians: the first generator's zeros
     from :func:`_first_zeros`, the later generators by block evaluators of the stacks ``later``,
-    and row k of each Jacobian by one of generator k's :func:`_gradient_stack` in ``gradients``."""
+    and row k of each Jacobian by generator k's ``gradient_stack()`` in ``gradients``."""
     later_gens = [_BlockEvaluator(EC, F) for EC in later]
     jacobian = [_BlockEvaluator(EC, F) for EC in gradients]
     for pts in _first_zeros(gens[0], F, n_plus_1, reps):
@@ -587,7 +568,7 @@ def singular_search(
             blocks = [_table_level(gens, F, n1)]
         else:
             if stacks is None:
-                stacks = [_stack([g]) for g in gens[1:]], [_gradient_stack(g) for g in gens]
+                stacks = [_stack([g]) for g in gens[1:]], [g.gradient_stack() for g in gens]
             blocks = _block_level(gens, *stacks, F, n1, reps)
         for pts, J in blocks:
             for row in pts[_rank_below(J, S.r, F)].tolist():  # normalized, as the enumeration makes them

@@ -20,8 +20,11 @@ that made the polynomial, and ``dense()``, the cached read-only coefficient row
 over ``monomials_of_degree``, from which gradient rows are one gather.  Only the
 public constructor validates terms; the library builds through ``_trusted``,
 and +, * and parsing share :func:`_merge`.
-Each polynomial keeps the partial derivatives it has computed; a value and a
-gradient at a point go through one term loop, :meth:`_value`.
+No polynomial keeps a derivative: this module alone forms them, with the rule
+c z^w -> c (w_j mod p) z^(w - e_j), as polynomials (``partial_derivative``),
+as gradient rows and stacks, and as the gradient at a point, one pass over the
+terms (:meth:`_gradient`).  A dense row, monomial table, Macaulay piece or
+coordinate change holds at most ``MONOMIAL_BUDGET`` monomials of one degree.
 Text is read in the grammar of :func:`strangeci.gf.text_terms`.
 """
 
@@ -34,6 +37,7 @@ from math import comb
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     FieldMismatchError,
     HomogeneityError,
     InvalidInputError,
@@ -44,9 +48,24 @@ from .gf import Field, _mod, text_terms
 
 Monomial = tuple[int, ...]
 
+_NOT_EXTENSION = "evaluation field is not an extension of the coefficient field"
+
+MONOMIAL_BUDGET = 1_000_000  # monomials of one degree that a dense row, table or piece may hold
+
+
+def monomial_count(n_vars: int, degree: int) -> int:
+    """C(n_vars - 1 + degree, degree), the number of monomials of the degree, or BudgetExceededError
+    past MONOMIAL_BUDGET.  With N = n_vars - 1, C(N + e, N) >= C(N + e, j) >= 2^j for j <= min(N, e),
+    so j need not pass the budget's bit length: that keeps the test cheap when N and e are both huge."""
+    N = n_vars - 1
+    if comb(N + degree, min(N, degree, MONOMIAL_BUDGET.bit_length())) > MONOMIAL_BUDGET:
+        raise BudgetExceededError(f"degree {degree} in {n_vars} variables has more than {MONOMIAL_BUDGET} monomials")
+    return comb(N + degree, N)
+
 
 def monomials_of_degree(n_vars: int, degree: int) -> list[Monomial]:
-    """All exponent vectors of total degree ``degree``, descending grlex."""
+    """All exponent vectors of total degree ``degree``, descending grlex; at most MONOMIAL_BUDGET."""
+    monomial_count(n_vars, degree)
     out = []
     for combo in combinations_with_replacement(range(n_vars), degree):
         exps = [0] * n_vars
@@ -98,7 +117,7 @@ def _gather(n_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 class HomogeneousPolynomial:
     """Immutable sparse homogeneous polynomial over a finite field."""
 
-    __slots__ = ("field", "n_vars", "degree", "terms", "_arrays", "_dense", "_partials", "_prime")
+    __slots__ = ("field", "n_vars", "degree", "terms", "_arrays", "_dense")
 
     def __init__(self, field: Field, n_vars: int, degree: int, terms: dict[Monomial, int]):
         if n_vars < 1:
@@ -125,7 +144,7 @@ class HomogeneousPolynomial:
         self.n_vars = n_vars
         self.degree = degree
         self.terms = clean
-        self._arrays, self._dense, self._partials, self._prime = None, None, {}, None
+        self._arrays, self._dense = None, None
 
     # -- constructors -----------------------------------------------------
 
@@ -142,7 +161,6 @@ class HomogeneousPolynomial:
         if dense is not None:
             dense.flags.writeable = False
         f.field, f.n_vars, f.degree, f.terms, f._arrays, f._dense = field, n_vars, degree, terms, arrays, dense
-        f._partials, f._prime = {}, None
         return f
 
     @classmethod
@@ -189,8 +207,8 @@ class HomogeneousPolynomial:
         """The read-only int64 coefficient row over ``monomials_of_degree(n_vars, degree)``, the
         column order of :func:`monomial_rank`: built once from ``arrays()``, or kept as given."""
         if self._dense is None:
-            (E, c), n = self.arrays(), self.n_vars
-            row = np.zeros(comb(self.degree + n - 1, n - 1), dtype=np.int64)
+            E, c = self.arrays()
+            row = np.zeros(monomial_count(self.n_vars, self.degree), dtype=np.int64)
             row[monomial_rank(E, self.degree)] = c
             row.flags.writeable = False
             self._dense = row
@@ -243,22 +261,17 @@ class HomogeneousPolynomial:
     # -- calculus ---------------------------------------------------------
 
     def partial_derivative(self, i: int) -> "HomogeneousPolynomial":
-        """Formal partial derivative with respect to z_i, reduced mod p; computed once per
-        polynomial and variable."""
+        """Formal partial derivative with respect to z_i, reduced mod p; a new polynomial per call."""
         if not 0 <= i < self.n_vars:
             raise InvalidInputError(f"variable index {i} out of range")
-        d = self._partials.get(i)
-        if d is None:
-            F = self.field
-            # w -> w - e_i is one-to-one, and c * (w_i mod p) is zero only when p divides w_i
-            terms = {
-                mono[:i] + (mono[i] - 1,) + mono[i + 1 :]: F.mul(c, mono[i] % F.p)
-                for mono, c in self.terms.items()
-                if mono[i] % F.p
-            }
-            d = HomogeneousPolynomial._trusted(F, self.n_vars, max(self.degree - 1, 0), terms)
-            self._partials[i] = d
-        return d
+        F = self.field
+        # w -> w - e_i is one-to-one, and c * (w_i mod p) is zero only when p divides w_i
+        terms = {
+            mono[:i] + (mono[i] - 1,) + mono[i + 1 :]: F.mul(c, mono[i] % F.p)
+            for mono, c in self.terms.items()
+            if mono[i] % F.p
+        }
+        return HomogeneousPolynomial._trusted(F, self.n_vars, max(self.degree - 1, 0), terms)
 
     def gradient_rows(self) -> np.ndarray:
         """Coefficient rows of f_{z_0}, ..., f_{z_N}, one gather from ``dense()``: row j holds
@@ -269,54 +282,75 @@ class HomogeneousPolynomial:
         U = _monomial_array(n, self.degree - 1)
         return F.mul_array(self.dense()[_times_z(n, self.degree - 1).T], (U.T + 1) % F.p)
 
+    def gradient_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E, C), C[k, j] the coefficient of the degree-(e-1) monomial E[k] in f_{z_j}: the nonzero
+        columns of ``gradient_rows()``, in order, read from the view as c * (w_j mod p) at w - e_j
+        for each term c * z^w, so that their size follows the terms, not the monomials; not cached."""
+        F, (W, c) = self.field, self.arrays()
+        term, var = np.nonzero(W % F.p)
+        E = W[term] - np.eye(self.n_vars, dtype=np.int64)[var]
+        order = np.lexsort(E.T[::-1])[::-1]
+        E, term, var = E[order], term[order], var[order]
+        new = np.ones(len(E), dtype=bool)
+        new[1:] = (E[1:] != E[:-1]).any(axis=1)
+        C = np.zeros((np.count_nonzero(new), self.n_vars), dtype=np.int64)
+        C[np.cumsum(new) - 1, var] = F.mul_array(c[term], W[term, var] % F.p)
+        return E[new], C
+
     def evaluate(self, coords, point_field: Field | None = None) -> int:
-        """Evaluate at a coordinate vector of integer-encoded elements.
-
-        The point may live in an extension of the coefficient field as long
-        as the coefficients themselves are prime-subfield residues (which is
-        the case for all stored system generators).
-        """
+        """The value at a vector of integer-encoded coordinates over ``point_field`` (f's field by
+        default), which may be an extension of f's field when f's coefficients lie in GF(p)."""
         F = point_field if point_field is not None else self.field
-        return self._value(self._checked(coords, F, (self,)), F)
+        coords = self._checked(coords, F)
+        if F != self.field and not self._prime_coefficients():
+            raise FieldMismatchError(_NOT_EXTENSION)
+        acc = 0
+        for mono, t in self.terms.items():
+            for a, e in zip(coords, mono):
+                if e:
+                    if not a:
+                        t = 0
+                        break
+                    t = F.mul(t, F.pow(a, e))
+            acc = F.add(acc, t)
+        return acc
 
-    def _gradient(self, coords, point_field: Field) -> list[int]:
-        """[f_{z_0}(a), ..., f_{z_N}(a)] from the cached partials: what evaluating each partial
-        gives, with the coordinates and the field checked once for all of them."""
-        partials = [self.partial_derivative(j) for j in range(self.n_vars)]
-        coords = self._checked(coords, point_field, partials)
-        return [d._value(coords, point_field) for d in partials]
+    def _gradient(self, coords, F: Field) -> list[int]:
+        """[f_{z_0}(a), ..., f_{z_N}(a)] over F in one pass over the terms: c * z^w adds
+        (w_j mod p) c a^(w - e_j) to entry j.  F extends f's field as for ``evaluate``, except
+        that only the terms some partial keeps, those with a w_j not divisible by p, must have
+        coefficients in GF(p): what evaluating each partial over F requires."""
+        coords, p, foreign = self._checked(coords, F), F.p, F != self.field
+        grad = [0] * self.n_vars
+        for mono, c in self.terms.items():
+            support = [(i, e) for i, e in enumerate(mono) if e]
+            for j, w in support:
+                if w % p:
+                    if foreign and c >= p:
+                        raise FieldMismatchError(_NOT_EXTENSION)
+                    t = F.mul(c, w % p)
+                    for i, e in support:
+                        e -= i == j
+                        if e:
+                            if not coords[i]:
+                                t = 0
+                                break
+                            t = F.mul(t, F.pow(coords[i], e))
+                    grad[j] = F.add(grad[j], t)
+        return grad
 
-    def _checked(self, coords, F: Field, polys) -> list[int]:
-        """The coordinates as a list, once their count is right and F extends the field of
-        ``polys`` (polynomials of this ring): F is that field, or has its characteristic and
-        every coefficient of ``polys`` lies in GF(p)."""
+    def _checked(self, coords, F: Field) -> list[int]:
+        """The coordinates as a list, once their count is right and F has f's characteristic."""
         coords = list(coords)
         if len(coords) != self.n_vars:
             raise InvalidInputError("coordinate vector has wrong length")
-        if F != self.field and (F.p != self.field.p or not all(f._prime_coefficients() for f in polys)):
-            raise FieldMismatchError("evaluation field is not an extension of the coefficient field")
+        if F.p != self.field.p:
+            raise FieldMismatchError(_NOT_EXTENSION)
         return coords
 
     def _prime_coefficients(self) -> bool:
-        """Whether every coefficient lies in the prime subfield; computed once."""
-        if self._prime is None:
-            self._prime = all(c < self.field.p for c in self.terms.values())
-        return self._prime
-
-    def _value(self, coords: list[int], F: Field) -> int:
-        """The value at checked coordinates over the checked field F: one term at a time."""
-        acc = 0
-        for mono, c in self.terms.items():
-            t = c
-            for idx, e in enumerate(mono):
-                if e == 0:
-                    continue
-                if coords[idx] == 0:
-                    t = 0
-                    break
-                t = F.mul(t, F.pow(coords[idx], e))
-            acc = F.add(acc, t)
-        return acc
+        """Whether every coefficient lies in the prime subfield: at once over GF(p)."""
+        return self.field.m == 1 or all(c < self.field.p for c in self.terms.values())
 
     def euler_identity_check(self) -> bool:
         """Whether sum_j z_j * f_{z_j} equals (e mod p) * f.  Always true."""
@@ -401,6 +435,7 @@ def _expand(f: HomogeneousPolynomial, times: np.ndarray) -> tuple[np.ndarray, np
     if not len(c) or e == 0:
         return E, c
     n, m, p = f.n_vars, F.m, F.p
+    monomial_count(n, e)  # the last level's rows, checked before the first level runs
     group = ((1 << 53) // e - p) // (p - 1) ** 2  # rows of times per exact partial sum
     # each term's variables, ascending; sorting them puts equal prefixes side by side
     seq = np.repeat(np.tile(np.arange(n), len(c)), E.ravel()).reshape(-1, e)

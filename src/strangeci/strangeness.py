@@ -21,7 +21,6 @@ generators free of the vertex coordinate, slice by slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .hompoly import (
     HomogeneousPolynomial,
     Monomial,
     format_poly,
+    monomial_count,
     monomial_rank,
     monomials_of_degree,
     normalize_z0,
@@ -108,7 +108,7 @@ class GradedIdeal:
             raise FieldMismatchError("polynomials live in different rings")
 
     def _dim(self, d: int) -> int:
-        return comb(d + self.n_vars - 1, self.n_vars - 1)
+        return monomial_count(self.n_vars, d)
 
     def vectors(self, polys, d: int) -> np.ndarray:
         """Coefficient rows of degree-d polynomials in monomials_of_degree order, each its

@@ -276,6 +276,29 @@ class TestPersistence:
         for rec_dict, rec in zip(records, out["records"]):
             assert rec_dict == rec.to_dict()
 
+    def test_streamed_file_loads_as_the_records_written_at_once(self, tmp_path):
+        """The file written as the samples complete loads to the header and records that writing
+        the finished run's records in one go gives; both hold the same elapsed_ms."""
+        spec = CensusSpec(p=2, N=3, degrees=(2, 2), count=6, seed=4, m_max=2)
+        streamed, at_once = tmp_path / "streamed.jsonl", tmp_path / "at_once.jsonl"
+        records = verify_singularity_theorem(spec, out_path=str(streamed))["records"]
+        persist(records, str(at_once), run_meta={"spec": spec.to_dict(), "seed": spec.seed})
+        assert load_records(str(streamed)) == load_records(str(at_once))
+        assert streamed.read_bytes() == at_once.read_bytes()
+
+    def test_each_record_is_on_disk_before_the_next_is_computed(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        seen = []
+
+        def records():
+            for index in range(3):
+                seen.append(path.read_text().count("\n"))  # lines on disk before record index
+                yield {"index": index}
+
+        persist(records(), str(path), run_meta={"seed": 1})
+        assert seen == [1, 2, 3]
+        assert [r["index"] for r in load_records(str(path))[1]] == [0, 1, 2]
+
     def test_byte_determinism(self, tmp_path):
         spec = CensusSpec(p=2, N=3, degrees=(3,), count=5, seed=9, m_max=2)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

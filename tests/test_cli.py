@@ -218,6 +218,16 @@ class TestCensusCommand:
         assert code == EXIT_BUDGET and out == "" and err.count("\n") == 1
         assert err.startswith("error: degree 99999999999 in 4 variables has more than 1000000 monomials")
 
+    def test_unwritable_out_fails_before_any_sample(self, capsys, monkeypatch, tmp_path):
+        drawn = []
+        monkeypatch.setattr("strangeci.census.sample_hv", lambda spec: drawn.append(spec) or iter(()))
+        code, out, err = run(
+            capsys, "census", "--char", "2", "--n", "3", "--degrees", "3", "--samples", "50",
+            "--out", str(tmp_path / "missing" / "run.jsonl"),
+        )
+        assert code == EXIT_INVALID and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert drawn == []
+
     def test_memory_error_exits_3(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -401,6 +411,31 @@ class TestInputHandling:
         )
         self.assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
         assert "exceeds the supported bound" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "cmd, code",
+        [
+            (["strange-locus"], EXIT_BUDGET),
+            (["strange-check", "--vertex", "(1:0:0)"], EXIT_BUDGET),
+            (["cone-check", "--vertex", "(1:0:0)"], EXIT_BUDGET),
+            (["singular-search"], EXIT_OK),
+        ],
+    )
+    def test_huge_degree_meets_the_monomial_budget(self, cmd, code):
+        """Dense rows, tables, pieces and coordinate changes over C(10^8 + 1, 2) monomials are
+        refused before they are built; the search reads the one term and finishes."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "strangeci.cli", *cmd, "--char", "2", "--n", "2", "--poly", "z0^99999999"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+            )),
+        )
+        if code == EXIT_OK:
+            assert proc.returncode == EXIT_OK and json.loads(proc.stdout)["singular_points"]
+        else:
+            assert proc.returncode == EXIT_BUDGET and proc.stdout == "" and proc.stderr.count("\n") == 1
+            assert proc.stderr.startswith("error: degree 999999") and "has more than 1000000 monomials" in proc.stderr
 
     @pytest.mark.parametrize(
         "argv, fragment",

@@ -30,7 +30,6 @@ from strangeci.geometry import (
     _block_level,
     _first_zeros,
     _float_log,
-    _gradient_stack,
     _grid,
     _point_blocks,
     _table,
@@ -146,6 +145,8 @@ class TestJacobians:
             S.gens[0].evaluate(a.coords, F16)
         with pytest.raises(FieldMismatchError):
             jacobian_full(PolynomialSystem.parse(["(t)*z0*z1 + z2^2"], F4, 3), a)
+        with pytest.raises(FieldMismatchError, match="not an extension of the coefficient field"):
+            jacobian_full(S, ProjectivePoint(make_field(3), [1, 0, 0]))
 
     def test_shapes(self):
         S = PolynomialSystem.parse(["z0*z1 + z2^2", "z1^2 + z0*z3"], F5, 4)
@@ -461,7 +462,7 @@ class TestTables:
                 levels += 1
             # every partial of z1^p + ... + zN^p vanishes mod p, so its gradient stack has no rows
             frobenius = parse_poly(" + ".join(f"z{j}^{p}" for j in range(1, n_vars)), make_field(p), n_vars)
-            assert len(_gradient_stack(frobenius)[0]) == 0
+            assert len(frobenius.gradient_stack()[0]) == 0
             (linear,) = self.random_system(p, n_vars, [1], rng)
             if len(X) * len(monomials_of_degree(n_vars, p)) <= _BLOCK:
                 self.assert_paths_agree([frobenius], F, reps)
@@ -475,7 +476,7 @@ class TestTables:
         """The table path and the block path give the same zeros, in order, and Jacobians."""
         n_vars = gens[0].n_vars
         pts, J = _table_level(gens, F, n_vars)
-        later, gradients = [_stack([g]) for g in gens[1:]], [_gradient_stack(g) for g in gens]
+        later, gradients = [_stack([g]) for g in gens[1:]], [g.gradient_stack() for g in gens]
         blocks = list(_block_level(gens, later, gradients, F, n_vars, reps))
         assert np.array_equal(pts, np.concatenate([b[0] for b in blocks]))
         assert np.array_equal(J, np.concatenate([b[1] for b in blocks])) and J.shape == (len(pts), len(gens), n_vars)
@@ -516,15 +517,14 @@ class TestTables:
 
     def test_gradient_stack_matches_partial_derivative(self):
         """Each generator's gradient stack holds every monomial once, equals the nonzero columns of
-        its gradient_rows() in their order, has the values of its partials from partial_derivative,
-        and no search computes a partial on the caller's generators."""
+        its gradient_rows() in their order, and has the values of its partials from partial_derivative."""
         rng = random.Random("jacobian-stack")
         systems = [self.random_system(p, n, degrees, rng) for p, n, degrees in [(2, 4, (3, 1)), (3, 4, (4, 3)), (5, 3, (6,))]]
         for gens in systems:
             F = make_field(gens[0].field.p, 2)
             X = np.array([[rng.randrange(F.order) for _ in range(gens[0].n_vars)] for _ in range(200)])
             for g in gens:
-                E, C = _gradient_stack(g)
+                E, C = g.gradient_stack()
                 assert len(np.unique(E, axis=0)) == len(E)
                 G = g.gradient_rows()
                 keep = G.any(axis=0)
@@ -532,12 +532,6 @@ class TestTables:
                 assert np.array_equal(C, G[:, keep].T)
                 expect = _BlockEvaluator(_stack([g.partial_derivative(j) for j in range(g.n_vars)]), F)(X)
                 assert np.array_equal(_BlockEvaluator((E, C), F)(X), expect)
-        searched = [quadric_normal_form(4, 5), strange_hypersurface_p_divides(3, 4, 2), PolynomialSystem(systems[0])]
-        for S, m_max in zip(searched, [2, 6, 3]):
-            # fresh generators: the loop above filled the partial caches of systems[0]
-            S = PolynomialSystem([HomogeneousPolynomial(g.field, g.n_vars, g.degree, g.terms) for g in S.gens])
-            singular_search(S, m_max=m_max)
-            assert not any(g._partials for g in S.gens)
 
 
 class TestSingularSearch:
@@ -563,7 +557,7 @@ class TestSingularSearch:
         assert peak < 32 << 20
         # at degree 10^9 in 27 variables the degree-(e-1) monomials overflow an int64 count;
         # 999 999 999 is 0 mod 3, so z0^999999999 drops out of every partial
-        E, C = _gradient_stack(parse_poly("z1^999999998*z2 + z0^999999999", make_field(3), 27))
+        E, C = parse_poly("z1^999999998*z2 + z0^999999999", make_field(3), 27).gradient_stack()
         assert E.tolist() == [[0, 999_999_998] + [0] * 25, [0, 999_999_997, 1] + [0] * 24]
         assert C.tolist() == [[0, 0, 1] + [0] * 24, [0, 2] + [0] * 25]
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strangeci import hompoly
-from strangeci.errors import HomogeneityError, InvalidInputError, ParseError
+from strangeci.errors import FieldMismatchError, HomogeneityError, InvalidInputError, ParseError
 from strangeci.exactla import MatrixOverField, invert, rank
-from strangeci.geometry import PolynomialSystem, ProjectivePoint
+from strangeci.geometry import PolynomialSystem, ProjectivePoint, enumerate_points
 from strangeci.gf import make_field
 from strangeci.hompoly import (
     HomogeneousPolynomial,
@@ -141,14 +141,14 @@ class TestDerivative:
                 f = f.partial_derivative(0)
             assert f.is_zero()
 
-    def test_computed_once_per_polynomial(self):
+    def test_keeps_no_derivative_state(self):
+        """A partial is formed anew on every call, and a polynomial has no slot to keep one in."""
         f = parse_poly("z0^2*z1 + z1*z2^2 + 2*z2^3", F3, 3)
-        partials = [f.partial_derivative(j) for j in range(3)]
-        assert all(f.partial_derivative(j) is d for j, d in enumerate(partials))
-        g = parse_poly("z0^2*z1 + z1*z2^2 + 2*z2^3", F3, 3)
-        assert g == f and g.partial_derivative(0) == partials[0] and g.partial_derivative(0) is not partials[0]
+        assert HomogeneousPolynomial.__slots__ == ("field", "n_vars", "degree", "terms", "_arrays", "_dense")
+        assert all(f.partial_derivative(j) == f.partial_derivative(j) for j in range(3))
+        assert all(f.partial_derivative(j) is not f.partial_derivative(j) for j in range(3))
 
-    def test_lift_starts_an_empty_cache(self):
+    def test_partials_of_a_lift_live_over_its_field(self):
         F9 = make_field(3, 2)
         f = parse_poly("z0^2*z1 + z1*z2^2 + 2*z2^3", F3, 3)
         before = [f.partial_derivative(j) for j in range(3)]
@@ -168,6 +168,55 @@ class TestDerivative:
                     lhs = (f * g).partial_derivative(i)
                     rhs = f.partial_derivative(i) * g + f * g.partial_derivative(i)
                     assert lhs == rhs
+
+
+class TestGradientAtAPoint:
+    """The one-pass gradient against the reference, each partial_derivative evaluated on its own."""
+
+    @staticmethod
+    def random_poly_with_p_powers(rng, F, n_vars):
+        """A few terms of one degree: random monomials, and z_k^p or z_k^(2p) times one, so that
+        exponents divisible by p (and zero) are common; coefficients anywhere in F."""
+        p, degree = F.p, rng.randint(1, 2 * F.p + 1)
+        basis, terms = monomials_of_degree(n_vars, degree), {}
+        for _ in range(rng.randint(1, 5)):
+            mono = list(rng.choice(basis))
+            if degree >= 2 * p and rng.random() < 0.5:
+                mono = [0] * n_vars
+                mono[rng.randrange(n_vars)] += 2 * p if degree >= 3 * p or rng.random() < 0.5 else p
+                rest = rng.choice(monomials_of_degree(n_vars, degree - sum(mono)))
+                mono = [a + b for a, b in zip(mono, rest)]
+            terms[tuple(mono)] = rng.randrange(1, F.order)
+        return HomogeneousPolynomial(F, n_vars, degree, terms)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 4])
+    def test_matches_each_partial_at_every_point(self, q):
+        """Every point of P^2 and P^3 over GF(p) and GF(p^2), GF(4) coefficients also over GF(16) in
+        P^2.  FieldMismatchError comes exactly when the point field is not f's and some term with a
+        w_j not divisible by p has a coefficient outside GF(p): what the reference raises."""
+        p = 2 if q == 4 else q
+        K = make_field(p, 2 if q == 4 else 1)
+        rng = random.Random(f"gradient-{q}")
+        rejected = 0
+        for n_vars in (3, 4):
+            fields = [make_field(p), make_field(p, 2)] + ([make_field(2, 4)] if q == 4 and n_vars == 3 else [])
+            for _ in range(6 if q == 4 else 2):
+                f = self.random_poly_with_p_powers(rng, K, n_vars)
+                partials = [f.partial_derivative(j) for j in range(n_vars)]
+                for F in fields:
+                    points = [x.coords for x in enumerate_points(F, n_vars - 1)]
+                    rule = F != K and any(c >= p and any(w % p for w in mono) for mono, c in f.terms.items())
+                    if rule:
+                        rejected += 1
+                        with pytest.raises(FieldMismatchError):
+                            [d.evaluate(points[0], F) for d in partials]
+                        for x in points[:5]:
+                            with pytest.raises(FieldMismatchError):
+                                f._gradient(x, F)
+                    else:
+                        for x in points:
+                            assert f._gradient(x, F) == [d.evaluate(x, F) for d in partials], (f, F, x)
+        assert rejected or q != 4
 
 
 class TestEvaluate:
