@@ -228,7 +228,7 @@ def euler_rank_lemma_check(S: PolynomialSystem, a: ProjectivePoint) -> bool:
     if not S.on_zero_set(a):
         raise InvalidInputError("point must lie on the zero set")
     J = jacobian_full(S, a)
-    D = MatrixOverField(F, [row[1:] for row in J.rows], ncols=N)
+    D = MatrixOverField._trusted(F, [row[1:] for row in J.rows], N)
     inv_aN = F.inv(a.coords[N])
     for row in D.rows:
         acc = 0
@@ -236,7 +236,7 @@ def euler_rank_lemma_check(S: PolynomialSystem, a: ProjectivePoint) -> bool:
             acc = F.add(acc, F.mul(F.mul(a.coords[j], inv_aN), row[j - 1]))
         if row[N - 1] != F.neg(acc):
             return False
-    return rank(D) == rank(MatrixOverField(F, [row[1:-1] for row in J.rows], ncols=N - 1))
+    return rank(D) == rank(MatrixOverField._trusted(F, [row[1:-1] for row in J.rows], N - 1))
 
 
 def phi_surjectivity_check(a: ProjectivePoint, e: int, b: list[int]) -> bool:

@@ -1,5 +1,9 @@
 """Command-line frontend with machine-readable JSON output.
 
+Each subcommand is one row of ``COMMANDS``: its name, help text, function and flags.  The
+function maps the parsed arguments to a JSON document and whether its check passed; ``main``
+alone prints the document and picks the exit code.
+
 Exit codes: 0 completed, 1 property/theorem check failed, 2 invalid
 input, 3 resource budget exceeded or memory exhausted.  Output is a single
 JSON document on stdout (or indented human-oriented JSON with --pretty);
@@ -12,6 +16,8 @@ import argparse
 import json
 import random
 import sys
+from collections.abc import Iterator
+from itertools import islice
 
 from .census import (
     CensusSpec,
@@ -37,7 +43,7 @@ from .geometry import (
     tangent_space,
 )
 from .gf import make_field
-from .hompoly import format_poly, normalize_z0
+from .hompoly import HomogeneousPolynomial, format_poly, monomials_of_degree, normalize_z0
 from .strangeness import (
     cone_corollary_check,
     is_cone_with_vertex,
@@ -103,13 +109,6 @@ def _load_system(args) -> PolynomialSystem:
     return PolynomialSystem.parse(texts, field, args.n + 1)
 
 
-def _emit(payload: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(payload, sort_keys=True))
-
-
 def _point(args, text: str, flag: str) -> ProjectivePoint:
     """Parse a point given on the command line; it must have N+1 coordinates."""
     a = parse_point(text, make_field(args.char, args.ext))
@@ -120,73 +119,49 @@ def _point(args, text: str, flag: str) -> ProjectivePoint:
     return a
 
 
-def cmd_strange_check(args) -> int:
+def cmd_strange_check(args) -> tuple[dict, bool]:
     S = _load_system(args)
-    report = is_strange_for(S, _point(args, args.vertex, "--vertex"))
-    _emit(report.to_dict(), args.pretty)
-    return EXIT_OK
+    return is_strange_for(S, _point(args, args.vertex, "--vertex")).to_dict(), True
 
 
-def cmd_strange_locus(args) -> int:
-    S = _load_system(args)
-    locus = strange_locus(S)
-    _emit(locus.to_dict(), args.pretty)
-    return EXIT_OK
+def cmd_strange_locus(args) -> tuple[dict, bool]:
+    return strange_locus(_load_system(args)).to_dict(), True
 
 
-def cmd_normalize(args) -> int:
-    S = _load_system(args)
-    _emit({"normalized": [format_poly(normalize_z0(g)) for g in S.gens]}, args.pretty)
-    return EXIT_OK
+def cmd_normalize(args) -> tuple[dict, bool]:
+    return {"normalized": [format_poly(normalize_z0(g)) for g in _load_system(args).gens]}, True
 
 
-def cmd_normalize_system(args) -> int:
-    S = _load_system(args)
-    normalized, flag = normalize_system(S)
-    _emit(
-        {
-            "normalized": [format_poly(g) for g in normalized.gens],
-            "ideal_equal": flag,
-        },
-        args.pretty,
-    )
-    return EXIT_OK
+def cmd_normalize_system(args) -> tuple[dict, bool]:
+    normalized, flag = normalize_system(_load_system(args))
+    return {"normalized": [format_poly(g) for g in normalized.gens], "ideal_equal": flag}, True
 
 
-def cmd_cone_check(args) -> int:
+def cmd_cone_check(args) -> tuple[dict, bool]:
     S = _load_system(args)
     verdict = is_cone_with_vertex(S, _point(args, args.vertex, "--vertex"))
-    _emit({"cone": verdict, "vertex": args.vertex}, args.pretty)
-    return EXIT_OK
+    return {"cone": verdict, "vertex": args.vertex}, True
 
 
-def cmd_singular_search(args) -> int:
-    S = _load_system(args)
-    points = singular_search(S, m_max=args.ext_bound)
-    _emit(
-        {"singular_points": [{"m": m, "point": str(pt)} for m, pt in points]},
-        args.pretty,
-    )
-    return EXIT_OK
+def cmd_singular_search(args) -> tuple[dict, bool]:
+    points = singular_search(_load_system(args), m_max=args.ext_bound)
+    return {"singular_points": [{"m": m, "point": str(pt)} for m, pt in points]}, True
 
 
-def cmd_tangent(args) -> int:
+def cmd_tangent(args) -> tuple[dict, bool]:
     S = _load_system(args)
     T = tangent_space(S, _point(args, args.point, "--point"))
-    _emit({"dim": T.dim, "basis": [list(b) for b in T.basis]}, args.pretty)
-    return EXIT_OK
+    return {"dim": T.dim, "basis": [list(b) for b in T.basis]}, True
 
 
-def cmd_gauss(args) -> int:
+def cmd_gauss(args) -> tuple[dict, bool]:
     S = _load_system(args)
     if S.r != 1:
         raise InvalidInputError("gauss map is defined for hypersurfaces (one generator)")
-    image = gauss_map(S.gens[0], _point(args, args.point, "--point"))
-    _emit({"dual_point": str(image)}, args.pretty)
-    return EXIT_OK
+    return {"dual_point": str(gauss_map(S.gens[0], _point(args, args.point, "--point")))}, True
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> tuple[dict, bool]:
     needed = {"p-divides": "e", "p-not-divides": "e", "cone": "vertex"}.get(args.id)
     if needed and getattr(args, needed) is None:
         raise InvalidInputError(f"family {args.id} needs --{needed}")
@@ -196,139 +171,135 @@ def cmd_family(args) -> int:
         S = strange_hypersurface_p_divides(args.n, args.e, args.char)
     elif args.id == "p-not-divides":
         S = strange_hypersurface_p_not_divides(args.n, args.e, args.char)
-    elif args.id == "cone":
+    else:
         base = _load_system(args)
         S = cone_over(base, _point(args, args.vertex, "--vertex"))
-    else:
-        raise InvalidInputError(f"unknown family {args.id!r}")
-    _emit(
-        {
-            "generators": [format_poly(g) for g in S.gens],
-            "degrees": list(S.degrees),
-            "p": args.char,
-            "N": S.n,
-        },
-        args.pretty,
-    )
-    return EXIT_OK
+    return {"generators": [format_poly(g) for g in S.gens], "degrees": list(S.degrees), "p": args.char,
+            "N": S.n}, True
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> tuple[dict, bool]:
+    """Fails when more than 5% of the samples stay unresolved, outside the excluded case."""
     try:
         degrees = tuple(int(x) for x in args.degrees.split(","))
     except ValueError:
         raise InvalidInputError(
             f"--degrees must be comma-separated integers, got {args.degrees!r}"
         ) from None
-    spec = CensusSpec(
-        p=args.char,
-        N=args.n,
-        degrees=degrees,
-        mode="exhaustive" if args.exhaustive else "sample",
-        count=args.samples,
-        seed=args.seed,
-        m_max=args.ext_bound,
-    )
-    out = verify_singularity_theorem(spec, out_path=args.out)
-    summary = out["summary"]
-    _emit(summary, args.pretty)
-    if not summary["excluded_case"] and summary["unresolved_fraction"] > 0.05:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    mode = "exhaustive" if args.exhaustive else "sample"
+    spec = CensusSpec(p=args.char, N=args.n, degrees=degrees, mode=mode, count=args.samples, seed=args.seed,
+                      m_max=args.ext_bound)
+    summary = verify_singularity_theorem(spec, out_path=args.out)["summary"]
+    return summary, summary["excluded_case"] or summary["unresolved_fraction"] <= 0.05
 
 
-def cmd_verify(args) -> int:
+# The sampled verify suites: each yields one check result per sample, at most --samples of
+# which are taken.
+
+
+def _euler_checks(args) -> Iterator[bool]:
     rng = random.Random(args.seed)
-    suite = args.suite
-    result: dict = {"suite": suite}
-    ok = True
-    if suite == "euler":
-        from .hompoly import HomogeneousPolynomial, monomials_of_degree
-
-        checked = 0
-        for _ in range(args.samples):
-            p = rng.choice([2, 3, 5])
-            F = make_field(p)
-            n_vars = rng.randint(2, 4)
-            e = rng.randint(1, 4)
-            basis = monomials_of_degree(n_vars, e)
-            f = HomogeneousPolynomial(
-                F, n_vars, e,
-                {m: rng.randrange(p) for m in basis},
-            )
-            ok = ok and f.euler_identity_check()
-            checked += 1
-        result["checked"] = checked
-    elif suite == "lemma-rank":
-        ok, checked = _verify_lemma_rank(rng, args.samples)
-        result["checked"] = checked
-    elif suite == "phi-surjectivity":
-        checked = 0
-        for _ in range(args.samples):
-            p = rng.choice([2, 3, 5])
-            m = rng.randint(1, 2)
-            F = make_field(p, m)
-            N = rng.randint(2, 4)
-            e = rng.randint(2, 4)
-            coords = [rng.randrange(F.order) for _ in range(N)] + [
-                rng.randrange(1, F.order)
-            ]
-            a = ProjectivePoint(F, coords)
-            b = [rng.randrange(F.order) for _ in range(N - 1)]
-            ok = ok and phi_surjectivity_check(a, e, b)
-            checked += 1
-        result["checked"] = checked
-    elif suite == "quadric-table":
-        table = {}
-        for N in range(2, 7):
-            for p in (2, 3, 5):
-                nz = strange_locus(quadric_normal_form(N, p)).is_nonzero()
-                expected = p == 2 and N % 2 == 0
-                table[f"N={N},p={p}"] = nz
-                ok = ok and nz == expected
-        result["strange"] = table
-    elif suite == "cone-corollary":
-        checked = 0
-        spec = CensusSpec(
-            p=5, N=4, degrees=(2, 3), mode="sample", count=args.samples, seed=args.seed
-        )
-        F5 = make_field(5)
-        v = ProjectivePoint(F5, [1, 0, 0, 0, 0])
-        for S in sample_hv(spec):
-            ok = ok and cone_corollary_check(S, v)
-            checked += 1
-        result["checked"] = checked
-    else:
-        raise InvalidInputError(f"unknown verify suite {suite!r}")
-    result["ok"] = ok
-    _emit(result, args.pretty)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    while True:
+        p = rng.choice([2, 3, 5])
+        n_vars = rng.randint(2, 4)
+        e = rng.randint(1, 4)
+        coeffs = {m: rng.randrange(p) for m in monomials_of_degree(n_vars, e)}
+        yield HomogeneousPolynomial(make_field(p), n_vars, e, coeffs).euler_identity_check()
 
 
-def _verify_lemma_rank(rng: random.Random, samples: int) -> tuple[bool, int]:
-    checked = 0
-    ok = True
-    while checked < samples:
+def _lemma_rank_checks(args) -> Iterator[bool]:
+    """The rank lemma at up to four affine zeros (z3 != 0) of each sampled system in P^3."""
+    rng = random.Random(args.seed)
+    while True:
         p = rng.choice([2, 3])
         m = rng.randint(1, 2)
-        N = 3
         degrees = rng.choice([(2,), (3,), (2, 2)])
-        spec = CensusSpec(
-            p=p, N=N, degrees=degrees, mode="sample", count=1, seed=rng.randrange(1 << 30)
-        )
+        spec = CensusSpec(p=p, N=3, degrees=degrees, mode="sample", count=1, seed=rng.randrange(1 << 30))
         S = next(iter(sample_hv(spec)))
-        F = make_field(p, m)
-        zeros = [
-            pt
-            for pt in enumerate_points(F, N)
-            if pt.coords[N] != 0 and S.on_zero_set(pt)
-        ]
+        zeros = [pt for pt in enumerate_points(make_field(p, m), 3) if pt.coords[3] != 0 and S.on_zero_set(pt)]
         for pt in zeros[:4]:
-            ok = ok and euler_rank_lemma_check(S, pt)
-            checked += 1
-            if checked >= samples:
-                break
-    return ok, checked
+            yield euler_rank_lemma_check(S, pt)
+
+
+def _phi_surjectivity_checks(args) -> Iterator[bool]:
+    rng = random.Random(args.seed)
+    while True:
+        p = rng.choice([2, 3, 5])
+        F = make_field(p, rng.randint(1, 2))
+        N = rng.randint(2, 4)
+        e = rng.randint(2, 4)
+        a = ProjectivePoint(F, [rng.randrange(F.order) for _ in range(N)] + [rng.randrange(1, F.order)])
+        yield phi_surjectivity_check(a, e, [rng.randrange(F.order) for _ in range(N - 1)])
+
+
+def _cone_corollary_checks(args) -> Iterator[bool]:
+    spec = CensusSpec(p=5, N=4, degrees=(2, 3), mode="sample", count=args.samples, seed=args.seed)
+    v = ProjectivePoint(make_field(5), [1, 0, 0, 0, 0])
+    for S in sample_hv(spec):
+        yield cone_corollary_check(S, v)
+
+
+_SUITES = {
+    "euler": _euler_checks,
+    "lemma-rank": _lemma_rank_checks,
+    "phi-surjectivity": _phi_surjectivity_checks,
+    "cone-corollary": _cone_corollary_checks,
+}
+
+
+def cmd_verify(args) -> tuple[dict, bool]:
+    if args.suite == "quadric-table":
+        # strange quadric normal forms: exactly the even N in characteristic 2
+        table, checks = {}, []
+        for N in range(2, 7):
+            for p in (2, 3, 5):
+                nonzero = strange_locus(quadric_normal_form(N, p)).is_nonzero()
+                table[f"N={N},p={p}"] = nonzero
+                checks.append(nonzero == (p == 2 and N % 2 == 0))
+        return {"suite": args.suite, "strange": table, "ok": all(checks)}, all(checks)
+    checks = list(islice(_SUITES[args.suite](args), args.samples))
+    return {"suite": args.suite, "checked": len(checks), "ok": all(checks)}, all(checks)
+
+
+_VERTEX = ("--vertex", {"required": True})
+_POINT = ("--point", {"required": True})
+_EXT_BOUND = ("--ext-bound", {"type": int, "default": 3})
+_SAMPLES = ("--samples", {"type": _count, "default": 100})
+_SEED = ("--seed", {"type": int, "default": 0})
+
+# (name, help, function, _add_common keywords or None, the command's own flags), in the order
+# of the help text
+COMMANDS = [
+    ("strange-check", "decide strangeness for a vertex", cmd_strange_check, {"ext": True}, [_VERTEX]),
+    ("strange-locus", "linear space of all strange vertices", cmd_strange_locus, {}, []),
+    ("normalize", "kill z0-partials of each generator", cmd_normalize, {}, []),
+    ("normalize-system", "normalize and test ideal equality", cmd_normalize_system, {}, []),
+    ("cone-check", "decide the cone property for a vertex", cmd_cone_check, {"ext": True}, [_VERTEX]),
+    ("singular-search", "enumerate singular points over bounded extensions", cmd_singular_search, {},
+     [_EXT_BOUND]),
+    ("tangent", "embedded tangent space at a smooth point", cmd_tangent, {"ext": True}, [_POINT]),
+    ("gauss", "Gauss map image of a smooth hypersurface point", cmd_gauss, {"ext": True}, [_POINT]),
+    ("family", "construct a named example family", cmd_family, {"ext": True}, [
+        ("--id", {"required": True, "choices": ["quadric", "p-divides", "p-not-divides", "cone"]}),
+        ("--e", {"type": int, "default": None, "help": "degree for hypersurface families"}),
+        ("--vertex", {"default": None, "help": "vertex for the cone family"}),
+    ]),
+    ("census", "singularity census over the strange parameter space", cmd_census, {"polys": False}, [
+        ("--degrees", {"required": True, "help": "comma-separated generator degrees"}),
+        _SAMPLES,
+        _SEED,
+        _EXT_BOUND,
+        ("--exhaustive", {"action": "store_true"}),
+        ("--out", {"default": None, "help": "JSONL output path"}),
+    ]),
+    ("verify", "run a named property suite", cmd_verify, None, [
+        ("--suite", {"required": True,
+                     "choices": ["euler", "lemma-rank", "phi-surjectivity", "quadric-table", "cone-corollary"]}),
+        _SAMPLES,
+        _SEED,
+        ("--pretty", {"action": "store_true"}),
+    ]),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,80 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact strangeness, cone, and singularity tools for complete intersections over finite fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("strange-check", help="decide strangeness for a vertex")
-    _add_common(sp, ext=True)
-    sp.add_argument("--vertex", required=True)
-    sp.set_defaults(func=cmd_strange_check)
-
-    sp = sub.add_parser("strange-locus", help="linear space of all strange vertices")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_strange_locus)
-
-    sp = sub.add_parser("normalize", help="kill z0-partials of each generator")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_normalize)
-
-    sp = sub.add_parser("normalize-system", help="normalize and test ideal equality")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_normalize_system)
-
-    sp = sub.add_parser("cone-check", help="decide the cone property for a vertex")
-    _add_common(sp, ext=True)
-    sp.add_argument("--vertex", required=True)
-    sp.set_defaults(func=cmd_cone_check)
-
-    sp = sub.add_parser("singular-search", help="enumerate singular points over bounded extensions")
-    _add_common(sp)
-    sp.add_argument("--ext-bound", type=int, default=3)
-    sp.set_defaults(func=cmd_singular_search)
-
-    sp = sub.add_parser("tangent", help="embedded tangent space at a smooth point")
-    _add_common(sp, ext=True)
-    sp.add_argument("--point", required=True)
-    sp.set_defaults(func=cmd_tangent)
-
-    sp = sub.add_parser("gauss", help="Gauss map image of a smooth hypersurface point")
-    _add_common(sp, ext=True)
-    sp.add_argument("--point", required=True)
-    sp.set_defaults(func=cmd_gauss)
-
-    sp = sub.add_parser("family", help="construct a named example family")
-    _add_common(sp, ext=True)
-    sp.add_argument("--id", required=True, choices=["quadric", "p-divides", "p-not-divides", "cone"])
-    sp.add_argument("--e", type=int, default=None, help="degree for hypersurface families")
-    sp.add_argument("--vertex", default=None, help="vertex for the cone family")
-    sp.set_defaults(func=cmd_family)
-
-    sp = sub.add_parser("census", help="singularity census over the strange parameter space")
-    _add_common(sp, polys=False)
-    sp.add_argument("--degrees", required=True, help="comma-separated generator degrees")
-    sp.add_argument("--samples", type=_count, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--ext-bound", type=int, default=3)
-    sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--out", default=None, help="JSONL output path")
-    sp.set_defaults(func=cmd_census)
-
-    sp = sub.add_parser("verify", help="run a named property suite")
-    sp.add_argument(
-        "--suite",
-        required=True,
-        choices=["euler", "lemma-rank", "phi-surjectivity", "quadric-table", "cone-corollary"],
-    )
-    sp.add_argument("--samples", type=_count, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--pretty", action="store_true")
-    sp.set_defaults(func=cmd_verify)
-
+    for name, help_text, func, common, flags in COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        if common is not None:
+            _add_common(sp, **common)
+        for flag, options in flags:
+            sp.add_argument(flag, **options)
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        document, passed = args.func(args)
+        print(json.dumps(document, indent=2 if args.pretty else None, sort_keys=True))
+        return EXIT_OK if passed else EXIT_CHECK_FAILED
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

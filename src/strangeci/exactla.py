@@ -211,7 +211,7 @@ def invert(M: MatrixOverField) -> MatrixOverField:
     R, pivots = rref(M.field, aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise InvalidInputError("matrix is singular")
-    return MatrixOverField(M.field, [r[n:] for r in R], ncols=n)
+    return MatrixOverField._trusted(M.field, [r[n:] for r in R], n)
 
 
 def in_span(

@@ -67,12 +67,13 @@ def monomials_of_degree(n_vars: int, degree: int) -> list[Monomial]:
     """All exponent vectors of total degree ``degree``, descending grlex; at most MONOMIAL_BUDGET."""
     monomial_count(n_vars, degree)
     out = []
+    # index multisets come in lex order, which is descending lex order on exponent vectors: at the
+    # first index where two multisets differ, the smaller holds one more copy of the smaller variable
     for combo in combinations_with_replacement(range(n_vars), degree):
         exps = [0] * n_vars
         for i in combo:
             exps[i] += 1
         out.append(tuple(exps))
-    out.sort(reverse=True)
     return out
 
 
@@ -279,8 +280,9 @@ class HomogeneousPolynomial:
         n, F = self.n_vars, self.field
         if not self.degree:
             return np.zeros((n, 1), dtype=np.int64)
+        row = self.dense()  # bounds f's own degree before the degree-(e - 1) tables
         U = _monomial_array(n, self.degree - 1)
-        return F.mul_array(self.dense()[_times_z(n, self.degree - 1).T], (U.T + 1) % F.p)
+        return F.mul_array(row[_times_z(n, self.degree - 1).T], (U.T + 1) % F.p)
 
     def gradient_stack(self) -> tuple[np.ndarray, np.ndarray]:
         """(E, C), C[k, j] the coefficient of the degree-(e-1) monomial E[k] in f_{z_j}: the nonzero

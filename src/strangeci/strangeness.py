@@ -219,7 +219,7 @@ def move_point_to_origin_chart(v: ProjectivePoint) -> MatrixOverField:
         row[0] = c
     if pivot:
         rows[0][pivot], rows[pivot][pivot] = 1, 0
-    return MatrixOverField(v.field, rows)
+    return MatrixOverField._trusted(v.field, rows, n1)
 
 
 def _require_prime_rational(v: ProjectivePoint) -> ProjectivePoint:

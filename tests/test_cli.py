@@ -248,6 +248,19 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK and json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize(
+        "suite, check",
+        [("lemma-rank", "euler_rank_lemma_check"), ("phi-surjectivity", "phi_surjectivity_check"),
+         ("cone-corollary", "cone_corollary_check")],
+    )
+    def test_a_failed_check_exits_1(self, capsys, monkeypatch, suite, check):
+        """One failed sample makes ok false and the exit code 1; every sample is still counted."""
+        results = iter([True, False])
+        monkeypatch.setattr(f"strangeci.cli.{check}", lambda *args: next(results, True))
+        code, out, err = run(capsys, "verify", "--suite", suite, "--samples", "5")
+        assert code == EXIT_CHECK_FAILED and err == ""
+        assert json.loads(out) == {"suite": suite, "checked": 5, "ok": False}
+
     def test_cone_corollary_suite(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "cone-corollary", "--samples", "10"
@@ -436,6 +449,15 @@ class TestInputHandling:
         else:
             assert proc.returncode == EXIT_BUDGET and proc.stdout == "" and proc.stderr.count("\n") == 1
             assert proc.stderr.startswith("error: degree 999999") and "has more than 1000000 monomials" in proc.stderr
+
+    def test_huge_degree_error_names_the_degree_written(self, capsys):
+        """strange-locus bounds the generator's own degree before the degree-(e - 1) gradient rows."""
+        errors = [
+            run(capsys, *cmd, "--char", "2", "--n", "2", "--poly", "z0^99999999")
+            for cmd in (["strange-locus"], ["strange-check", "--vertex", "(1:0:0)"], ["cone-check", "--vertex", "(1:0:0)"])
+        ]
+        expected = (EXIT_BUDGET, "", "error: degree 99999999 in 3 variables has more than 1000000 monomials\n")
+        assert errors == [expected] * 3
 
     @pytest.mark.parametrize(
         "argv, fragment",

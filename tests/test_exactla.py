@@ -335,3 +335,21 @@ class TestInvert:
     def test_non_square_rejected(self):
         with pytest.raises(InvalidInputError):
             invert(MatrixOverField(F2, [[1, 0]]))
+
+    @pytest.mark.parametrize("n", [3, 14], ids=["row-loop", "array-update"])
+    def test_result_is_not_encoded_again(self, monkeypatch, n):
+        """The inverse's rows come out of rref as encodings, Python ints, and are kept as they are."""
+        rng = random.Random(n)
+        for field in (F3, F4):
+            M = random_matrix(rng, field, n, n)
+            while rank(M) < n:
+                M = random_matrix(rng, field, n, n)
+            encoded = []
+            original = type(field).encode
+            monkeypatch.setattr(type(field), "encode", lambda self, values: encoded.append(values) or original(self, values))
+            inverse = invert(M)
+            monkeypatch.undo()
+            assert encoded == []
+            assert all(type(x) is int and 0 <= x < field.order for row in inverse.rows for x in row)
+            assert (inverse.nrows, inverse.ncols) == (n, n)
+            assert mat_mul(M, inverse).rows == [[int(i == j) for j in range(n)] for i in range(n)]

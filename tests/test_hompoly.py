@@ -430,6 +430,17 @@ def scattered(f: HomogeneousPolynomial, degree: int) -> list[int]:
     return [f.terms.get(mo, 0) for mo in monomials_of_degree(f.n_vars, degree)]
 
 
+class TestMonomialOrder:
+    @pytest.mark.parametrize("n_vars", range(1, 7))
+    def test_descending_lex_and_ranked(self, n_vars):
+        """Built in descending lex order, which is the column order of monomial_rank."""
+        for degree in range(9):
+            monos = monomials_of_degree(n_vars, degree)
+            assert monos == sorted(monos, reverse=True) and len(set(monos)) == math.comb(n_vars - 1 + degree, degree)
+            ranks = hompoly.monomial_rank(np.array(monos, dtype=np.int64).reshape(len(monos), n_vars), degree)
+            assert ranks.tolist() == list(range(len(monos)))
+
+
 class TestDense:
     @pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 2), (3, 2)])
     def test_row_is_the_terms_scattered(self, pm):

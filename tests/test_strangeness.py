@@ -350,6 +350,18 @@ class TestMovePoint:
             assert rank(M) == 4
             assert ProjectivePoint(F, mat_vec(M, [1, 0, 0, 0])) == v
 
+    def test_rows_are_not_encoded_again(self, monkeypatch):
+        points = [parse_point(text, F) for text, F in [("(0:0:1)", F2), ("(0:1:2)", F3), ("(1:t:0)", F4)]]
+        encoded = []
+        original = type(F2).encode
+        monkeypatch.setattr(type(F2), "encode", lambda self, values: encoded.append(values) or original(self, values))
+        charts = [move_point_to_origin_chart(v) for v in points]
+        monkeypatch.undo()
+        assert encoded == []
+        for v, M in zip(points, charts):
+            assert M.rows == MatrixOverField(v.field, M.rows).rows and M.nrows == M.ncols == 3
+            assert ProjectivePoint(v.field, mat_vec(M, [1, 0, 0])) == v
+
     def test_deterministic(self):
         v = parse_point("(0:1:2)", F3)
         assert move_point_to_origin_chart(v).rows == move_point_to_origin_chart(v).rows
