@@ -57,15 +57,11 @@ class CensusSpec:
         return self.p == 2 and self.degrees == (2,) and self.N % 2 == 0
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "N": self.N,
-            "degrees": list(self.degrees),
-            "mode": self.mode,
-            "count": self.count,
-            "seed": self.seed,
-            "m_max": self.m_max,
-        }
+        """The spec as JSON; ``count`` and ``seed`` only for a sampled census, as an exhaustive one uses neither."""
+        out = {"p": self.p, "N": self.N, "degrees": list(self.degrees), "mode": self.mode, "m_max": self.m_max}
+        if self.mode == "sample":
+            out.update(count=self.count, seed=self.seed)
+        return out
 
 
 @dataclass
@@ -196,7 +192,10 @@ def verify_singularity_theorem(
         for _ in run():
             pass
     else:
-        persist(run(), out_path, run_meta={"spec": spec.to_dict(), "seed": spec.seed})
+        run_meta = {"spec": spec.to_dict()}
+        if spec.mode == "sample":  # an exhaustive census draws nothing
+            run_meta["seed"] = spec.seed
+        persist(run(), out_path, run_meta=run_meta)
     unresolved = [r.index for r in records if r.resolution == "unresolved"]
     summary = {
         "spec": spec.to_dict(),

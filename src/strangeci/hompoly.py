@@ -395,6 +395,34 @@ class HomogeneousPolynomial:
         return f"<{self.field} poly deg {self.degree}: {format_poly(self)}>"
 
 
+def _check_change(F: Field, n: int, matrix, polys=()) -> list[list[int]]:
+    """The rows of M in z_i <- sum_j M[i][j] z_j, once every check that moving each of ``polys`` by
+    M runs, save M's rank, has passed, in the order a move runs them: n rows of n entries in
+    range(F.order), then for each polynomial in turn the monomials of its degree, which the last
+    level of its expansion holds.  A caller whose M is invertible by construction can so raise
+    every error of the move before it moves anything."""
+    rows = [list(r) for r in matrix]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise InvalidInputError("matrix has wrong shape")
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            if not isinstance(c, int) or not 0 <= c < F.order:
+                raise InvalidInputError(
+                    f"matrix entry [{i}][{j}] = {c!r} is not an element of {F} "
+                    f"(an integer in range({F.order}))"
+                )
+    for f in polys:
+        _check_expansion(f)
+    return rows
+
+
+def _check_expansion(f: HomogeneousPolynomial) -> None:
+    """BudgetExceededError if the rows of f's expansion would hold too many monomials; a zero or
+    constant f is not expanded."""
+    if f.degree and not f.is_zero():
+        monomial_count(f.n_vars, f.degree)
+
+
 class _Change(list):
     """The rows of M in z_i <- sum_j M[i][j] z_j, checked once for n variables over F: n rows of n
     entries in range(F.order), invertible.  ``times`` is the float64 (n m x n m) GF(p) matrix that
@@ -403,16 +431,7 @@ class _Change(list):
     __slots__ = ("field", "times")
 
     def __init__(self, F: Field, n: int, matrix):
-        super().__init__(list(r) for r in matrix)
-        if len(self) != n or any(len(r) != n for r in self):
-            raise InvalidInputError("matrix has wrong shape")
-        for i, row in enumerate(self):
-            for j, c in enumerate(row):
-                if not isinstance(c, int) or not 0 <= c < F.order:
-                    raise InvalidInputError(
-                        f"matrix entry [{i}][{j}] = {c!r} is not an element of {F} "
-                        f"(an integer in range({F.order}))"
-                    )
+        super().__init__(_check_change(F, n, matrix))
         if len(rref(F, self, n)[1]) < n:
             raise InvalidInputError("matrix is singular")
         times = F.mul_matrices(np.array(self, dtype=np.int64)).transpose(0, 2, 1, 3)
@@ -433,11 +452,11 @@ def _expand(f: HomogeneousPolynomial, times: np.ndarray) -> tuple[np.ndarray, np
     e products at u, z_j of n m terms below p^2, and while e n m p^2 >= 2^53 the product takes
     ``times`` in row groups, each added to the residue mod p of the groups before it.
     """
+    _check_expansion(f)  # the last level's rows, checked before the first level runs
     F, (E, c), e = f.field, f.arrays(), f.degree
     if not len(c) or e == 0:
         return E, c
     n, m, p = f.n_vars, F.m, F.p
-    monomial_count(n, e)  # the last level's rows, checked before the first level runs
     group = ((1 << 53) // e - p) // (p - 1) ** 2  # rows of times per exact partial sum
     # each term's variables, ascending; sorting them puts equal prefixes side by side
     seq = np.repeat(np.tile(np.arange(n), len(c)), E.ravel()).reshape(-1, e)

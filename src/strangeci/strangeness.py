@@ -16,11 +16,18 @@ this degenerates to "f_{z_0} is the zero polynomial".
 The strange locus is the linear space of all valid vertex lifts, computed
 in one exact linear solve; the cone test decides whether the ideal admits
 generators free of the vertex coordinate, slice by slice.
+
+Both decisions at a vertex raise every error before any answer, and then
+stop as soon as the verdict is known.  The strangeness test moves a
+generator only when its own check, or the piece that check reads, needs
+it.  The cone test answers False for a vertex off X with nothing moved,
+then takes the slices by ascending degree, the smallest pieces first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,6 +38,8 @@ from .gf import make_field
 from .hompoly import (
     HomogeneousPolynomial,
     Monomial,
+    _Change,
+    _check_change,
     format_poly,
     monomial_count,
     monomial_rank,
@@ -233,24 +242,48 @@ def _require_prime_rational(v: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint(make_field(F.p), list(v.coords))
 
 
-def _moved(S: PolynomialSystem, v: ProjectivePoint) -> tuple[ProjectivePoint, PolynomialSystem, GradedIdeal]:
-    """v as a GF(p)-point, S with v moved to (1:0:...:0), and the ideal of the moved system."""
+def _chart(S: PolynomialSystem, v: ProjectivePoint) -> tuple[ProjectivePoint, list[list[int]]]:
+    """v as a GF(p)-point and the rows of the matrix that moves it to (1:0:...:0).
+
+    Every error that moving S can raise comes from here, before any answer: a vertex of another
+    characteristic or off GF(p), and then what ``_check_change`` raises, in a move's own order.
+    The matrix is invertible by construction, so a caller builds its change only to move.
+    """
     if v.field.p != S.field.p:
         raise FieldMismatchError(f"vertex over {v.field} but system over {S.field}: characteristics differ")
     v = _require_prime_rational(v)
-    SM = S.linear_change(move_point_to_origin_chart(v).rows)
-    return v, SM, GradedIdeal(SM.gens)
+    return v, _check_change(S.field, S.n + 1, move_point_to_origin_chart(v).rows, S.gens)
 
 
 # -- strangeness ----------------------------------------------------------
 
 
 def is_strange_for(S: PolynomialSystem, v: ProjectivePoint) -> StrangeReport:
-    """Decide whether the system is strange for the GF(p)-rational point v."""
-    v, SM, ideal = _moved(S, v)
-    for k, g in enumerate(SM.gens):
-        dg = g.partial_derivative(0)
-        if not ideal.contains(dg):
+    """Decide whether the system is strange for the GF(p)-rational point v.
+
+    Generator k passes when the z0-partial of its moved form lies in I_(e_k - 1), which only the
+    generators of degree < e_k span.  So a generator is moved when its own check, or the piece
+    of a check, first needs it: the first failing check leaves the generators it does not read
+    unmoved.  Each piece is eliminated once, by the ideal of the generators below its degree.
+    """
+    v, rows = _chart(S, v)
+    change = _Change(S.field, S.n + 1, rows)
+    moved: dict[int, HomogeneousPolynomial] = {}
+
+    def move(j: int) -> HomogeneousPolynomial:
+        if j not in moved:
+            moved[j] = S.gens[j].linear_change(change)
+        return moved[j]
+
+    below: dict[int, GradedIdeal] = {}  # e -> the ideal of the moved generators of degree < e
+    for k, e in enumerate(S.degrees):
+        dg = move(k).partial_derivative(0)
+        if dg.is_zero():
+            continue
+        lower = [j for j, ej in enumerate(S.degrees) if ej < e]
+        if lower and e not in below:
+            below[e] = GradedIdeal(map(move, lower))
+        if not lower or not below[e].contains(dg):  # with no generator below e, I_(e-1) = 0
             return StrangeReport(
                 system=S,
                 vertex=v,
@@ -262,7 +295,7 @@ def is_strange_for(S: PolynomialSystem, v: ProjectivePoint) -> StrangeReport:
                     "graded piece of the ideal"
                 ),
             )
-    witness = [normalize_z0(g) for g in SM.gens]
+    witness = [normalize_z0(move(k)) for k in range(S.r)]
     return StrangeReport(system=S, vertex=v, verdict=True, witness_generators=witness)
 
 
@@ -316,9 +349,19 @@ def is_cone_with_vertex(S: PolynomialSystem, v: ProjectivePoint) -> bool:
     criterion is exact in both directions: z_0-free generators reproduce
     each slice degree by degree, and conversely slices in the ideal let the
     generators be rewritten z_0-free.
+
+    Two facts order the work, cheapest first.  A moved generator's degree-0
+    slice is its value at the lift of v, and I_0 = 0 as every generator has
+    degree >= 1: so a vertex off X is no cone, with nothing moved.  On X the
+    slices of all moved generators are taken by ascending degree, the small
+    pieces first, and the first slice outside the ideal ends the test.
     """
-    _, SM, ideal = _moved(S, v)
-    return all(ideal.contains(h) for g in SM.gens for _, h in sorted(_z0_slices(g).items()))
+    v, rows = _chart(S, v)
+    if not S.on_zero_set(ProjectivePoint(S.field, v.coords)):
+        return False
+    ideal = GradedIdeal(S.linear_change(rows).gens)
+    slices = sorted((h for g in ideal.gens for h in _z0_slices(g).values()), key=attrgetter("degree"))
+    return all(map(ideal.contains, slices))
 
 
 def cone_corollary_check(S: PolynomialSystem, v: ProjectivePoint) -> bool:

@@ -309,6 +309,24 @@ class TestPersistence:
         d2 = [dict(r.to_dict(), elapsed_ms=0) for r in r2]
         assert d1 == d2
 
+    def test_sampled_spec_reports_count_and_seed(self, tmp_path):
+        spec = CensusSpec(p=2, N=3, degrees=(3,), count=5, seed=9, m_max=2)
+        assert spec.to_dict() == {"p": 2, "N": 3, "degrees": [3], "mode": "sample", "count": 5, "seed": 9, "m_max": 2}
+        path = tmp_path / "run.jsonl"
+        verify_singularity_theorem(spec, out_path=str(path))
+        run = load_records(str(path))[0]["run"]
+        assert run["seed"] == 9 and run["spec"] == spec.to_dict()
+
+    def test_exhaustive_spec_leaves_out_count_and_seed(self, tmp_path):
+        """An exhaustive census draws nothing: its summary and file header carry no count or seed."""
+        spec = CensusSpec(p=2, N=2, degrees=(2,), mode="exhaustive", count=100, seed=4, m_max=1)
+        assert spec.to_dict() == {"p": 2, "N": 2, "degrees": [2], "mode": "exhaustive", "m_max": 1}
+        path = tmp_path / "run.jsonl"
+        out = verify_singularity_theorem(spec, out_path=str(path))
+        assert out["summary"]["spec"] == spec.to_dict() and out["summary"]["total"] == 15
+        run = load_records(str(path))[0]["run"]
+        assert "seed" not in run and run["spec"] == spec.to_dict()
+
     def test_header_carries_package_version(self, tmp_path):
         import strangeci
 

@@ -82,6 +82,16 @@ INVOCATIONS = [
      {"STRANGECI_BUDGET": "10"}),
     ("budget-monomials",
      ["strange-check", "--char", "2", "--n", "2", "--poly", "z0^99999999", "--vertex", "(1:0:0)"], {}),
+    # the first generator alone would answer (not strange, not on X): the budget error still comes first
+    *[
+        (f"budget-monomials-{cmd}-second-generator",
+         [cmd, "--char", "2", "--n", "3", "--poly", "z1^2 + z0*z2", "--poly", "z0^99999999", "--vertex", "(1:0:0:0)"],
+         {})
+        for cmd in ("strange-check", "cone-check")
+    ],
+    # the second generator alone is outside the first's ideal: the first generator's budget error comes first
+    ("budget-monomials-normalize-system-first-generator",
+     ["normalize-system", "--char", "2", "--n", "3", "--poly", "z0^99999998", "--poly", "z1^2 + z0*z2"], {}),
 ]
 
 

@@ -4,11 +4,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strangeci.errors import FieldMismatchError, HomogeneityError, InvalidInputError, UnsupportedVertexError
-from strangeci.exactla import MatrixOverField, in_span, rank, rank_and_kernel
+from strangeci.exactla import MatrixOverField, in_span, invert, rank, rank_and_kernel
 from strangeci.families import (
     quadric_normal_form,
     strange_hypersurface_p_divides,
@@ -24,7 +24,7 @@ from strangeci.geometry import (
     parse_point,
 )
 from strangeci.gf import make_field
-from strangeci.hompoly import HomogeneousPolynomial, monomials_of_degree, normalize_z0, parse_poly
+from strangeci.hompoly import HomogeneousPolynomial, format_poly, monomials_of_degree, normalize_z0, parse_poly
 from strangeci.strangeness import (
     GradedIdeal,
     cone_corollary_check,
@@ -141,6 +141,13 @@ def _span_verdict(gens, h):
     ]
     ok, _ = in_span(F, [h.terms.get(m, 0) for m in basis], [[q.terms.get(m, 0) for m in basis] for q in products])
     return ok
+
+
+def _expr(f, z):
+    """f as a sympy expression in the symbols z, with its integer coefficients."""
+    import sympy
+
+    return sympy.Add(*(c * sympy.Mul(*(v**e for v, e in zip(z, m))) for m, c in f.terms.items()))
 
 
 @st.composite
@@ -271,12 +278,8 @@ class TestGradedIdeal:
         sympy = pytest.importorskip("sympy")
         gens, h = case
         z = sympy.symbols(f"z0:{h.n_vars}")
-
-        def expr(f):
-            return sympy.Add(*(c * sympy.Mul(*(v**e for v, e in zip(z, m))) for m, c in f.terms.items()))
-
-        G = sympy.groebner([expr(g) for g in gens], *z, modulus=h.field.p, order="grevlex")
-        assert GradedIdeal(gens).contains(h) == G.contains(expr(h))
+        G = sympy.groebner([_expr(g, z) for g in gens], *z, modulus=h.field.p, order="grevlex")
+        assert GradedIdeal(gens).contains(h) == G.contains(_expr(h, z))
 
     @settings(max_examples=100, deadline=None)
     @given(membership_cases(fields=(make_field(2, 2), make_field(3, 2), make_field(2, 3), make_field(5, 2))))
@@ -645,3 +648,169 @@ class TestHvCharacterization:
                 S = PolynomialSystem([f])
                 expect = all(m[0] % p == 0 for m in f.terms)
                 assert is_strange_for(S, unit_point(F, 3, 0)).verdict == expect
+
+
+# -- the decisions at a vertex against Groebner oracles, and the work they skip ------
+
+
+@st.composite
+def vertex_cases(draw):
+    """(S, v) over GF(2), GF(3) or GF(5) with N <= 3 and r <= 2 generators of degrees 2-3 in any order.
+
+    Each generator is drawn generic, free of z0 (a cone with vertex e0) or with every z0-exponent
+    divisible by p (strange for e0).  The system is then moved by a random invertible matrix A, and
+    v is A e0.  In about half the cases each generator g becomes g - g(v) z_i^e, i the first nonzero
+    coordinate of v, so that every generator vanishes at v.  Coefficients and A come from a drawn
+    seed: uniform draws keep the system and v generic, where shrunk ones give coordinate points.
+    """
+    F = draw(st.sampled_from((F2, F3, F5)))
+    n1 = draw(st.integers(3, 4))
+    keep = {"generic": lambda w: True, "z0-free": lambda w: w[0] == 0, "strange at e0": lambda w: w[0] % F.p == 0}
+    kinds = draw(st.lists(st.sampled_from(sorted(keep)), min_size=1, max_size=2))
+    degrees = draw(st.lists(st.integers(2, 3), min_size=len(kinds), max_size=len(kinds)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gens = []
+    for kind, e in zip(kinds, degrees):
+        g = HomogeneousPolynomial.zero(F, n1, e)
+        while g.is_zero():
+            g = HomogeneousPolynomial(F, n1, e, {m: rng.randrange(F.p) for m in monomials_of_degree(n1, e) if keep[kind](m)})
+        gens.append(g)
+    S, v = _moved_to(PolynomialSystem(gens), rng)
+    if draw(st.booleans()):
+        i = next(j for j, c in enumerate(v.coords) if c)
+        gens = [g - HomogeneousPolynomial(F, n1, g.degree, {tuple(g.degree * (j == i) for j in range(n1)): g.evaluate(v.coords)}) for g in S.gens]
+        assume(not any(g.is_zero() for g in gens))
+        S = PolynomialSystem(gens)
+    return S, v
+
+
+def _moved_to(S, rng):
+    """(S o A^-1, A e0) for a random invertible A: S at e0 is the result at A e0."""
+    F, n1 = S.field, S.n + 1
+    while True:
+        A = MatrixOverField(F, [[rng.randrange(F.p) for _ in range(n1)] for _ in range(n1)])
+        if rank(A) == n1:
+            return S.linear_change(invert(A).rows), ProjectivePoint(F, [row[0] for row in A.rows])
+
+
+def _groebner(S):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.symbols(f"z0:{S.n + 1}")
+    return z, sympy.groebner([_expr(g, z) for g in S.gens], *z, modulus=S.field.p, order="grevlex")
+
+
+class TestDecisionOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(vertex_cases())
+    def test_strange_agrees_with_directional_derivatives_in_the_ideal(self, case):
+        """S is strange for v iff every sum_i v_i d g_k / d z_i lies in I, in the original coordinates
+        with nothing moved; the report fails at the least k whose derivative does not, and names the
+        z0-partial of the moved generator, or gives every moved generator normalized as witness."""
+        import sympy
+
+        S, v = case
+        z, G = _groebner(S)
+        inside = [
+            G.contains(sympy.expand(sum(c * sympy.diff(_expr(g, z), zi) for c, zi in zip(v.coords, z))))
+            for g in S.gens
+        ]
+        rep = is_strange_for(S, v)
+        assert rep.verdict == all(inside)
+        assert rep.failing_index == (None if all(inside) else inside.index(False))
+        moved = S.linear_change(move_point_to_origin_chart(v).rows).gens
+        if rep.verdict:
+            assert rep.witness_generators == [normalize_z0(g) for g in moved] and rep.certificate is None
+        else:
+            dg = moved[rep.failing_index].partial_derivative(0)
+            assert rep.witness_generators is None and rep.certificate == (
+                f"z0-partial of transformed generator {rep.failing_index} is {format_poly(dg)}, "
+                f"not in the degree-{dg.degree} graded piece of the ideal"
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(vertex_cases())
+    def test_cone_agrees_with_translates_in_the_ideal(self, case):
+        """S is a cone with vertex v iff every t-coefficient of every g(z + t v) lies in I."""
+        import sympy
+
+        S, v = case
+        z, G = _groebner(S)
+        t = sympy.Symbol("t")
+        shift = {zi: zi + c * t for zi, c in zip(z, v.coords)}
+        expected = all(
+            G.contains(c)
+            for g in S.gens
+            for c in sympy.Poly(sympy.expand(_expr(g, z).subs(shift, simultaneous=True)), t).all_coeffs()
+        )
+        assert is_cone_with_vertex(S, v) == expected
+
+
+class TestDecisionsSkipWork:
+    """Each decision at a vertex does the work its verdict needs, and no piece twice."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """The generators moved, the eliminations, and the degree of each Macaulay matrix built."""
+        from strangeci import exactla, hompoly, strangeness
+
+        log = {"moved": [], "rref": [], "pieces": []}
+        change, macaulay = HomogeneousPolynomial.linear_change, GradedIdeal.macaulay_matrix
+        monkeypatch.setattr(HomogeneousPolynomial, "linear_change", lambda g, M: log["moved"].append(g) or change(g, M))
+        monkeypatch.setattr(GradedIdeal, "macaulay_matrix", lambda I, d: log["pieces"].append(d) or macaulay(I, d))
+        for mod in (exactla, hompoly, strangeness):
+            monkeypatch.setattr(mod, "rref", lambda *args, fn=mod.rref: log["rref"].append(args) or fn(*args))
+        return log
+
+    @staticmethod
+    def _random_system(F, n1, degrees, seed):
+        rng = random.Random(seed)
+        return PolynomialSystem(
+            [HomogeneousPolynomial(F, n1, e, {m: rng.randrange(F.p) for m in monomials_of_degree(n1, e)}) for e in degrees]
+        )
+
+    def test_cone_off_x_moves_and_eliminates_nothing(self, spy):
+        S = self._random_system(F3, 6, (4, 3, 2), 71)
+        v = ProjectivePoint(F3, [1, 2, 0, 1, 1, 2])
+        assert not S.on_zero_set(v)
+        assert is_cone_with_vertex(S, v) is False
+        assert spy == {"moved": [], "rref": [], "pieces": []}
+
+    def test_strange_failing_at_generator_0_moves_it_and_the_lower_degrees_only(self, spy):
+        S = self._random_system(F2, 5, (3, 2, 3, 4), 73)
+        v = ProjectivePoint(F2, [1, 1, 0, 1, 0])
+        assert is_strange_for(S, v).failing_index == 0
+        assert spy["moved"] == [S.gens[0], S.gens[1]]
+        spy["moved"].clear(), spy["pieces"].clear()
+        S = self._random_system(F2, 5, (2, 3, 2), 79)
+        assert is_strange_for(S, v).failing_index == 0
+        assert spy["moved"] == [S.gens[0]] and spy["pieces"] == []
+
+    def test_no_piece_is_eliminated_twice(self, spy):
+        """A system strange through its ideal, with two cubics whose z0-partials lie in I_2, reads
+        I_2 for both and builds it once; a cone on X tries slices of each degree and builds each
+        piece once."""
+        rng = random.Random(83)
+
+        def form(e, with_z0=False):
+            return HomogeneousPolynomial(
+                F2, 5, e, {m: rng.randrange(2) for m in monomials_of_degree(5, e) if with_z0 or m[0] == 0}
+            )
+
+        for _ in range(4):
+            q = form(2)
+            while q.is_zero():
+                q = form(2)
+            # each cubic's z0-partial is q times the z0-coefficient 1 of its linear factor
+            cubics = [form(3) + q * (parse_poly("z0", F2, 5) + form(1)) for _ in range(2)]
+            S, v = _moved_to(PolynomialSystem([cubics[0], q, cubics[1]]), rng)
+            spy["moved"].clear(), spy["rref"].clear(), spy["pieces"].clear()
+            assert is_strange_for(S, v).verdict
+            assert spy["pieces"] == [2] and len(spy["rref"]) == 2  # the change and I_2
+            assert spy["moved"] == [S.gens[0], S.gens[1], S.gens[2]]
+        S = PolynomialSystem.parse(["z1^2 + z2*z3", "z1^3 + z2^3 + z3^3 + z4^3", "z2^2*z4 + z2^3 + z1^3"], F5, 5)
+        spy["pieces"].clear()
+        assert is_cone_with_vertex(S, unit_point(F5, 5, 0)) and spy["pieces"] == [2, 3]
+        spy["pieces"].clear()
+        v = ProjectivePoint(F5, [0, 0, 1, 0, 4])
+        assert S.on_zero_set(v) and not is_cone_with_vertex(S, v)
+        assert len(spy["pieces"]) == len(set(spy["pieces"]))
