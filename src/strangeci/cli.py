@@ -134,7 +134,7 @@ def cmd_normalize(args) -> tuple[dict, bool]:
 
 def cmd_normalize_system(args) -> tuple[dict, bool]:
     normalized, flag = normalize_system(_load_system(args))
-    return {"normalized": [format_poly(g) for g in normalized.gens], "ideal_equal": flag}, True
+    return {"normalized": [format_poly(g) for g in normalized], "ideal_equal": flag}, True
 
 
 def cmd_cone_check(args) -> tuple[dict, bool]:

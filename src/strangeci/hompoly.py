@@ -395,27 +395,6 @@ class HomogeneousPolynomial:
         return f"<{self.field} poly deg {self.degree}: {format_poly(self)}>"
 
 
-def _check_change(F: Field, n: int, matrix, polys=()) -> list[list[int]]:
-    """The rows of M in z_i <- sum_j M[i][j] z_j, once every check that moving each of ``polys`` by
-    M runs, save M's rank, has passed, in the order a move runs them: n rows of n entries in
-    range(F.order), then for each polynomial in turn the monomials of its degree, which the last
-    level of its expansion holds.  A caller whose M is invertible by construction can so raise
-    every error of the move before it moves anything."""
-    rows = [list(r) for r in matrix]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise InvalidInputError("matrix has wrong shape")
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            if not isinstance(c, int) or not 0 <= c < F.order:
-                raise InvalidInputError(
-                    f"matrix entry [{i}][{j}] = {c!r} is not an element of {F} "
-                    f"(an integer in range({F.order}))"
-                )
-    for f in polys:
-        _check_expansion(f)
-    return rows
-
-
 def _check_expansion(f: HomogeneousPolynomial) -> None:
     """BudgetExceededError if the rows of f's expansion would hold too many monomials; a zero or
     constant f is not expanded."""
@@ -424,17 +403,38 @@ def _check_expansion(f: HomogeneousPolynomial) -> None:
 
 
 class _Change(list):
-    """The rows of M in z_i <- sum_j M[i][j] z_j, checked once for n variables over F: n rows of n
-    entries in range(F.order), invertible.  ``times`` is the float64 (n m x n m) GF(p) matrix that
-    :func:`_expand` multiplies by, [(i, r), (j, s)] digit s of M[i][j] * t^r."""
+    """The rows of M in z_i <- sum_j M[i][j] z_j for n variables over F: n rows of n entries in
+    range(F.order), invertible, checked once unless the library built them so (:meth:`_trusted`).
+    ``times`` is the float64 (n m x n m) GF(p) matrix that :func:`_expand` multiplies by,
+    [(i, r), (j, s)] digit s of M[i][j] * t^r."""
 
     __slots__ = ("field", "times")
 
     def __init__(self, F: Field, n: int, matrix):
-        super().__init__(_check_change(F, n, matrix))
+        super().__init__(list(r) for r in matrix)
+        if len(self) != n or any(len(r) != n for r in self):
+            raise InvalidInputError("matrix has wrong shape")
+        for i, row in enumerate(self):
+            for j, c in enumerate(row):
+                if not isinstance(c, int) or not 0 <= c < F.order:
+                    raise InvalidInputError(
+                        f"matrix entry [{i}][{j}] = {c!r} is not an element of {F} "
+                        f"(an integer in range({F.order}))"
+                    )
         if len(rref(F, self, n)[1]) < n:
             raise InvalidInputError("matrix is singular")
-        times = F.mul_matrices(np.array(self, dtype=np.int64)).transpose(0, 2, 1, 3)
+        self._set_times(F)
+
+    @classmethod
+    def _trusted(cls, F: Field, rows: list[list[int]]) -> "_Change":
+        """The change of rows the library built right by construction, checked no further."""
+        change = cls.__new__(cls)
+        change.extend(rows)
+        change._set_times(F)
+        return change
+
+    def _set_times(self, F: Field) -> None:
+        n, times = len(self), F.mul_matrices(np.array(self, dtype=np.int64)).transpose(0, 2, 1, 3)
         self.field, self.times = F, times.reshape(n * F.m, n * F.m).astype(np.float64)
 
 

@@ -7,21 +7,19 @@ m * f^k of degree d) as an int64 array once and eliminates it once with
 then one digit-wise product with that echelon form.  :func:`graded_membership`,
 which also solves for a witness, eliminates the products with h appended instead.
 
-Strangeness of a complete-intersection system S for a GF(p)-rational point
-v is decided algebraically: move v to (1:0:...:0) by a deterministic
-coordinate change, then check that the z_0-partial of every transformed
-generator lies in the matching graded piece.  For a single hypersurface
-this degenerates to "f_{z_0} is the zero polynomial".
-
-The strange locus is the linear space of all valid vertex lifts, computed
-in one exact linear solve; the cone test decides whether the ideal admits
-generators free of the vertex coordinate, slice by slice.
+Strangeness of a complete-intersection system S for a GF(p)-rational point v
+is one condition per generator: the derivative along v, sum_i v_i f^k_{z_i},
+lies in the degree-(e^k - 1) graded piece of the ideal.  The strange locus
+solves it for every lift v in one exact linear solve; the strangeness test
+reads it at one v, in the system's own coordinates.  The cone test moves v to
+(1:0:...:0) and decides, slice by slice, whether the ideal admits generators
+free of the vertex coordinate.
 
 Both decisions at a vertex raise every error before any answer, and then
-stop as soon as the verdict is known.  The strangeness test moves a
-generator only when its own check, or the piece that check reads, needs
-it.  The cone test answers False for a vertex off X with nothing moved,
-then takes the slices by ascending degree, the smallest pieces first.
+stop as soon as the verdict is known.  The chart to v takes no rank check:
+it is invertible by construction.  The cone test answers False for a vertex
+off X with nothing moved, then takes the slices by ascending degree, the
+smallest pieces first.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .hompoly import (
     HomogeneousPolynomial,
     Monomial,
     _Change,
-    _check_change,
+    _check_expansion,
     format_poly,
     monomial_count,
     monomial_rank,
@@ -242,17 +240,21 @@ def _require_prime_rational(v: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint(make_field(F.p), list(v.coords))
 
 
-def _chart(S: PolynomialSystem, v: ProjectivePoint) -> tuple[ProjectivePoint, list[list[int]]]:
-    """v as a GF(p)-point and the rows of the matrix that moves it to (1:0:...:0).
+def _chart(S: PolynomialSystem, v: ProjectivePoint) -> tuple[ProjectivePoint, _Change]:
+    """v as a GF(p)-point and the change that moves it to (1:0:...:0).
 
     Every error that moving S can raise comes from here, before any answer: a vertex of another
-    characteristic or off GF(p), and then what ``_check_change`` raises, in a move's own order.
-    The matrix is invertible by construction, so a caller builds its change only to move.
+    characteristic, off GF(p) or of the wrong length, and then a generator too large to expand.
+    The chart's shape, entries and rank are right by construction, so they are not checked.
     """
     if v.field.p != S.field.p:
         raise FieldMismatchError(f"vertex over {v.field} but system over {S.field}: characteristics differ")
-    v = _require_prime_rational(v)
-    return v, _check_change(S.field, S.n + 1, move_point_to_origin_chart(v).rows, S.gens)
+    w = _require_prime_rational(v)
+    if len(w.coords) != S.n + 1:
+        raise InvalidInputError(f"vertex {v} has {len(w.coords)} coordinates, expected N+1 = {S.n + 1}")
+    for g in S.gens:
+        _check_expansion(g)
+    return w, _Change._trusted(S.field, move_point_to_origin_chart(w).rows)
 
 
 # -- strangeness ----------------------------------------------------------
@@ -261,29 +263,18 @@ def _chart(S: PolynomialSystem, v: ProjectivePoint) -> tuple[ProjectivePoint, li
 def is_strange_for(S: PolynomialSystem, v: ProjectivePoint) -> StrangeReport:
     """Decide whether the system is strange for the GF(p)-rational point v.
 
-    Generator k passes when the z0-partial of its moved form lies in I_(e_k - 1), which only the
-    generators of degree < e_k span.  So a generator is moved when its own check, or the piece
-    of a check, first needs it: the first failing check leaves the generators it does not read
-    unmoved.  Each piece is eliminated once, by the ideal of the generators below its degree.
+    Generator k passes when its derivative along v lies in I_(e_k - 1), which only the generators
+    of degree < e_k span: the condition of :func:`strange_locus` at v.  As M e_0 = v for the chart
+    M, that derivative moved is the z0-partial of the moved generator, which the report names; the
+    generators are moved only for the report.
     """
-    v, rows = _chart(S, v)
-    change = _Change(S.field, S.n + 1, rows)
-    moved: dict[int, HomogeneousPolynomial] = {}
-
-    def move(j: int) -> HomogeneousPolynomial:
-        if j not in moved:
-            moved[j] = S.gens[j].linear_change(change)
-        return moved[j]
-
-    below: dict[int, GradedIdeal] = {}  # e -> the ideal of the moved generators of degree < e
-    for k, e in enumerate(S.degrees):
-        dg = move(k).partial_derivative(0)
-        if dg.is_zero():
-            continue
-        lower = [j for j, ej in enumerate(S.degrees) if ej < e]
-        if lower and e not in below:
-            below[e] = GradedIdeal(map(move, lower))
-        if not lower or not below[e].contains(dg):  # with no generator below e, I_(e-1) = 0
+    v, change = _chart(S, v)
+    F, ideal = S.field, GradedIdeal(S.gens)
+    for k, g in enumerate(S.gens):
+        # v lies in GF(p): the derivative's digits are the rows' digits combined by v, mod p
+        dv = np.tensordot(v.coords, F.to_digits(g.gradient_rows()), axes=1) % F.p @ F.place
+        if dv.any() and ideal.residues(dv[None], g.degree - 1).any():
+            dg = g.linear_change(change).partial_derivative(0)
             return StrangeReport(
                 system=S,
                 vertex=v,
@@ -295,7 +286,7 @@ def is_strange_for(S: PolynomialSystem, v: ProjectivePoint) -> StrangeReport:
                     "graded piece of the ideal"
                 ),
             )
-    witness = [normalize_z0(move(k)) for k in range(S.r)]
+    witness = [normalize_z0(g.linear_change(change)) for g in S.gens]
     return StrangeReport(system=S, vertex=v, verdict=True, witness_generators=witness)
 
 
@@ -318,14 +309,14 @@ def strange_locus(S: PolynomialSystem) -> StrangeLocus:
 # -- normalization --------------------------------------------------------
 
 
-def normalize_system(S: PolynomialSystem) -> tuple[PolynomialSystem, bool]:
-    """Normalize every generator; the flag reports degree-wise ideal equality.
+def normalize_system(S: PolynomialSystem) -> tuple[list[HomogeneousPolynomial], bool]:
+    """Every generator normalized, in order, and whether they span the ideal of S degree-wise.
 
-    Flag true implies S is strange for (1:0:...:0).
+    A list, as a generator may normalize to zero.  Flag true implies S is strange for (1:0:...:0).
     """
-    normalized = PolynomialSystem([normalize_z0(g) for g in S.gens])
-    ideal, normal_ideal = GradedIdeal(S.gens), GradedIdeal(normalized.gens)
-    equal = all(map(normal_ideal.contains, S.gens)) and all(map(ideal.contains, normalized.gens))
+    normalized = [normalize_z0(g) for g in S.gens]
+    ideal, normal_ideal = GradedIdeal(S.gens), GradedIdeal(normalized)
+    equal = all(map(normal_ideal.contains, S.gens)) and all(map(ideal.contains, normalized))
     return normalized, equal
 
 
@@ -356,10 +347,10 @@ def is_cone_with_vertex(S: PolynomialSystem, v: ProjectivePoint) -> bool:
     slices of all moved generators are taken by ascending degree, the small
     pieces first, and the first slice outside the ideal ends the test.
     """
-    v, rows = _chart(S, v)
+    v, change = _chart(S, v)
     if not S.on_zero_set(ProjectivePoint(S.field, v.coords)):
         return False
-    ideal = GradedIdeal(S.linear_change(rows).gens)
+    ideal = GradedIdeal(g.linear_change(change) for g in S.gens)
     slices = sorted((h for g in ideal.gens for h in _z0_slices(g).values()), key=attrgetter("degree"))
     return all(map(ideal.contains, slices))
 

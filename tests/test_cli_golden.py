@@ -37,6 +37,8 @@ INVOCATIONS = [
     ("strange-check-pretty",
      ["strange-check", "--pretty", "--char", "3", "--n", "2", "--poly", "z0^2 + z1*z2", "--vertex", "(1:0:0)"], {}),
     ("normalize-system", ["normalize-system", *CONIC], {}),
+    ("normalize-system-zero-generator",
+     ["normalize-system", "--char", "3", "--n", "3", "--poly", "z0*z1 + z2^2", "--poly", "z0*z3"], {}),
     ("cone-check-true",
      ["cone-check", "--char", "5", "--n", "3", "--poly", "z1^3 + z2^3 + z3^3", "--vertex", "(1:0:0:0)"], {}),
     ("cone-check-false", ["cone-check", *CONIC, "--vertex", "(1:0:0)"], {}),

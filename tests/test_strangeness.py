@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import comb
 
 import numpy as np
@@ -427,6 +428,15 @@ class TestIsStrangeFor:
             with pytest.raises(FieldMismatchError):
                 is_cone_with_vertex(S, parse_point(text, F2))
 
+    def test_vertex_of_the_wrong_length_is_named(self):
+        S = quadric_normal_form(2, 2)
+        for text, count in [("(1:0)", 2), ("(1:0:0:1)", 4), ("@GF(2^2)(1:0:1:1)", 4)]:
+            message = f"^vertex {re.escape(text)} has {count} coordinates, expected N\\+1 = 3$"
+            with pytest.raises(InvalidInputError, match=message):
+                is_strange_for(S, parse_point(text, F2))
+            with pytest.raises(InvalidInputError, match=message):
+                is_cone_with_vertex(S, parse_point(text, F2))
+
     def test_prime_rational_extension_vertex_accepted(self):
         S = quadric_normal_form(2, 2)
         assert is_strange_for(S, parse_point("@GF(2^2)(1:0:0)", F2)).verdict
@@ -575,14 +585,23 @@ class TestNormalize:
 
     def test_normalize_system_equal_when_strange(self):
         S = quadric_normal_form(2, 2)
-        Sn, equal = normalize_system(S)
+        normalized, equal = normalize_system(S)
         assert equal
-        assert all(g.partial_derivative(0).is_zero() for g in Sn.gens)
+        assert all(g.partial_derivative(0).is_zero() for g in normalized)
 
     def test_normalize_system_unequal_when_not_strange(self):
         S = quadric_normal_form(2, 3)
         _, equal = normalize_system(S)
         assert not equal
+
+    def test_normalize_system_keeps_a_generator_that_normalizes_to_zero(self):
+        """Every term of z0*z3 has z0-exponent 1, prime to p: it normalizes to zero, which no
+        system admits, and the ideal it leaves is smaller."""
+        S = PolynomialSystem.parse(["z0*z1 + z2^2", "z0*z3"], F3, 4)
+        normalized, equal = normalize_system(S)
+        assert normalized == [parse_poly("z2^2", F3, 4), HomogeneousPolynomial.zero(F3, 4, 2)] and not equal
+        normalized, equal = normalize_system(PolynomialSystem.parse(["z0*z1"], F2, 3))
+        assert normalized == [HomogeneousPolynomial.zero(F2, 3, 2)] and not equal
 
 
 class TestCones:
@@ -745,6 +764,42 @@ class TestDecisionOracles:
         assert is_cone_with_vertex(S, v) == expected
 
 
+class TestReportOverExtensions:
+    @pytest.mark.parametrize("p, m", [(2, 2), (3, 2)])
+    def test_report_matches_the_moved_chart(self, p, m):
+        """Over GF(4) and GF(9), with coefficients off GF(p): the whole report is the one read in the
+        chart of v, each generator moved there and its z0-partial tested in the ideal of the moved
+        generators of lower degree."""
+        F = make_field(p, m)
+        rng = random.Random(97 + p)
+        verdicts = set()
+        for _ in range(30):
+            n1 = rng.randint(3, 4)
+            gens = []
+            for e in rng.choices(range(1, 5), k=rng.randint(1, n1 - 1)):
+                strange = rng.random() < 0.6  # every z0-exponent divisible by p: strange for e0
+                g = HomogeneousPolynomial.zero(F, n1, e)
+                while g.is_zero():
+                    monos = [w for w in monomials_of_degree(n1, e) if not strange or w[0] % p == 0]
+                    g = HomogeneousPolynomial(F, n1, e, {w: rng.randrange(F.order) for w in monos})
+                gens.append(g)
+            S, v = _moved_to(PolynomialSystem(gens), rng)
+            moved = S.linear_change(move_point_to_origin_chart(v).rows).gens
+            expected = {"verdict": True, "vertex": str(ProjectivePoint(make_field(p), v.coords))}
+            for k, g in enumerate(moved):
+                dg, lower = g.partial_derivative(0), [h for h in moved if h.degree < g.degree]
+                if not dg.is_zero() and not (lower and GradedIdeal(lower).contains(dg)):
+                    expected.update(verdict=False, failing_index=k, certificate=(
+                        f"z0-partial of transformed generator {k} is {format_poly(dg)}, "
+                        f"not in the degree-{dg.degree} graded piece of the ideal"))
+                    break
+            else:
+                expected["witness_generators"] = [format_poly(normalize_z0(g)) for g in moved]
+            assert is_strange_for(S, v).to_dict() == expected
+            verdicts.add(expected["verdict"])
+        assert verdicts == {True, False}
+
+
 class TestDecisionsSkipWork:
     """Each decision at a vertex does the work its verdict needs, and no piece twice."""
 
@@ -775,11 +830,12 @@ class TestDecisionsSkipWork:
         assert is_cone_with_vertex(S, v) is False
         assert spy == {"moved": [], "rref": [], "pieces": []}
 
-    def test_strange_failing_at_generator_0_moves_it_and_the_lower_degrees_only(self, spy):
+    def test_strange_failing_at_generator_0_moves_it_only(self, spy):
+        """The checks read the system unmoved; only the failing generator moves, for its certificate."""
         S = self._random_system(F2, 5, (3, 2, 3, 4), 73)
         v = ProjectivePoint(F2, [1, 1, 0, 1, 0])
         assert is_strange_for(S, v).failing_index == 0
-        assert spy["moved"] == [S.gens[0], S.gens[1]]
+        assert spy["moved"] == [S.gens[0]] and spy["pieces"] == [2]
         spy["moved"].clear(), spy["pieces"].clear()
         S = self._random_system(F2, 5, (2, 3, 2), 79)
         assert is_strange_for(S, v).failing_index == 0
@@ -805,7 +861,7 @@ class TestDecisionsSkipWork:
             S, v = _moved_to(PolynomialSystem([cubics[0], q, cubics[1]]), rng)
             spy["moved"].clear(), spy["rref"].clear(), spy["pieces"].clear()
             assert is_strange_for(S, v).verdict
-            assert spy["pieces"] == [2] and len(spy["rref"]) == 2  # the change and I_2
+            assert spy["pieces"] == [2] and len(spy["rref"]) == 1  # I_2 alone: the chart takes no rank check
             assert spy["moved"] == [S.gens[0], S.gens[1], S.gens[2]]
         S = PolynomialSystem.parse(["z1^2 + z2*z3", "z1^3 + z2^3 + z3^3 + z4^3", "z2^2*z4 + z2^3 + z1^3"], F5, 5)
         spy["pieces"].clear()
