@@ -24,9 +24,9 @@ import numpy as np
 from . import __version__
 from .errors import BudgetExceededError, InvalidInputError
 from .exactla import MatrixOverField, rank
-from .gf import Field, make_field
+from .gf import Field, _digits, make_field
 from .geometry import PolynomialSystem, ProjectivePoint, jacobian_full, singular_search
-from .hompoly import HomogeneousPolynomial, Monomial, _monomial_array, format_poly, monomial_count, monomials_of_degree
+from .hompoly import HomogeneousPolynomial, Monomial, _monomial_array, format_poly, monomial_count
 from .strangeness import strange_locus
 
 EXHAUSTIVE_BUDGET = 1_000_000
@@ -93,19 +93,15 @@ def hv_monomial_basis(p: int, N: int, e: int) -> list[Monomial]:
     This is exactly the kernel basis of f -> f_{z_0} on the degree-e
     monomial space; graded-lex ordered, z_0 greatest.
     """
-    return list(_hv_basis(p, N, e))
-
-
-@functools.lru_cache(maxsize=64)
-def _hv_basis(p: int, N: int, e: int) -> tuple[Monomial, ...]:
-    if e < 1:
-        raise InvalidInputError("degree must be >= 1")
-    return tuple(m for m in monomials_of_degree(N + 1, e) if m[0] % p == 0)
+    return list(zip(*_monomial_array(N + 1, e)[_hv_ranks(p, N, e)].T.tolist()))
 
 
 @functools.lru_cache(maxsize=64)
 def _hv_ranks(p: int, N: int, e: int) -> np.ndarray:
-    """The positions of ``_hv_basis(p, N, e)`` in ``monomials_of_degree(N + 1, e)``."""
+    """The ranks in ``monomials_of_degree(N + 1, e)`` of the basis monomials, those whose
+    z_0-exponent p divides."""
+    if e < 1:
+        raise InvalidInputError("degree must be >= 1")
     return np.flatnonzero(_monomial_array(N + 1, e)[:, 0] % p == 0)
 
 
@@ -114,8 +110,8 @@ def _member(F: Field, N: int, e: int, coeffs) -> HomogeneousPolynomial:
     its term map, and its dense row placed at the basis ranks."""
     row = np.zeros(monomial_count(N + 1, e), dtype=np.int64)
     row[_hv_ranks(F.p, N, e)] = coeffs
-    terms = {m: c for m, c in zip(_hv_basis(F.p, N, e), coeffs) if c}
-    return HomogeneousPolynomial._trusted(F, N + 1, e, terms, dense=row)
+    nz = np.flatnonzero(row)
+    return HomogeneousPolynomial._trusted(F, N + 1, e, arrays=(_monomial_array(N + 1, e)[nz], row[nz]), dense=row)
 
 
 def sample_hv(spec: CensusSpec) -> Iterator[PolynomialSystem]:
@@ -126,33 +122,26 @@ def sample_hv(spec: CensusSpec) -> Iterator[PolynomialSystem]:
     excluded from the product).
     """
     F = make_field(spec.p)
-    bases = [_hv_basis(spec.p, spec.N, e) for e in spec.degrees]
+    sizes = [len(_hv_ranks(spec.p, spec.N, e)) for e in spec.degrees]
     if spec.mode == "exhaustive":
         total = 1
-        for b in bases:
-            total *= spec.p ** len(b) - 1
+        for size in sizes:
+            total *= spec.p ** size - 1
         if total > EXHAUSTIVE_BUDGET:
             raise BudgetExceededError(
                 f"exhaustive census of {total} members exceeds budget {EXHAUSTIVE_BUDGET}"
             )
-        ranges = [range(1, spec.p ** len(b)) for b in bases]
+        ranges = [range(1, spec.p ** size) for size in sizes]
         for combo in itertools.product(*ranges):
-            gens = []
-            for code, basis, e in zip(combo, bases, spec.degrees):
-                coeffs = []
-                c = code
-                for _ in basis:
-                    coeffs.append(c % spec.p)
-                    c //= spec.p
-                gens.append(_member(F, spec.N, e, coeffs))
+            gens = [_member(F, spec.N, e, _digits(c, spec.p, size)) for c, size, e in zip(combo, sizes, spec.degrees)]
             yield PolynomialSystem(gens)
     else:
         rng = random.Random(spec.seed)
         for _ in range(spec.count):
             gens = []
-            for basis, e in zip(bases, spec.degrees):
+            for size, e in zip(sizes, spec.degrees):
                 while True:
-                    coeffs = [rng.randrange(spec.p) for _ in basis]
+                    coeffs = [rng.randrange(spec.p) for _ in range(size)]
                     if any(coeffs):
                         break
                 gens.append(_member(F, spec.N, e, coeffs))

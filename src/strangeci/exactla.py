@@ -232,7 +232,7 @@ def in_span(
     if not generators:
         return False, None
     # columns = generators, augmented with the target
-    aug = [[g[i] for g in generators] + [target[i]] for i in range(n)]
+    aug = [[*column, t] for column, t in zip(zip(*generators), target)]
     R, pivots = rref(field, aug, len(generators) + 1)
     if len(generators) in pivots:
         return False, None

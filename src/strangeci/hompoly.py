@@ -7,12 +7,13 @@ Coefficients are integer-encoded elements of the polynomial's field (see
 declared degree.
 
 Terms are kept in graded-lexicographic order with z_0 greatest; since all
-monomials of a homogeneous polynomial share the total degree, that is
-plain descending lexicographic order on exponent vectors, and the one column
-order of dense coefficient rows (:func:`monomial_rank`).  ``linear_change``
-expands f(L_0, ..., L_N) level-wise by Horner's scheme over base-p digit rows,
-one float64 BLAS product with the change's GF(p) matrix per level, exact below
-2^53: one path for every GF(p^m), GF(p) being m = 1.
+monomials of a homogeneous polynomial share the total degree, that is plain
+descending lexicographic order on exponent vectors and the one column order of
+dense coefficient rows.  :func:`monomial_rank` alone defines it; every monomial
+list reads its inverse, the cached read-only table :func:`_monomial_array`.
+``linear_change`` expands f(L_0, ..., L_N) level-wise by Horner's scheme over
+base-p digit rows, one float64 BLAS product with the change's GF(p) matrix per
+level, exact below 2^53: one path for every GF(p^m), GF(p) being m = 1.
 
 ``.terms`` is the public term map; numpy code reads ``arrays()``, one cached,
 read-only int64 view (E, c) of it, built on first use or kept from the arrays
@@ -31,7 +32,7 @@ Text is read in the grammar of :func:`strangeci.gf.text_terms`.
 from __future__ import annotations
 
 import functools
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -64,17 +65,9 @@ def monomial_count(n_vars: int, degree: int) -> int:
 
 
 def monomials_of_degree(n_vars: int, degree: int) -> list[Monomial]:
-    """All exponent vectors of total degree ``degree``, descending grlex; at most MONOMIAL_BUDGET."""
-    monomial_count(n_vars, degree)
-    out = []
-    # index multisets come in lex order, which is descending lex order on exponent vectors: at the
-    # first index where two multisets differ, the smaller holds one more copy of the smaller variable
-    for combo in combinations_with_replacement(range(n_vars), degree):
-        exps = [0] * n_vars
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    return out
+    """All exponent vectors of total degree ``degree`` in the order of :func:`monomial_rank`,
+    descending lex: the rows of :func:`_monomial_array` as tuples; at most MONOMIAL_BUDGET."""
+    return list(zip(*_monomial_array(n_vars, degree).T.tolist()))
 
 
 @functools.lru_cache(maxsize=64)
@@ -85,7 +78,8 @@ def _rank_table(n_vars: int, degree: int) -> np.ndarray:
 
 
 def monomial_rank(E: np.ndarray, degree: int) -> np.ndarray:
-    """Position in monomials_of_degree of each degree-``degree`` exponent vector (last axis of E).
+    """Position of each degree-``degree`` exponent vector (last axis of E) in the one column order
+    of dense rows, descending lex, that :func:`_monomial_array` inverts.
 
     Before e come, per variable i but the last, the C(s - 1 + k, k) monomials that agree
     with e before i and exceed it at i, where e leaves degree s to the k variables after i.
@@ -97,7 +91,21 @@ def monomial_rank(E: np.ndarray, degree: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _monomial_array(n_vars: int, degree: int) -> np.ndarray:
-    return np.array(monomials_of_degree(n_vars, degree), dtype=np.int64).reshape(-1, n_vars)
+    """The read-only int64 table whose row r is the exponent vector of rank r: the inverse of
+    :func:`monomial_rank`.  A rank sums, over the variables i but the last, i's rank-table column
+    at s_i, the degree left after i; the column increases in s, and the terms after i sum to less
+    than its step at s_i, so one ``searchsorted`` per variable finds every row's s_i."""
+    count = monomial_count(n_vars, degree)
+    table, left, s = _rank_table(n_vars, degree), np.arange(count), np.full(count, degree)
+    E = np.empty((count, n_vars), dtype=np.int64)
+    for i in range(n_vars - 1):
+        column = table[:, n_vars - 2 - i]
+        rest = np.searchsorted(column, left, side="right") - 1
+        E[:, i], s = s - rest, rest
+        left -= column[rest]
+    E[:, -1] = s
+    E.flags.writeable = False
+    return E
 
 
 @functools.lru_cache(maxsize=64)

@@ -30,7 +30,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import FieldMismatchError, HomogeneityError, InvalidInputError, UnsupportedVertexError
-from .exactla import MatrixOverField, reduced_kernel, rref
+from .exactla import MatrixOverField, in_span, reduced_kernel, rref
 from .geometry import LinearSubspace, PolynomialSystem, ProjectivePoint
 from .gf import make_field
 from .hompoly import (
@@ -38,10 +38,10 @@ from .hompoly import (
     Monomial,
     _Change,
     _check_expansion,
+    _monomial_array,
     format_poly,
     monomial_count,
     monomial_rank,
-    monomials_of_degree,
     normalize_z0,
 )
 
@@ -136,7 +136,7 @@ class GradedIdeal:
         blocks = [np.zeros((0, self._dim(d)), dtype=np.int64)]
         for g in self.gens:
             if g.degree <= d:
-                mults = np.array(monomials_of_degree(n, d - g.degree), dtype=np.int64)
+                mults = _monomial_array(n, d - g.degree)
                 E, c = g.arrays()
                 A = np.zeros((len(mults), self._dim(d)), dtype=np.int64)
                 A[np.arange(len(mults))[:, None], monomial_rank(mults[:, None, :] + E[None], d)] = c
@@ -188,24 +188,20 @@ def graded_membership(
 ) -> tuple[bool, MembershipWitness | None]:
     """Exact membership of h in the degree-deg(h) graded piece of the ideal.
 
-    One elimination decides it and solves for a member's witness: the columns of the
-    augmented int64 array are the unreduced products m * f^k, then h; h is a member iff
-    its column takes no pivot, and the witness sets the coefficients of free products to zero.
+    :func:`~strangeci.exactla.in_span` of h's row over the unreduced products m * f^k decides it
+    and solves for a member's witness in one elimination, the coefficients of free products zero;
+    the witness's entries for f^k are its multiplier's, on the degree-(d - e_k) monomials in order.
     """
     ideal, d, n1 = GradedIdeal(S.gens), h.degree, S.n + 1
-    A = ideal.macaulay_matrix(d)
-    R, pivots = rref(S.field, np.concatenate([A, ideal.vectors([h], d)]).T, len(A) + 1)
-    if len(A) in pivots:
+    member, coeffs = in_span(S.field, ideal.vectors([h], d)[0].tolist(), ideal.macaulay_matrix(d).tolist())
+    if not member:
         return False, None
-    coeffs = [0] * len(A)
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = int(R[r, len(A)])
-    labels = [(k, mono) for k, e in enumerate(S.degrees) if e <= d for mono in monomials_of_degree(n1, d - e)]
-    terms: list[dict[Monomial, int]] = [{} for _ in S.degrees]
-    for (k, mono), c in zip(labels, coeffs):
-        if c:
-            terms[k][mono] = c
-    mults = [HomogeneousPolynomial._trusted(S.field, n1, max(d - e, 0), t) for e, t in zip(S.degrees, terms)]
+    coeffs, mults = np.array(coeffs, dtype=np.int64), []
+    for e in S.degrees:
+        E = _monomial_array(n1, d - e) if e <= d else np.zeros((0, n1), dtype=np.int64)
+        c, coeffs = coeffs[: len(E)], coeffs[len(E) :]
+        nz = np.flatnonzero(c)
+        mults.append(HomogeneousPolynomial._trusted(S.field, n1, max(d - e, 0), arrays=(E[nz], c[nz])))
     return True, MembershipWitness(mults)
 
 

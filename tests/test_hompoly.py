@@ -300,6 +300,16 @@ class TestLinearChange:
             for _ in range(5):
                 a = [rng.randrange(F.order) for _ in range(3)]
                 assert g.evaluate(a, F) == f.evaluate(mat_vec(M, a), F)
+        # a four-term binary form of degree 512 over GF(1048573): its expansion reads the monomial
+        # tables of every degree up to 512, and a wrong form vanishes at a point with chance <= 512/p
+        F = make_field(1048573)
+        f = parse_poly("z0^512 + 2*z0^312*z1^200 + 3*z0*z1^511 + 5*z1^512", F, 2)
+        M = MatrixOverField(F, [[1, 2], [3, 4]])
+        g = f.linear_change(M.rows)
+        assert g.degree == 512 and len(g.terms) == 513
+        for _ in range(5):
+            a = [rng.randrange(F.order) for _ in range(2)]
+            assert g.evaluate(a) == f.evaluate(mat_vec(M, a))
 
     def test_matches_termwise_expansion(self):
         """Equal to sum_m c_m * prod_i L_i^(m_i), built from polynomial + and *."""
@@ -431,14 +441,20 @@ def scattered(f: HomogeneousPolynomial, degree: int) -> list[int]:
 
 
 class TestMonomialOrder:
-    @pytest.mark.parametrize("n_vars", range(1, 7))
+    @pytest.mark.parametrize("n_vars", [1, 2, 3, 4, 5, 6, 100])
     def test_descending_lex_and_ranked(self, n_vars):
-        """Built in descending lex order, which is the column order of monomial_rank."""
-        for degree in range(9):
+        """Every exponent vector once, in descending lex order, which is the column order of
+        monomial_rank; the cached table they are read from is read-only."""
+        for degree in [2] if n_vars == 100 else range(61 if n_vars <= 3 else 9):
             monos = monomials_of_degree(n_vars, degree)
             assert monos == sorted(monos, reverse=True) and len(set(monos)) == math.comb(n_vars - 1 + degree, degree)
+            assert all(len(mo) == n_vars and sum(mo) == degree and min(mo) >= 0 for mo in monos)
             ranks = hompoly.monomial_rank(np.array(monos, dtype=np.int64).reshape(len(monos), n_vars), degree)
             assert ranks.tolist() == list(range(len(monos)))
+            table = hompoly._monomial_array(n_vars, degree)
+            assert table.tolist() == [list(mo) for mo in monos] and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
 
 
 class TestDense:
