@@ -26,8 +26,12 @@ map on coefficient vectors, gives the next n.  Each table is held once, as a
 read-only int64 array: scalar arithmetic indexes memoryviews of it and
 :meth:`Field.array_tables` returns it.  Every field has these tables; GF(p),
 whose scalar arithmetic is plain modular arithmetic, builds them on the
-first call to :meth:`Field.array_tables`.  Construction is a pure function
-of (p, m).
+first call to :meth:`Field.array_tables`.  An odd GF(p^m), m > 1, also holds
+Zech's logarithms (K. Huber, IEEE Trans. Inf. Theory 36(4), 1990), zech[k] =
+log(1 + g^k) and -1 where 1 + g^k = 0, a read-only int32 array built from
+digit 0 of the exp table: scalar a + b = a (1 + b / a) is three table reads,
+where the digit-wise sum loops over m digits.  Polynomial evaluation at a
+point reads these tables too.  Construction is a pure function of (p, m).
 """
 
 from __future__ import annotations
@@ -157,7 +161,7 @@ class Field:
     guarantees one object per (p, m).
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "place", "_exp", "_log", "_arrays", "_reps")
+    __slots__ = ("p", "m", "order", "modulus", "place", "_exp", "_log", "_zech", "_arrays", "_reps")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -168,6 +172,7 @@ class Field:
         self.place.flags.writeable = False
         self._exp: memoryview | None = None  # read-only views of the int64 tables
         self._log: memoryview | None = None
+        self._zech: memoryview | None = None
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._reps: np.ndarray | None = None
         if m > 1:
@@ -218,6 +223,11 @@ class Field:
         log[exp[: q - 1]] = np.arange(q - 1)
         exp.flags.writeable = log.flags.writeable = False
         self._exp, self._log = memoryview(exp), memoryview(log)
+        if p > 2 and m > 1:  # Zech's logarithms: zech[k] = log(1 + g^k), -1 where 1 + g^k = 0
+            one_plus = exp[: q - 1] - exp[: q - 1] % p + (exp[: q - 1] + 1) % p  # 1 adds to digit 0
+            zech = np.where(one_plus > 0, log[one_plus], -1).astype(np.int32)
+            zech.flags.writeable = False
+            self._zech = memoryview(zech)
 
     # -- integer-encoded arithmetic --------------------------------------
 
@@ -227,14 +237,11 @@ class Field:
             return (a + b) % p
         if p == 2:
             return a ^ b
-        r = 0
-        shift = 1
-        while a or b:
-            r += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return r
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % (self.order - 1)]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.m == 1:

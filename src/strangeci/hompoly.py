@@ -72,9 +72,13 @@ def monomials_of_degree(n_vars: int, degree: int) -> list[Monomial]:
 
 @functools.lru_cache(maxsize=64)
 def _rank_table(n_vars: int, degree: int) -> np.ndarray:
-    """table[s, k - 1] = C(s - 1 + k, k) for s <= degree and 0 < k < n_vars."""
-    table = [comb(s - 1 + k, k) for s in range(degree + 1) for k in range(1, n_vars)]
-    return np.array(table, dtype=np.int64).reshape(degree + 1, n_vars - 1)
+    """table[s, k - 1] = C(s - 1 + k, k) for s <= degree and 0 < k < n_vars: column 0 is s, and each
+    next column the cumulative sum of the one before, as C(s - 1 + k, k) = sum over t < s of
+    C(t + k - 1, k - 1).  Its largest entry is below monomial_count(n_vars, degree)."""
+    table, column = np.empty((degree + 1, n_vars - 1), dtype=np.int64), np.arange(degree + 1, dtype=np.int64)
+    for k in range(n_vars - 1):
+        table[:, k], column = column, np.cumsum(column)
+    return table
 
 
 def monomial_rank(E: np.ndarray, degree: int) -> np.ndarray:
@@ -314,15 +318,29 @@ class HomogeneousPolynomial:
         coords = self._checked(coords, F)
         if F != self.field and not self._prime_coefficients():
             raise FieldMismatchError(_NOT_EXTENSION)
-        acc = 0
-        for mono, t in self.terms.items():
-            for a, e in zip(coords, mono):
+        if F.m == 1:
+            p, acc = F.p, 0
+            for mono, t in self.terms.items():
+                for a, e in zip(coords, mono):
+                    if e:
+                        if not a:
+                            break
+                        t = t * pow(a, e, p) % p
+                else:
+                    acc += t
+            return acc % p
+        # over GF(p^m), m > 1, c z^w at a is exp[log c + sum of w_i log a_i], each log read once
+        exp, log, q1, acc = F._exp, F._log, F.order - 1, 0
+        logs = [log[a] if a else None for a in coords]
+        for mono, c in self.terms.items():
+            L = log[c]
+            for l, e in zip(logs, mono):
                 if e:
-                    if not a:
-                        t = 0
+                    if l is None:
                         break
-                    t = F.mul(t, F.pow(a, e))
-            acc = F.add(acc, t)
+                    L += e * l
+            else:
+                acc = F.add(acc, exp[L % q1])
         return acc
 
     def _gradient(self, coords, F: Field) -> list[int]:
@@ -331,23 +349,37 @@ class HomogeneousPolynomial:
         that only the terms some partial keeps, those with a w_j not divisible by p, must have
         coefficients in GF(p): what evaluating each partial over F requires."""
         coords, p, foreign = self._checked(coords, F), F.p, F != self.field
-        grad = [0] * self.n_vars
+        grad, prime = [0] * self.n_vars, F.m == 1
+        if not prime:  # the term loop of evaluate, on logs
+            exp, log, q1 = F._exp, F._log, F.order - 1
+            logs = [log[a] if a else None for a in coords]
         for mono, c in self.terms.items():
             support = [(i, e) for i, e in enumerate(mono) if e]
             for j, w in support:
                 if w % p:
                     if foreign and c >= p:
                         raise FieldMismatchError(_NOT_EXTENSION)
-                    t = F.mul(c, w % p)
+                    if prime:
+                        t = c * w
+                        for i, e in support:
+                            e -= i == j
+                            if e:
+                                if not coords[i]:
+                                    break
+                                t = t * pow(coords[i], e, p) % p
+                        else:
+                            grad[j] += t
+                        continue
+                    L = log[c] + log[w % p]
                     for i, e in support:
                         e -= i == j
                         if e:
-                            if not coords[i]:
-                                t = 0
+                            if logs[i] is None:
                                 break
-                            t = F.mul(t, F.pow(coords[i], e))
-                    grad[j] = F.add(grad[j], t)
-        return grad
+                            L += e * logs[i]
+                    else:
+                        grad[j] = F.add(grad[j], exp[L % q1])
+        return [v % p for v in grad] if prime else grad
 
     def _checked(self, coords, F: Field) -> list[int]:
         """The coordinates as a list, once their count is right and F has f's characteristic."""

@@ -366,6 +366,41 @@ class TestArithmetic:
                 acc = F.mul(acc, a)
 
 
+class TestZechAddition:
+    """Scalar add, sub and neg over odd GF(p^m), m > 1, read the Zech table: against add_array and
+    the digit-wise definition, on every pair of the small fields and seeded pairs of the large."""
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (3, 10), (3, 12), (5, 8), (7, 7)])
+    def test_matches_array_and_digit_wise_arithmetic(self, p, m):
+        F = make_field(p, m)
+        if F.order <= 27:
+            a, b = np.divmod(np.arange(F.order**2), F.order)
+        else:
+            a, b = np.random.default_rng(F.order).integers(0, F.order, (2, 20_000))
+            a[:100], b[100:200] = 0, 0  # zero operands
+            b[200:400] = (-F.to_digits(a[200:400]) % p) @ F.place  # a + (-a), the -1 entry
+        da, db = F.to_digits(a), F.to_digits(b)
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert [F.add(x, y) for x, y in pairs] == ((da + db) % p @ F.place).tolist() == F.add_array(a, b).tolist()
+        assert [F.sub(x, y) for x, y in pairs] == ((da - db) % p @ F.place).tolist()
+        assert [F.neg(x) for x in a.tolist()] == (-da % p @ F.place).tolist()
+        assert all(F.add(x, F.neg(x)) == 0 for x in a.tolist())
+
+    def test_zech_table(self):
+        """zech[k] = log(1 + g^k), -1 at the one k where g^k = -1; read-only int32, and only odd
+        extension fields hold one."""
+        for p, m in [(3, 2), (5, 2), (3, 3), (7, 2)]:
+            F = make_field(p, m)
+            exp2, log, _ = F.array_tables()
+            zech = F._zech.obj
+            assert zech.dtype == np.int32 and not zech.flags.writeable and len(zech) == F.order - 1
+            for k in range(F.order - 1):
+                one_plus = F.add_array(np.int64(1), exp2[k])
+                assert zech[k] == (log[one_plus] if one_plus else -1)
+            assert zech.tolist().count(-1) == 1
+        assert make_field(2, 16)._zech is None and make_field(7)._zech is None
+
+
 class TestArrayArithmetic:
     @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
     def test_matches_scalar_on_every_pair(self, p, m):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from strangeci import hompoly
 from strangeci.errors import FieldMismatchError, HomogeneityError, InvalidInputError, ParseError
 from strangeci.exactla import MatrixOverField, invert, rank
-from strangeci.geometry import PolynomialSystem, ProjectivePoint, enumerate_points
+from strangeci.geometry import PolynomialSystem, ProjectivePoint, _BlockEvaluator, enumerate_points
 from strangeci.gf import make_field
 from strangeci.hompoly import (
     HomogeneousPolynomial,
@@ -217,6 +217,53 @@ class TestGradientAtAPoint:
                         for x in points:
                             assert f._gradient(x, F) == [d.evaluate(x, F) for d in partials], (f, F, x)
         assert rejected or q != 4
+
+
+def block_values(E, C, F, X):
+    """Column k of the result: at the points X, the polynomial with exponent rows E and coefficient
+    column C[:, k], by geometry._BlockEvaluator, which shares no scalar code.  It takes coefficients
+    in GF(p), so each polynomial goes in as its m base-p digit polynomials, put together again as
+    sum over d of x^d * (digit polynomial d) with array arithmetic."""
+    k = C.shape[1]
+    V = _BlockEvaluator((E, F.to_digits(C).reshape(len(C), k * F.m)), F)(X).reshape(len(X), k, F.m)
+    V = F.mul_array(V, F.place)
+    out = V[..., 0]
+    for d in range(1, F.m):
+        out = F.add_array(out, V[..., d])
+    return out
+
+
+class TestTermLoops:
+    """evaluate and _gradient, the scalar term loops, against the block evaluator: prime and extension
+    fields, polynomials over GF(p) and over the point field, about 30% of the coordinates zero."""
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 16), (3, 10)])
+    def test_match_the_block_evaluator(self, p, m):
+        F = make_field(p, m)
+        rng = random.Random(f"term-loops-{F.order}")
+        rows = [[0 if rng.random() < 0.3 else rng.randrange(1, F.order) for _ in range(5)] for _ in range(120)]
+        for n_vars in (2, 3, 5):
+            X = np.array([row[:n_vars] for row in rows if any(row[:n_vars])], dtype=np.int64)
+            for K in [make_field(p)] + [F] * (m > 1):  # coefficients in GF(p), then anywhere in F
+                for _ in range(3):
+                    f = TestGradientAtAPoint.random_poly_with_p_powers(rng, K, n_vars)
+                    E, c = f.arrays()
+                    values = block_values(E, c[:, None], F, X)[:, 0].tolist()
+                    assert [f.evaluate(x, F) for x in X.tolist()] == values, (f, F)
+                    gradients = block_values(*f.gradient_stack(), F, X).tolist()
+                    assert [f._gradient(x, F) for x in X.tolist()] == gradients, (f, F)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_extension_coefficients_at_prime_field_points_refused(self, p):
+        """Over GF(p), a coefficient of GF(p^2) outside GF(p) is refused by both loops, on a term that
+        some partial keeps; at zero coordinates too."""
+        K, F = make_field(p, 2), make_field(p)
+        f = HomogeneousPolynomial(K, 3, p + 1, {(p, 1, 0): p, (1, 0, p): 1})
+        for x in ([1, 1, 1], [0, 0, 1], [0, 1, 0]):
+            with pytest.raises(FieldMismatchError):
+                f.evaluate(x, F)
+            with pytest.raises(FieldMismatchError):
+                f._gradient(x, F)
 
 
 class TestEvaluate:
@@ -455,6 +502,13 @@ class TestMonomialOrder:
             assert table.tolist() == [list(mo) for mo in monos] and not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1
+
+    def test_rank_table_is_binomials(self):
+        """Each column the cumulative sum of the one before: C(s - 1 + k, k), as math.comb gives it."""
+        for n_vars, degree in [(n, d) for n in range(1, 7) for d in range(41)] + [(2, 512)]:
+            table = hompoly._rank_table(n_vars, degree)
+            expect = [[math.comb(s - 1 + k, k) for k in range(1, n_vars)] for s in range(degree + 1)]
+            assert table.shape == (degree + 1, n_vars - 1) and table.tolist() == expect
 
 
 class TestDense:
