@@ -9,8 +9,9 @@ integer encodings, on Python ints and elementwise on int64 numpy arrays, and
 alone holds their digits for numpy code: ``place``, the encodings of x^j,
 :meth:`Field.to_digits` and :meth:`Field.mul_matrices`; and the least element of
 each Frobenius orbit, :meth:`Field.frobenius_representatives`.
-:class:`FieldElement` is a thin operator-overloading wrapper on top of that,
-and :meth:`Field.encode` reads a mix of elements and integers as encodings.
+:class:`FieldElement` wraps that: each binary operator reads the other operand,
+an element of the same field or an int mod p, applies the :class:`Field` method
+and wraps the result.  :meth:`Field.encode` reads elements and ints as encodings.
 Element and polynomial text share one grammar, read by :func:`text_terms`.
 
 The reduction modulus of GF(p^m) is the lexicographically least monic
@@ -32,6 +33,8 @@ log(1 + g^k) and -1 where 1 + g^k = 0, a read-only int32 array built from
 digit 0 of the exp table: scalar a + b = a (1 + b / a) is three table reads,
 where the digit-wise sum loops over m digits.  Polynomial evaluation at a
 point reads these tables too.  Construction is a pure function of (p, m).
+GF(p^s) embeds in GF(p^m), s | m, sending x to the least root of its modulus
+among the p^s elements of the subfield: 0 and exp[k (p^m - 1)/(p^s - 1)].
 """
 
 from __future__ import annotations
@@ -468,6 +471,21 @@ def _make_field(p: int, m: int) -> Field:
 make_field.cache_info = _make_field.cache_info  # misses count cold constructions
 
 
+def _operator(op, reflected: bool = False):
+    """The FieldElement operator applying the Field method ``op``: the other operand is an element of
+    the same field or an int, read mod p; for anything else it returns NotImplemented."""
+    def apply(self, other):
+        if isinstance(other, FieldElement):
+            v = self.field._own_val(other)
+        elif isinstance(other, int):
+            v = other % self.field.p
+        else:
+            return NotImplemented
+        return FieldElement(self.field, op(self.field, v, self.val) if reflected else op(self.field, self.val, v))
+
+    return apply
+
+
 @dataclass(frozen=True, slots=True)
 class FieldElement:
     """An element of GF(p^m), canonical reduced residue."""
@@ -475,52 +493,10 @@ class FieldElement:
     field: Field
     val: int
 
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            return self.field._own_val(other)
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.val, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.val, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.val))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.val, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(v, self.val))
+    __add__ = __radd__ = _operator(Field.add)
+    __sub__, __rsub__ = _operator(Field.sub), _operator(Field.sub, reflected=True)
+    __mul__ = __rmul__ = _operator(Field.mul)
+    __truediv__, __rtruediv__ = _operator(Field.div), _operator(Field.div, reflected=True)
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.val))
@@ -542,20 +518,22 @@ class FieldElement:
         return self.field.format(self.val)
 
 
+def _horner(F: Field, coeffs, x: int) -> int:
+    """The polynomial with coefficients ``coeffs``, low degree first, at x over F, by Horner's scheme."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
 @functools.lru_cache(maxsize=None)
 def _embedding_root(p: int, src_m: int, tgt_m: int) -> int:
-    """Image of the GF(p^src_m) generator in GF(p^tgt_m): the least root
-    (in enumeration order) of the source modulus in the target field."""
-    src = make_field(p, src_m)
-    tgt = make_field(p, tgt_m)
-    mod = src.modulus
-    for cand in range(tgt.order):
-        acc = 0
-        for c in reversed(mod):
-            acc = tgt.add(tgt.mul(acc, cand), c)
-        if acc == 0:
-            return cand
-    raise AssertionError("source modulus has no root in target field")  # unreachable
+    """Image of the GF(p^src_m) generator in GF(p^tgt_m), tgt_m > 1: the least root (in enumeration
+    order) of the source modulus, tried only on the q = p^src_m elements of the subfield that holds
+    its roots, 0 and g^(k (Q - 1)/(q - 1)) for k < q - 1, g the target's primitive element of order Q - 1."""
+    src, tgt = make_field(p, src_m), make_field(p, tgt_m)
+    subfield = [0, *tgt._exp[: tgt.order - 1 : (tgt.order - 1) // (src.order - 1)]]
+    return min(a for a in subfield if _horner(tgt, src.modulus, a) == 0)
 
 
 def embed_val(val: int, src: Field, tgt: Field) -> int:
@@ -566,11 +544,7 @@ def embed_val(val: int, src: Field, tgt: Field) -> int:
         raise InvalidInputError(f"cannot embed {src} into {tgt}: {src.m} does not divide {tgt.m}")
     if src.m == 1 or src == tgt:
         return val
-    root = _embedding_root(src.p, src.m, tgt.m)
-    acc = 0
-    for c in reversed(src.coeffs(val)):
-        acc = tgt.add(tgt.mul(acc, root), c)
-    return acc
+    return _horner(tgt, src.coeffs(val), _embedding_root(src.p, src.m, tgt.m))
 
 
 def embed(x: FieldElement, target: Field) -> FieldElement:

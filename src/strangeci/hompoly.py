@@ -248,7 +248,10 @@ class HomogeneousPolynomial:
         return self + (-other)
 
     def scale(self, c: int) -> "HomogeneousPolynomial":
-        F, c = self.field, c % self.field.order
+        """c * f, an int c outside range(field.order) read mod p, as the constructor reads coefficients."""
+        F = self.field
+        if not 0 <= c < F.order:
+            c %= F.p
         terms = {m: F.mul(v, c) for m, v in self.terms.items()} if c else {}
         return HomogeneousPolynomial._trusted(F, self.n_vars, self.degree, terms)
 
@@ -260,16 +263,8 @@ class HomogeneousPolynomial:
         return _merge(self.field, self.n_vars, self.degree + other.degree, E, c)
 
     def multiply_monomial(self, exps: Monomial, coeff: int = 1) -> "HomogeneousPolynomial":
-        F = self.field
-        return HomogeneousPolynomial(
-            F,
-            self.n_vars,
-            self.degree + sum(exps),
-            {
-                tuple(a + b for a, b in zip(m, exps)): F.mul(c, coeff)
-                for m, c in self.terms.items()
-            },
-        )
+        """f times coeff * z^exps, the monomial checked and its coefficient read as :meth:`monomial` does."""
+        return self * HomogeneousPolynomial.monomial(self.field, self.n_vars, exps, coeff)
 
     # -- calculus ---------------------------------------------------------
 
@@ -312,8 +307,8 @@ class HomogeneousPolynomial:
         return E[new], C
 
     def evaluate(self, coords, point_field: Field | None = None) -> int:
-        """The value at a vector of integer-encoded coordinates over ``point_field`` (f's field by
-        default), which may be an extension of f's field when f's coefficients lie in GF(p)."""
+        """The value at a vector of coordinates over ``point_field`` (f's field by default): encodings in
+        range(q), any int mod p over GF(p).  It may extend f's field when f's coefficients lie in GF(p)."""
         F = point_field if point_field is not None else self.field
         coords = self._checked(coords, F)
         if F != self.field and not self._prime_coefficients():
@@ -331,7 +326,7 @@ class HomogeneousPolynomial:
             return acc % p
         # over GF(p^m), m > 1, c z^w at a is exp[log c + sum of w_i log a_i], each log read once
         exp, log, q1, acc = F._exp, F._log, F.order - 1, 0
-        logs = [log[a] if a else None for a in coords]
+        logs = _logs(F, coords)
         for mono, c in self.terms.items():
             L = log[c]
             for l, e in zip(logs, mono):
@@ -352,7 +347,7 @@ class HomogeneousPolynomial:
         grad, prime = [0] * self.n_vars, F.m == 1
         if not prime:  # the term loop of evaluate, on logs
             exp, log, q1 = F._exp, F._log, F.order - 1
-            logs = [log[a] if a else None for a in coords]
+            logs = _logs(F, coords)
         for mono, c in self.terms.items():
             support = [(i, e) for i, e in enumerate(mono) if e]
             for j, w in support:
@@ -433,6 +428,16 @@ class HomogeneousPolynomial:
 
     def __repr__(self) -> str:
         return f"<{self.field} poly deg {self.degree}: {format_poly(self)}>"
+
+
+def _logs(F: Field, coords: list[int]) -> list[int | None]:
+    """log a over GF(p^m), m > 1, for each coordinate a, None for 0; InvalidInputError for one outside
+    range(q), by the table's IndexError: a negative a is looked up at a - q, below the table's first index."""
+    log, q = F._log, F.order
+    try:
+        return [log[a] if a > 0 else None if a == 0 else log[a - q] for a in coords]
+    except IndexError:
+        raise InvalidInputError(f"coordinate vector has an entry outside {F} (range({q}))") from None
 
 
 def _check_expansion(f: HomogeneousPolynomial) -> None:

@@ -366,6 +366,50 @@ class TestArithmetic:
                 acc = F.mul(acc, a)
 
 
+class TestElementOperators:
+    """Each FieldElement operator is its Field method: both operand orders, every pair of elements
+    and int operands read mod p; any other operand type is refused."""
+
+    OPERATORS = [
+        (lambda x, y: x + y, Field.add),
+        (lambda x, y: x - y, Field.sub),
+        (lambda x, y: x * y, Field.mul),
+        (lambda x, y: x / y, Field.div),
+    ]
+
+    @pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
+    def test_match_the_field_methods(self, p, m):
+        F = make_field(p, m)
+        ints = [0, 1, p - 1, p, p + 1, -1, -p - 1, 10**30 + 1]
+        for apply, method in self.OPERATORS:
+            for a in range(F.order):
+                x = F.element(a)
+                for b in range(F.order):
+                    if method is Field.div and b == 0:
+                        with pytest.raises(ZeroDivisionError):
+                            apply(x, F.element(b))
+                        continue
+                    assert apply(x, F.element(b)) == FieldElement(F, method(F, a, b))
+                for n in ints:
+                    if n % p or method is not Field.div:
+                        assert apply(x, n) == FieldElement(F, method(F, a, n % p))
+                    if a or method is not Field.div:
+                        assert apply(n, x) == FieldElement(F, method(F, n % p, a))
+
+    @pytest.mark.parametrize("other", ["1", 1.0, 0.5, None, [1]])
+    def test_other_operand_types_refused(self, other):
+        x = make_field(3, 2).element(4)
+        for apply, _ in self.OPERATORS:
+            with pytest.raises(TypeError):
+                apply(x, other)
+            with pytest.raises(TypeError):
+                apply(other, x)
+
+    def test_mixed_fields_refused(self):
+        with pytest.raises(FieldMismatchError):
+            make_field(3, 2).element(4) * make_field(3).element(2)
+
+
 class TestZechAddition:
     """Scalar add, sub and neg over odd GF(p^m), m > 1, read the Zech table: against add_array and
     the digit-wise definition, on every pair of the small fields and seeded pairs of the large."""
@@ -493,6 +537,45 @@ class TestEmbedding:
     def test_consistent_across_calls(self):
         F4, F16 = make_field(2, 2), make_field(2, 4)
         assert embed(F4.element(3), F16) == embed(F4.element(3), F16)
+
+    @staticmethod
+    def scanned_root(p, s, T):
+        """The least root of GF(p^s)'s modulus in GF(p^T), found by evaluating it at every element."""
+        src, tgt = make_field(p, s), make_field(p, T)
+        for cand in range(tgt.order):
+            acc = 0
+            for c in reversed(src.modulus):
+                acc = tgt.add(tgt.mul(acc, cand), c)
+            if acc == 0:
+                return cand
+        raise AssertionError("no root")
+
+    def test_root_matches_a_scan_of_the_target(self):
+        """Every (p, s, T), s | T, 1 < p^T <= 2^12 and T > 1: the root read from the subfield is the
+        least root of the whole target."""
+        cases = [
+            (p, s, T)
+            for p in range(2, 65)
+            if gf.is_prime(p)
+            for T in range(2, 13)
+            if p**T <= 1 << 12
+            for s in range(1, T + 1)
+            if T % s == 0
+        ]
+        assert len(cases) == 97
+        for p, s, T in cases:
+            assert gf._embedding_root(p, s, T) == self.scanned_root(p, s, T), (p, s, T)
+
+    @pytest.mark.parametrize("p,s,T", [(2, 5, 20), (3, 2, 12)])
+    def test_embedding_preserves_sums_and_products(self, p, s, T):
+        src, tgt = make_field(p, s), make_field(p, T)
+        rng = random.Random(f"embed-{p}-{s}-{T}")
+        images = [gf.embed_val(a, src, tgt) for a in range(src.order)]
+        assert len(set(images)) == src.order and images[:p] == list(range(p))
+        for _ in range(2000):
+            a, b = rng.randrange(src.order), rng.randrange(src.order)
+            assert images[src.add(a, b)] == tgt.add(images[a], images[b])
+            assert images[src.mul(a, b)] == tgt.mul(images[a], images[b])
 
 
 class TestTextForm:

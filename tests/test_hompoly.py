@@ -287,6 +287,62 @@ class TestEvaluate:
         assert f.evaluate([t, t1, 1], F4) == 0
 
 
+class TestWrappers:
+    """scale and multiply_monomial read a coefficient as the constructor does, an int outside
+    range(q) mod p; evaluate and _gradient refuse coordinates outside an extension point field."""
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_multiply_monomial_is_the_product_with_the_monomial(self, p, m):
+        F = make_field(p, m)
+        q, rng = F.order, random.Random(f"multiply-monomial-{F.order}")
+        for n_vars in (1, 2, 3):
+            for degree in (0, 1, 3):
+                f = random_poly(rng, F, n_vars, degree)
+                for coeff in (1, -1, p, q, q + 1, rng.randrange(q)):
+                    exps = tuple(rng.randrange(3) for _ in range(n_vars))
+                    c = coeff if 0 <= coeff < q else coeff % p
+                    expect = {tuple(a + b for a, b in zip(w, exps)): F.mul(v, c) for w, v in f.terms.items() if c}
+                    g = f.multiply_monomial(exps, coeff)
+                    assert g == f * HomogeneousPolynomial.monomial(F, n_vars, exps, coeff), (f, exps, coeff)
+                    assert g.terms == expect and g.degree == degree + sum(exps), (f, exps, coeff)
+
+    def test_multiply_monomial_checks_the_exponents(self):
+        """A wrong-length or negative exponent vector is refused, also on a zero polynomial."""
+        F = make_field(3, 2)
+        for f in (parse_poly("z0*z1", F, 2), HomogeneousPolynomial.zero(F, 2, 2)):
+            for exps in ((1,), (1, 0, 0), (-1, 2)):
+                with pytest.raises(InvalidInputError):
+                    f.multiply_monomial(exps)
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (3, 1), (5, 1)])
+    def test_scale_reads_integers_mod_p(self, p, m):
+        F = make_field(p, m)
+        f = random_poly(random.Random(f"scale-{F.order}"), F, 3, 2)
+        constant = HomogeneousPolynomial.monomial(F, 3, (0, 0, 0), p - 1)
+        assert f.scale(-1) == -f == f * constant
+        assert f.scale(F.order + 1) == f and f.scale(F.order) == HomogeneousPolynomial.zero(F, 3, 2)
+        assert f.scale(-p - 1) == -f and f.scale(p**40 + 1) == f
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (2, 4)])
+    def test_coordinates_outside_the_point_field_refused(self, p, m):
+        F = make_field(p, m)
+        for K in (make_field(p), F):
+            f = parse_poly("z0*z1 + z1^2", K, 2)
+            for bad in (-1, F.order, 10**30):
+                for x in ([bad, 1], [1, bad], [0, bad]):
+                    with pytest.raises(InvalidInputError):
+                        f.evaluate(x, F)
+                    with pytest.raises(InvalidInputError):
+                        f._gradient(x, F)
+
+    def test_prime_field_reads_any_int_mod_p(self):
+        f = parse_poly("z0^2*z1 + 2*z1^3 + z0*z1*z2", F3, 3)
+        for x in ([-1, 1, 1], [1, -1, 0], [-4, 5, 2], [10**30, 2, -10**30]):
+            residues = [a % 3 for a in x]
+            assert f.evaluate(x, F3) == f.evaluate(residues, F3)
+            assert f._gradient(x, F3) == f._gradient(residues, F3)
+
+
 class TestEulerIdentity:
     def test_char2_quadric_by_hand(self):
         # sum z_j f_{z_j} = z1*z2 + z2*z1 = 0 = (2 mod 2) * f
