@@ -230,7 +230,7 @@ def euler_rank_lemma_check(S: PolynomialSystem, a: ProjectivePoint) -> bool:
 def phi_surjectivity_check(a: ProjectivePoint, e: int, b: list[int]) -> bool:
     """Self-test of the explicit preimage of the derivative-evaluation map.
 
-    For a with a_N != 0 and targets b_1..b_{N-1}, the polynomial
+    For a with a_N != 0 and targets b_1..b_{N-1} (read by Field.read), the polynomial
     f = sum_j b_j / a_N^(e-1) * z_j * z_N^(e-1) is z_0-free (hence in the
     strange space) and satisfies f_{z_j}(a) = b_j.  Returns True when the
     reproduction is exact (always, per the construction).
@@ -243,10 +243,11 @@ def phi_surjectivity_check(a: ProjectivePoint, e: int, b: list[int]) -> bool:
         raise InvalidInputError("point must have nonzero last coordinate")
     if len(b) != N - 1:
         raise InvalidInputError(f"need {N - 1} target values")
+    b = F.encode(b)
     scale = F.inv(F.pow(a.coords[N], e - 1))
     monos = [tuple(int(i == j) + (e - 1) * (i == N) for i in range(N + 1)) for j in range(1, N)]
     f = HomogeneousPolynomial(F, N + 1, e, {mono: F.mul(bj, scale) for mono, bj in zip(monos, b)})
-    return f.partial_derivative(0).is_zero() and f._gradient(a.coords, F)[1:N] == list(b)
+    return f.partial_derivative(0).is_zero() and f._gradient(a.coords, F)[1:N] == b
 
 
 def persist(records, path: str, run_meta: dict | None = None) -> None:

@@ -1,12 +1,13 @@
 """Exact dense linear algebra over GF(p^m).
 
-Matrices carry integer-encoded entries (see :mod:`strangeci.gf`) and a
-field reference.  Elimination uses deterministic pivoting: the first
-nonzero entry scanning left-to-right, top-to-bottom.  Kernel bases and
-span-membership witnesses are therefore reproducible across runs.  Every
-elimination goes through :func:`rref`, which runs a loop over Python rows
-below ``LOOP_CELLS`` entries and one array update per pivot from there on:
-a float64 row update mod p over GF(p), int64 on base-p digits over GF(p^m).
+Matrices carry integer-encoded entries (see :mod:`strangeci.gf`) and a field reference.
+:class:`MatrixOverField` and :func:`in_span` read a caller's values by :meth:`Field.read`;
+the rest, :func:`rref` first, takes encodings and reduces nothing.  Elimination uses
+deterministic pivoting: the first nonzero entry scanning left-to-right, top-to-bottom.
+Kernel bases and span-membership witnesses are therefore reproducible across runs.  Every
+elimination goes through :func:`rref`, which runs a loop over Python rows below
+``LOOP_CELLS`` entries and one array update per pivot from there on: a float64 row update
+mod p over GF(p), int64 on base-p digits over GF(p^m).
 """
 
 from __future__ import annotations
@@ -57,22 +58,20 @@ class MatrixOverField:
 def rref(field: Field, rows, ncols: int) -> tuple[list[list[int]] | np.ndarray, list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot columns).
 
-    ``rows`` is a list of rows or a 2-D integer array; its entries are first reduced mod the
-    field order, as :meth:`Field.encode` reduces integers.  The reduced rows come back in the
-    same container: lists of ints, or an int64 array.  Both strategies take the same pivots.
+    ``rows`` is a list of rows or a 2-D integer array of encodings, which rref neither reduces nor
+    mutates: its callers read values by :meth:`Field.read`.  The reduced rows come back in a new
+    container of the same kind, lists of ints or an int64 array.  Both strategies take the same pivots.
     """
-    as_array, order = isinstance(rows, np.ndarray), field.order
-    # Python integers of any size reduce exactly; an int64 array cannot hold larger ones
-    rows = rows % order if as_array else [[x % order for x in r] for r in rows]
+    as_array = isinstance(rows, np.ndarray)
     if len(rows) * ncols < LOOP_CELLS:
-        R, pivots = _rref_rows(field, rows.tolist() if as_array else rows, ncols)
+        R, pivots = _rref_rows(field, rows.tolist() if as_array else list(rows), ncols)
         return (np.array(R, dtype=np.int64).reshape(len(R), ncols) if as_array else R), pivots
     R, pivots = _rref_digits(field, np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols))
     return (R if as_array else R.tolist()), pivots
 
 
 def _rref_rows(field: Field, R: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan on the list rows R in place.
+    """Gauss-Jordan on the list R in place; a row is replaced, never changed.
 
     Over a prime field the row operations run on plain integers mod p;
     over GF(p^m), m > 1, through the field's table arithmetic.
@@ -125,7 +124,7 @@ def _rref_rows(field: Field, R: list[list[int]], ncols: int) -> tuple[list[list[
 
 
 def _rref_digits(F: Field, R: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan on the int64 array R, entries in range(F.order); returns an int64 array.
+    """Gauss-Jordan on a copy of the int64 array R, entries in range(F.order); returns an int64 array.
 
     A pivot row y is scaled to 1, and its column f cleared from the other rows, in the trailing
     block only (y is zero left of its pivot), by one update.  Over GF(p) that is R - f (x) y on
@@ -134,7 +133,7 @@ def _rref_digits(F: Field, R: np.ndarray) -> tuple[np.ndarray, list[int]]:
     p <= 2^20; that digit update in float64 for every m was measured no faster over GF(p).
     """
     p, prime = F.p, F.m == 1
-    R = R.astype(np.float64) if prime else R
+    R = R.astype(np.float64 if prime else np.int64)  # a copy
     pivots: list[int] = []
     for col in range(R.shape[1]):
         pr = len(pivots)
@@ -219,24 +218,22 @@ def in_span(
 ) -> tuple[bool, list[int] | None]:
     """Decide membership of a vector in the span of generator vectors.
 
-    The target is encoded by :meth:`Field.encode`, and rref reduces the generators' entries by
-    the same rule.  Returns (verdict, witness); on success the witness c satisfies
-    target = sum_i c_i * generators[i] (free coefficients set to zero).
+    Target and generator entries are read by :meth:`Field.read`.  Returns (verdict, witness); on
+    success the witness c satisfies target = sum_i c_i * generators[i] (free coefficients set to zero).
     """
-    target = field.encode(target)
-    n = len(target)
-    if any(len(g) != n for g in generators):
+    target, generators = field.encode(target), [field.encode(g) for g in generators]
+    if any(len(g) != len(target) for g in generators):
         raise InvalidInputError("generator length mismatch")
-    if all(x == 0 for x in target):
-        return True, [0] * len(generators)
-    if not generators:
+    return _solve(field, list(zip(*generators, target)), len(generators))
+
+
+def _solve(field: Field, aug, k: int) -> tuple[bool, list[int] | None]:
+    """:func:`in_span` on the rows of encodings aug, lists or an int64 array: the k generators as
+    columns, then the target's, which lies in their span when rref takes no pivot there."""
+    R, pivots = rref(field, aug, k + 1)
+    if k in pivots:
         return False, None
-    # columns = generators, augmented with the target
-    aug = [[*column, t] for column, t in zip(zip(*generators), target)]
-    R, pivots = rref(field, aug, len(generators) + 1)
-    if len(generators) in pivots:
-        return False, None
-    witness = [0] * len(generators)
+    witness = [0] * k
     for r, pc in enumerate(pivots):
-        witness[pc] = R[r][len(generators)]
+        witness[pc] = int(R[r][k])
     return True, witness

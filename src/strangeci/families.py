@@ -113,7 +113,7 @@ def prop31_construct(
         raise InvalidInputError(f"deg f^1 = {e1} < p = {p}")
     if len(beta) != N:
         raise InvalidInputError(f"beta needs {N} coordinates")
-    beta = [b % F.p for b in beta]
+    beta = F.encode(beta)
     if beta[0] == 0:
         raise InvalidInputError("beta_1 must be nonzero")
     coords = [0] + beta

@@ -77,8 +77,8 @@ def point_budget() -> int:
 class ProjectivePoint:
     """A point of P^N over GF(p^m), canonically normalized.
 
-    Coordinates are integer-encoded field elements scaled so that the
-    first nonzero coordinate equals 1.
+    Coordinates, read by :meth:`Field.read`, are kept as encodings scaled so
+    that the first nonzero coordinate equals 1.
     """
 
     __slots__ = ("field", "coords")
@@ -204,13 +204,13 @@ class PolynomialSystem:
 
 
 class LinearSubspace:
-    """A vector subspace of K^(N+1), spanned by integer rows (read mod the field order)
+    """A vector subspace of K^(N+1), spanned by rows read by :meth:`Field.read`
     and kept as basis rows in reduced echelon form."""
 
     __slots__ = ("field", "ambient_dim", "basis")
 
     def __init__(self, field: Field, ambient_dim: int, basis):
-        rows = list(basis)
+        rows = [field.encode(r) for r in basis]
         if any(len(r) != ambient_dim for r in rows):
             raise InvalidInputError("basis vector length mismatch")
         R, pivots = rref(field, rows, ambient_dim)
@@ -233,8 +233,7 @@ class LinearSubspace:
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient_dim:
             raise InvalidInputError("vector length mismatch")
-        ok, _ = in_span(self.field, vec, self.basis)
-        return ok
+        return in_span(self.field, vec, self.basis)[0]
 
     def contains_point(self, a: ProjectivePoint) -> bool:
         if a.field != self.field:

@@ -10,8 +10,9 @@ alone holds their digits for numpy code: ``place``, the encodings of x^j,
 :meth:`Field.to_digits` and :meth:`Field.mul_matrices`; and the least element of
 each Frobenius orbit, :meth:`Field.frobenius_representatives`.
 :class:`FieldElement` wraps that: each binary operator reads the other operand,
-an element of the same field or an int mod p, applies the :class:`Field` method
-and wraps the result.  :meth:`Field.encode` reads elements and ints as encodings.
+an element of the same field or an int n as n * 1, applies the :class:`Field`
+method and wraps the result.  Every other reader of a caller's values goes through
+:meth:`Field.read`, the one reduction of an integer outside range(q) into the field.
 Element and polynomial text share one grammar, read by :func:`text_terms`.
 
 The reduction modulus of GF(p^m) is the lexicographically least monic
@@ -153,7 +154,7 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     m, F = len(modulus) - 1, make_field(p)
     X = _companion(modulus, p)
     return np.array_equal(_power(X, p**m, p), X) and all(
-        len(rref(F, _power(X, p ** (m // r), p) - X, m)[1]) == m for r in _prime_factors(m)
+        len(rref(F, (_power(X, p ** (m // r), p) - X) % p, m)[1]) == m for r in _prime_factors(m)
     )
 
 
@@ -408,11 +409,19 @@ class Field:
             val = self.add(val, coeff % self.p * self.p**power)
         return val
 
+    def read(self, v) -> int:
+        """The encoding of a caller's value: a :class:`FieldElement` of this field (another's raises
+        :class:`FieldMismatchError`), an integer (Python or numpy) in range(q) as that encoding, any
+        other integer n as n mod p, its image under Z -> GF(p); InvalidInputError for anything else."""
+        if isinstance(v, (int, np.integer)):
+            return int(v) if 0 <= v < self.order else int(v) % self.p
+        if isinstance(v, FieldElement):
+            return self._own_val(v)
+        raise InvalidInputError(f"{v!r} is not an element of {self} (an integer or a FieldElement)")
+
     def encode(self, values) -> list[int]:
-        """The encodings of ``values``: a :class:`FieldElement` of this field gives its own, one of
-        another field raises :class:`FieldMismatchError`, anything else is read as an integer and
-        reduced mod the field order."""
-        return [self._own_val(v) if isinstance(v, FieldElement) else int(v) % self.order for v in values]
+        """The encodings of ``values``, each read by :meth:`read`, the one reader that reduces."""
+        return [self.read(v) for v in values]
 
     def _own_val(self, x: "FieldElement") -> int:
         if x.field != self:

@@ -19,8 +19,9 @@ level, exact below 2^53: one path for every GF(p^m), GF(p) being m = 1.
 read-only int64 view (E, c) of it, built on first use or kept from the arrays
 that made the polynomial, and ``dense()``, the cached read-only coefficient row
 over ``monomials_of_degree``, from which gradient rows are one gather.  Only the
-public constructor validates terms; the library builds through ``_trusted``,
-and +, * and parsing share :func:`_merge`.
+public constructor validates terms, reading coefficients (and ``scale`` its scalar)
+by :meth:`Field.read`; the library builds through ``_trusted``, and +, * and
+parsing share :func:`_merge`.
 No polynomial keeps a derivative: this module alone forms them, with the rule
 c z^w -> c (w_j mod p) z^(w - e_j), as polynomials (``partial_derivative``),
 as gradient rows and stacks, and as the gradient at a point, one pass over the
@@ -139,20 +140,14 @@ class HomogeneousPolynomial:
             raise InvalidInputError("degree must be non-negative")
         clean: dict[Monomial, int] = {}
         for mono, c in terms.items():
-            if not 0 <= c < field.order:
-                # out-of-range integers are treated as prime-subfield values
-                c %= field.p
-            if c == 0:
-                continue
             if len(mono) != n_vars:
                 raise InvalidInputError(f"exponent vector {mono} has wrong length")
             if any(e < 0 for e in mono):
                 raise InvalidInputError(f"negative exponent in {mono}")
             if sum(mono) != degree:
-                raise HomogeneityError(
-                    f"monomial {mono} has degree {sum(mono)}, expected {degree}"
-                )
-            clean[mono] = c
+                raise HomogeneityError(f"monomial {mono} has degree {sum(mono)}, expected {degree}")
+            if c := field.read(c):  # a zero coefficient drops its checked term
+                clean[mono] = c
         self.field = field
         self.n_vars = n_vars
         self.degree = degree
@@ -242,16 +237,14 @@ class HomogeneousPolynomial:
         return _merge(self.field, self.n_vars, degree, np.concatenate([E1, E2]), np.concatenate([c1, c2]))
 
     def __neg__(self) -> "HomogeneousPolynomial":
-        return self.scale(self.field.p - 1)  # p - 1 encodes -1
+        return self.scale(-1)
 
     def __sub__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
         return self + (-other)
 
     def scale(self, c: int) -> "HomogeneousPolynomial":
-        """c * f, an int c outside range(field.order) read mod p, as the constructor reads coefficients."""
-        F = self.field
-        if not 0 <= c < F.order:
-            c %= F.p
+        """c * f, c read by :meth:`Field.read` as the constructor reads coefficients."""
+        F, c = self.field, self.field.read(c)
         terms = {m: F.mul(v, c) for m, v in self.terms.items()} if c else {}
         return HomogeneousPolynomial._trusted(F, self.n_vars, self.degree, terms)
 

@@ -30,7 +30,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import FieldMismatchError, HomogeneityError, InvalidInputError, UnsupportedVertexError
-from .exactla import MatrixOverField, in_span, reduced_kernel, rref
+from .exactla import MatrixOverField, _solve, reduced_kernel, rref
 from .geometry import LinearSubspace, PolynomialSystem, ProjectivePoint
 from .gf import make_field
 from .hompoly import (
@@ -188,12 +188,13 @@ def graded_membership(
 ) -> tuple[bool, MembershipWitness | None]:
     """Exact membership of h in the degree-deg(h) graded piece of the ideal.
 
-    :func:`~strangeci.exactla.in_span` of h's row over the unreduced products m * f^k decides it
-    and solves for a member's witness in one elimination, the coefficients of free products zero;
-    the witness's entries for f^k are its multiplier's, on the degree-(d - e_k) monomials in order.
+    The solve of :func:`~strangeci.exactla.in_span`, on one int64 array of the unreduced products
+    m * f^k and h's row, decides it and finds a witness in one elimination, free products' coefficients
+    zero; the witness's entries for f^k are its multiplier's, on the degree-(d - e_k) monomials in order.
     """
     ideal, d, n1 = GradedIdeal(S.gens), h.degree, S.n + 1
-    member, coeffs = in_span(S.field, ideal.vectors([h], d)[0].tolist(), ideal.macaulay_matrix(d).tolist())
+    target, A = ideal.vectors([h], d)[0], ideal.macaulay_matrix(d)
+    member, coeffs = _solve(S.field, np.column_stack([A.T, target]), len(A))
     if not member:
         return False, None
     coeffs, mults = np.array(coeffs, dtype=np.int64), []

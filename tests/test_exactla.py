@@ -11,6 +11,7 @@ from strangeci.exactla import (
     MatrixOverField,
     in_span,
     invert,
+    kernel_basis,
     rank,
     rank_and_kernel,
     reduced_kernel,
@@ -188,36 +189,59 @@ class TestRref:
             assert check_rref(F, [[] for _ in range(3)], 0, ([[], [], []], [])) == 0
 
     def test_reduces_entries_outside_the_field(self):
-        """Entries are read as Field.encode reads integers, mod the field order."""
+        """The public readers read entries by Field.read, an integer outside range(q) mod p, and
+        hand rref encodings, on both sides of LOOP_CELLS; as lists and as an int64 array."""
         big = LOOP_CELLS // 2  # rows of zeros that send the matrix to the digit update
-        for F, rows, reduced in (
+        for F, rows, read in (
             (make_field(5), [[7, 3], [2, 5]], [[2, 3], [2, 0]]),
             (make_field(3), [[-1, 4], [-3, 2]], [[2, 1], [0, 2]]),
-            (F4, [[6, 3], [2, 9]], [[2, 3], [2, 1]]),
-            (F4, [[7, 1]], [[3, 1]]),
+            (F4, [[6, 3], [2, 9]], [[0, 3], [2, 1]]),
+            (F4, [[7, 1]], [[1, 1]]),
         ):
-            expected = gauss_jordan(F, reduced, 2)
-            check_rref(F, rows, 2, expected)
-            zeros = [[0, 0]] * big
-            check_rref(F, rows + zeros, 2, (expected[0] + zeros, expected[1]))
+            R, pivots = gauss_jordan(F, read, 2)
+            for zeros in ([], [[0, 0]] * big):
+                for given in (rows + zeros, np.array(rows + zeros, dtype=np.int64)):
+                    M = MatrixOverField(F, given)
+                    assert M.rows == read + zeros and rank(M) == len(pivots)
+                    assert rank_and_kernel(M) == (len(pivots), kernel_basis(F, R, pivots, 2))
+                assert LinearSubspace(F, 2, rows + zeros).basis == tuple(map(tuple, R[: len(pivots)]))
 
     def test_reduces_integers_past_int64(self):
-        """List entries beyond int64 are reduced mod the field order, as Field.encode reduces
-        them, on both sides of LOOP_CELLS: by rref, and by in_span and LinearSubspace through it."""
-        assert rref(F2, [[2**70 + 1, 1]], 2) == ([[1, 1]], [0])
-        assert rref(F2, [[2**70 + 1] * 300], 300) == ([[1] * 300], [0])
+        """List entries beyond int64 are read exactly, as their residues mod p, on both sides of
+        LOOP_CELLS: by MatrixOverField and rank, in_span and LinearSubspace."""
+        M = MatrixOverField(F2, [[2**70 + 1, 1]])
+        assert M.rows == [[1, 1]] and rank(M) == 1
+        M = MatrixOverField(F2, [[2**70 + 1] * 300])
+        assert M.rows == [[1] * 300] and rank(M) == 1
         rng = random.Random(19)
         sides = [0, 0]
         for F in self.FIELDS:
             for n in (2, LOOP_CELLS):
                 reduced = low_rank_rows(rng, F, 3, n)
                 rows = [[x + rng.randrange(-(2**70), 2**70) * F.order for x in r] for r in reduced]
-                assert rref(F, rows, n) == gauss_jordan(F, reduced, n)
+                assert not any(0 <= y < F.order for r in rows for y in r)
+                read = [[y % F.p for y in r] for r in rows]  # over GF(p), the rows of reduced
+                R, pivots = gauss_jordan(F, read, n)
+                M = MatrixOverField(F, rows)
+                assert M.rows == read and rank(M) == len(pivots)
                 sides[3 * n >= LOOP_CELLS] += 1
                 for target in (reduced[0], [rng.randrange(F.order) for _ in range(n)]):
-                    assert in_span(F, target, rows) == in_span(F, target, reduced)
-                assert LinearSubspace(F, n, rows) == LinearSubspace(F, n, reduced)
+                    assert in_span(F, target, rows) == in_span(F, target, read)
+                assert LinearSubspace(F, n, rows) == LinearSubspace(F, n, read)
+                assert LinearSubspace(F, n, rows).basis == tuple(map(tuple, R[: len(pivots)]))
         assert min(sides) == len(self.FIELDS)
+
+    def test_leaves_its_input_unchanged(self):
+        """rref returns a new container and leaves its rows, lists or an int64 array, as they were."""
+        rng = random.Random(29)
+        for F in self.FIELDS:
+            for m, n in ((4, 5), (LOOP_CELLS // 10 + 1, 10)):
+                rows = [[rng.randrange(F.order) for _ in range(n)] for _ in range(m)]
+                kept, A = [list(r) for r in rows], np.array(rows, dtype=np.int64)
+                R, _ = rref(F, rows, n)
+                assert R != rows and rows == kept
+                RA, _ = rref(F, A, n)
+                assert RA.tolist() == R and A.tolist() == kept
 
     def test_zero_rows_across_the_threshold(self):
         """Padding a matrix with zero rows past LOOP_CELLS keeps its nonzero rows and pivots."""
@@ -298,8 +322,9 @@ class TestInSpan:
             assert recon == target
 
     def test_encodes_target_and_generators(self):
-        """Entries are read as Field.encode reads integers, so the witness is a field element."""
-        assert in_span(F4, [7], [[1]]) == (True, [3])
+        """Entries are read by Field.read, an integer outside range(q) mod p, so the witness is a
+        field element."""
+        assert in_span(F4, [7], [[1]]) == (True, [1])
         assert in_span(F3, [-1], [[1]]) == (True, [2])
         assert in_span(F3, [3, 0], [[1, 1]]) == (True, [0])
         assert in_span(F3, [3, 0], []) == (True, [])

@@ -1,8 +1,10 @@
 """Input checks of the public constructors and functions: each raises its own error type with
 its own message, and the small FieldElement and Field operations not used elsewhere."""
 
+import numpy as np
 import pytest
 
+from strangeci.census import phi_surjectivity_check
 from strangeci.errors import FieldMismatchError, HomogeneityError, InvalidInputError, SingularPointError
 from strangeci.exactla import MatrixOverField, in_span
 from strangeci.families import prop31_construct
@@ -29,6 +31,11 @@ CHECKS = [
      InvalidInputError, "negative exponent in (2, -1)"),
     ("poly-term-degree", lambda: HomogeneousPolynomial(F3, 2, 2, {(2, 0): 1, (1, 0): 1}),
      HomogeneityError, "monomial (1, 0) has degree 1, expected 2"),
+    # an exponent vector is checked before its zero coefficient drops the term
+    ("poly-zero-term-exponent-length", lambda: HomogeneousPolynomial(F3, 2, 1, {(1, 2, 3): 0}),
+     InvalidInputError, "exponent vector (1, 2, 3) has wrong length"),
+    ("multiply-monomial-zero-coefficient", lambda: poly("z0", F9, 2).multiply_monomial((1, 0, 0), 9),
+     InvalidInputError, "exponent vector (1, 0, 0) has wrong length"),
     # PolynomialSystem
     ("system-no-generators", lambda: PolynomialSystem([]),
      InvalidInputError, "a system needs at least one generator"),
@@ -85,6 +92,30 @@ CHECKS = [
      FieldMismatchError, "cannot embed GF(2) into GF(3^2): different characteristics"),
 ]
 
+# every reader of a caller's values reads them by Field.read, which refuses a float and a str
+READERS = [
+    ("field-read", lambda v: F3.read(v)),
+    ("field-encode", lambda v: F3.encode([1, v])),
+    ("point", lambda v: ProjectivePoint(F3, [1, v])),
+    ("matrix", lambda v: MatrixOverField(F3, [[1, v]])),
+    ("subspace", lambda v: LinearSubspace(F3, 2, [[1, v]])),
+    ("in-span-target", lambda v: in_span(F3, [1, v], [[1, 0]])),
+    ("in-span-generator", lambda v: in_span(F3, [1, 0], [[1, v]])),
+    ("poly-coefficient", lambda v: HomogeneousPolynomial(F3, 2, 1, {(1, 0): v})),
+    ("poly-scale", lambda v: poly("z0", F3, 2).scale(v)),
+    ("prop31-beta", lambda v: prop31_construct([poly("z1^3", F3, 4)], [1, v, 0], 3)),
+    ("phi-target", lambda v: phi_surjectivity_check(ProjectivePoint(F3, [0, 1, 1]), 2, [v])),
+]
+NOT_ELEMENTS = [
+    ("float", 1.5, "1.5 is not an element of GF(3) (an integer or a FieldElement)"),
+    ("str", "2", "'2' is not an element of GF(3) (an integer or a FieldElement)"),
+]
+CHECKS += [
+    (f"{name}-{kind}", lambda read=read, v=v: read(v), InvalidInputError, message)
+    for name, read in READERS
+    for kind, v, message in NOT_ELEMENTS
+]
+
 
 @pytest.mark.parametrize("call, error, message", [row[1:] for row in CHECKS], ids=[row[0] for row in CHECKS])
 def test_raises_its_error_and_message(call, error, message):
@@ -104,6 +135,32 @@ class TestHomogeneousPolynomialCoefficients:
 
     def test_coefficient_zero_mod_p_drops_the_term(self):
         assert HomogeneousPolynomial(F9, 2, 1, {(1, 0): 9, (0, 1): 1}).terms == {(0, 1): 1}
+
+
+class TestOneReading:
+    """Every reader of a caller's integers goes through Field.read: -1 is -1 over every field."""
+
+    def test_minus_one_over_gf9_reads_as_2_at_every_reader(self):
+        assert F9.read(-1) == F9.read(np.int64(-1)) == 2 and F9.encode([-1, np.int32(8)]) == [2, 8]
+        assert ProjectivePoint(F9, [1, -1]).coords == (1, 2)
+        assert MatrixOverField(F9, [[-1]]).rows == [[2]]
+        assert LinearSubspace(F9, 2, [[1, -1]]).basis == ((1, 2),)
+        assert in_span(F9, [-1], [[1]]) == (True, [2]) and in_span(F9, [2], [[-1]]) == (True, [1])
+        assert HomogeneousPolynomial(F9, 2, 1, {(1, 0): -1}).terms == {(1, 0): 2}
+        assert poly("z0 + z1", F9, 2).scale(-1).terms == {(1, 0): 2, (0, 1): 2}
+        assert phi_surjectivity_check(ProjectivePoint(F9, [0, 1, 1]), 2, [-1])
+
+    def test_minus_one_is_p_minus_one_in_prop31_construct(self):
+        # the construction takes GF(p) systems
+        gens = [poly("z1^3 + z2^3", F3, 4)]
+        (S, alpha), (T, beta) = prop31_construct(gens, [-1, 0, 0], 3), prop31_construct(gens, [2, 0, 0], 3)
+        assert alpha == beta == ProjectivePoint(F3, [1, 2, 0, 0]) and S.gens == T.gens
+
+    def test_an_operand_int_is_an_integer_multiple_of_one(self):
+        # the FieldElement operators keep their own rule: x * 2 is x + x
+        F8 = make_field(2, 3)
+        assert F8.element(5) * 2 == F8.zero and 2 * F8.element(5) == F8.zero
+        assert F9.element(5) * -1 == -F9.element(5)
 
 
 class TestFieldElement:
