@@ -93,7 +93,7 @@ def hv_monomial_basis(p: int, N: int, e: int) -> list[Monomial]:
     This is exactly the kernel basis of f -> f_{z_0} on the degree-e
     monomial space; graded-lex ordered, z_0 greatest.
     """
-    return list(zip(*_monomial_array(N + 1, e)[_hv_ranks(p, N, e)].T.tolist()))
+    return list(_hv_basis(p, N, e))
 
 
 @functools.lru_cache(maxsize=64)
@@ -105,13 +105,19 @@ def _hv_ranks(p: int, N: int, e: int) -> np.ndarray:
     return np.flatnonzero(_monomial_array(N + 1, e)[:, 0] % p == 0)
 
 
-def _member(F: Field, N: int, e: int, coeffs) -> HomogeneousPolynomial:
+@functools.lru_cache(maxsize=64)
+def _hv_basis(p: int, N: int, e: int) -> tuple[Monomial, ...]:
+    """The basis monomials as exponent tuples, in the order of ``_hv_ranks``."""
+    return tuple(map(tuple, _monomial_array(N + 1, e)[_hv_ranks(p, N, e)].tolist()))
+
+
+def _member(F: Field, N: int, e: int, coeffs: list[int]) -> HomogeneousPolynomial:
     """The generator with the given coefficients on the basis monomials, zero ones left out of
     its term map, and its dense row placed at the basis ranks."""
     row = np.zeros(monomial_count(N + 1, e), dtype=np.int64)
     row[_hv_ranks(F.p, N, e)] = coeffs
-    nz = np.flatnonzero(row)
-    return HomogeneousPolynomial._trusted(F, N + 1, e, arrays=(_monomial_array(N + 1, e)[nz], row[nz]), dense=row)
+    terms = {mono: c for mono, c in zip(_hv_basis(F.p, N, e), coeffs) if c}
+    return HomogeneousPolynomial._trusted(F, N + 1, e, terms, dense=row)
 
 
 def sample_hv(spec: CensusSpec) -> Iterator[PolynomialSystem]:

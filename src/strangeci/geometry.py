@@ -94,6 +94,14 @@ class ProjectivePoint:
         self.field = field
         self.coords = tuple(vals)
 
+    @classmethod
+    def _trusted(cls, field: Field, coords: tuple[int, ...]) -> "ProjectivePoint":
+        """A point the library built, checked no further: a tuple of Python int encodings in
+        range(field.order), the first nonzero one 1, kept as given."""
+        pt = object.__new__(cls)
+        pt.field, pt.coords = field, coords
+        return pt
+
     @property
     def n(self) -> int:
         return len(self.coords) - 1
@@ -128,7 +136,10 @@ class ProjectivePoint:
 def _orbit(F: Field, coords: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The distinct Frobenius conjugates of coords, coords first: Frobenius^m is the identity
     on GF(p^m), so the walk comes back to coords within m steps.  Frobenius fixes 0 and 1, so
-    the conjugates of a normalized point are normalized."""
+    the conjugates of a normalized point are normalized.  Over GF(p) Frobenius is the identity:
+    the orbit is [coords], with no walk."""
+    if F.m == 1:
+        return [coords]
     orbit = [coords]
     while (nxt := tuple(F.frobenius(c) for c in orbit[-1])) != coords:
         orbit.append(nxt)
@@ -371,14 +382,15 @@ def _rank_below(J: np.ndarray, r: int, F: Field) -> np.ndarray:
     For r >= 2 this is fraction-free Gaussian elimination batched over the
     points: each point takes the first nonzero entry of row i as its own
     pivot and clears that column from the rows below (a zero row clears
-    nothing).  The rank is the number of rows left nonzero.
+    nothing).  The rank is the number of rows left nonzero; the last row,
+    with no row below it, is only counted.
     """
     if r == 1:
         return ~J.any(axis=(1, 2))
     A = J.copy()
     at = np.arange(A.shape[0])
     rank = np.zeros(A.shape[0], dtype=np.int64)
-    for i in range(r):
+    for i in range(r - 1):
         row = A[:, i, :]
         has = row.any(axis=1)
         rank += has
@@ -387,7 +399,7 @@ def _rank_below(J: np.ndarray, r: int, F: Field) -> np.ndarray:
         for j in range(i + 1, r):
             minus = F.mul_array(A[at, j, col], F.p - 1)[:, None]  # -J[j, col]; p-1 encodes -1
             A[:, j, :] = F.add_array(F.mul_array(A[:, j, :], piv), F.mul_array(row, minus))
-    return rank < r
+    return rank + A[:, r - 1, :].any(axis=1) < r
 
 
 def _point_blocks(q: int, n_plus_1: int, block: int = _BLOCK, reps: np.ndarray | None = None):
@@ -575,7 +587,7 @@ def singular_search(
                 key = (m, min(orbit))  # the same coordinates over two fields are two points
                 if len(orbit) == m and key not in seen:  # a shorter orbit was reported over a smaller field
                     seen.add(key)
-                    found.append((m, ProjectivePoint(F, key[1])))
+                    found.append((m, ProjectivePoint._trusted(F, key[1])))
         if stop_early and found:
             break
     return found

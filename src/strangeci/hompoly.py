@@ -183,7 +183,14 @@ class HomogeneousPolynomial:
     def from_coeff_vector(
         cls, field: Field, n_vars: int, degree: int, basis: list[Monomial], vec
     ) -> "HomogeneousPolynomial":
-        return cls(field, n_vars, degree, {m: c for m, c in zip(basis, vec) if c})
+        """Coefficient vec[i] on monomial basis[i], the basis monomials distinct: every pair goes to the
+        constructor, which checks each exponent vector, a zero coefficient's too."""
+        if len(basis) != len(vec):
+            raise InvalidInputError(f"coefficient vector of length {len(vec)} for {len(basis)} basis monomials")
+        terms = dict(zip(basis, vec))
+        if len(terms) != len(basis):
+            raise InvalidInputError("a monomial repeats in the basis")
+        return cls(field, n_vars, degree, terms)
 
     # -- basic predicates -------------------------------------------------
 

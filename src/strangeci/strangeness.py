@@ -160,9 +160,12 @@ class GradedIdeal:
     def residues(self, T: np.ndarray, d: int) -> np.ndarray:
         """Rows t of T (degree d) reduced modulo I_d, read at the free columns:
         entry j is phi_j(t) for row j of :meth:`annihilator`, all zero iff t is in I_d.
+        T itself when every generator's degree exceeds d: I_d is then empty, and no piece is built.
 
         T - T[:, pivots] @ R at the free columns on base-p digits, one product over pivots i and digits j:
         digit s of T[t, i] * R[i, c] is the sum over j of (digit s of T[t, i] x^j) (digit j of R[i, c])."""
+        if all(g.degree > d for g in self.gens):
+            return T
         (pivots, free, rhs), F = self._piece(d), self.field
         if not len(pivots):
             return T

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -139,6 +141,19 @@ class TestVerifyTheorem:
                 monkeypatch.setattr(mod, "monomial_rank", lambda *args: calls.append(args) or rank(*args))
         assert verify_singularity_theorem(spec)["summary"] == expect
         assert calls == []
+
+    def test_records_pinned(self):
+        """Every record of 100 samples of each workload configuration at seed 1, all but its time,
+        in one sha256: the workload's outcome digest leaves out strange_locus_dim, the generators
+        and the degrees."""
+        digest = hashlib.sha256()
+        for p, N, degrees, m_max in CENSUS_CONFIGS:
+            spec = CensusSpec(p=p, N=N, degrees=degrees, count=100, seed=1, m_max=m_max)
+            for rec in verify_singularity_theorem(spec)["records"]:
+                d = rec.to_dict()
+                del d["elapsed_ms"]
+                digest.update((json.dumps(d, sort_keys=True) + "\n").encode())
+        assert digest.hexdigest()[:16] == "67fecbd5ee401147"
 
     def test_small_run_all_found(self):
         spec = CensusSpec(p=2, N=3, degrees=(3,), count=25, seed=7, m_max=3)

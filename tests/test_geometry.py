@@ -31,6 +31,7 @@ from strangeci.geometry import (
     _first_zeros,
     _float_log,
     _grid,
+    _orbit,
     _point_blocks,
     _table,
     _table_level,
@@ -109,6 +110,13 @@ class TestProjectivePoint:
             degrees.add(degree)
         divisors = {d for d in range(1, m + 1) if m % d == 0}
         assert m in degrees and degrees <= divisors and (count or degrees == divisors)
+
+    def test_orbit_over_prime_field_is_the_point(self):
+        """Frobenius is the identity on GF(p); over GF(4) the walk still takes t to t + 1."""
+        for F in (F2, F3, F5):
+            for a in enumerate_points(F, 2):
+                assert _orbit(F, a.coords) == [a.coords]
+        assert _orbit(F4, (1, 2, 0)) == [(1, 2, 0), (1, 3, 0)] and _orbit(F4, (0, 1, 1)) == [(0, 1, 1)]
 
     def test_point_count(self):
         # |P^2(GF(3))| = 9 + 3 + 1
@@ -689,6 +697,41 @@ class TestSingularSearch:
             assert split == ({split_order} if split_order else set()) and tables == orders - split
             assert (a.field.m, a.galois_canonical()) in expect
             assert not pairs_only or all(m == 2 for m, _ in expect)
+
+    def test_found_points_are_canonical(self, monkeypatch):
+        """The search builds its points unchecked from the enumeration's rows: each is the point the
+        checked constructor makes of its coordinates, held as Python ints, at its minimal field.
+        Hypersurfaces singular at a planted point over GF(2), GF(3), GF(4), GF(8) and GF(9), whose
+        points come from both the table and the block levels."""
+        F8, F9 = make_field(2, 3), make_field(3, 2)
+        planted = [
+            (ProjectivePoint(F2, [1, 1, 0, 1]), 3, 2),
+            (ProjectivePoint(F3, [1, 2, 0, 1, 1, 0, 2]), 3, 1),  # 1 093 points x 84 cubics: a block level
+            (ProjectivePoint(F4, [1, 2, 3, 0]), 4, 2),
+            (ProjectivePoint(F8, [1, 1, 2, 0, 1]), 3, 3),  # GF(8) in P^4 is a block level
+            (ProjectivePoint(F9, [0, 1, 4, 0]), 3, 2),
+            (ProjectivePoint(F9, [1, 5, 2, 7]), 3, 2),
+        ]
+        levels = {}  # the path each level of one search takes, by field order
+
+        def spy(name, field_arg):
+            level = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, lambda *args: levels.setdefault(args[field_arg].order, name) and level(*args))
+
+        spy("_table_level", 1)
+        spy("_block_level", 3)
+        rng, paths = random.Random(5), set()
+        for a, e, m_max in planted:
+            S = PolynomialSystem([self.singular_at(a, e, rng)])
+            levels.clear()
+            hits = singular_search(S, m_max=m_max)
+            assert (a.field.m, a.galois_canonical()) in hits
+            for m, pt in hits:
+                assert pt == ProjectivePoint(pt.field, pt.coords), str(S)
+                assert all(type(c) is int for c in pt.coords)
+                assert pt.field == make_field(S.field.p, m) and pt.minimal_subfield_degree() == m
+                paths.add(levels[pt.field.order])
+        assert paths == {"_table_level", "_block_level"}
 
     def test_stop_early(self):
         hits = singular_search(

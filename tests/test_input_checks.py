@@ -34,6 +34,16 @@ CHECKS = [
     # an exponent vector is checked before its zero coefficient drops the term
     ("poly-zero-term-exponent-length", lambda: HomogeneousPolynomial(F3, 2, 1, {(1, 2, 3): 0}),
      InvalidInputError, "exponent vector (1, 2, 3) has wrong length"),
+    ("coeff-vector-zero-term-exponent-length",
+     lambda: HomogeneousPolynomial.from_coeff_vector(F3, 2, 1, [(1, 2, 3)], [0]),
+     InvalidInputError, "exponent vector (1, 2, 3) has wrong length"),
+    ("coeff-vector-short", lambda: HomogeneousPolynomial.from_coeff_vector(F3, 2, 1, [(1, 0), (0, 1)], [1]),
+     InvalidInputError, "coefficient vector of length 1 for 2 basis monomials"),
+    ("coeff-vector-long", lambda: HomogeneousPolynomial.from_coeff_vector(F3, 2, 1, [(1, 0)], [1, 2]),
+     InvalidInputError, "coefficient vector of length 2 for 1 basis monomials"),
+    ("coeff-vector-repeated-monomial",
+     lambda: HomogeneousPolynomial.from_coeff_vector(F3, 2, 1, [(1, 0), (1, 0)], [1, 0]),
+     InvalidInputError, "a monomial repeats in the basis"),
     ("multiply-monomial-zero-coefficient", lambda: poly("z0", F9, 2).multiply_monomial((1, 0, 0), 9),
      InvalidInputError, "exponent vector (1, 0, 0) has wrong length"),
     # PolynomialSystem

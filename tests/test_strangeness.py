@@ -189,6 +189,19 @@ class TestGradedIdeal:
         assert ideal.macaulay_matrix(4).tolist() == expected
         assert ideal.macaulay_matrix(1).shape == (0, 3)
 
+    def test_residues_below_every_generator_build_no_piece(self):
+        """I_d = 0 below every generator's degree: residues hand T back and build no piece.  Once a
+        generator has degree <= d, the piece is built, eliminated once and cached."""
+        S = PolynomialSystem.parse(["z0*z1 + z2^2", "z1^3 + 2*z0*z2^2"], F3, 3)
+        ideal = GradedIdeal(S.gens)
+        T = np.arange(6, dtype=np.int64).reshape(2, 3) % 3
+        assert ideal.residues(T, 1) is T and ideal._pieces == {}
+        V = ideal.vectors([S.gens[0], HomogeneousPolynomial.monomial(F3, 3, (2, 0, 0))], 2)
+        R = ideal.residues(V, 2)
+        assert list(ideal._pieces) == [2] and not R[0].any() and R[1].any()
+        piece = ideal._pieces[2]
+        assert ideal.residues(V, 2).tolist() == R.tolist() and ideal._pieces == {2: piece}
+
     def test_vectors_follow_monomials_of_degree(self):
         for n_vars, d in ((1, 3), (2, 0), (3, 4), (5, 3), (100, 2)):
             F = F5
